@@ -7,12 +7,14 @@ Three layers live here:
    (z = (s0 - sigma0) -/+ iT along the lower/upper contour) and averages the
    residual until a classical limit appears.  When the path is known to be
    driven by a period-C phase (the root-ladder symbols), a period-aware
-   profile extraction is used instead of repeated averaging: per-phase-bin
-   least squares recovers the coefficient profiles gamma_n(alpha) of f as a
-   polynomial in z, the constant content is integrated exactly, and the
-   zero-mean z^2 profile content is assigned its Cesaro value
-   -i*sgn*(s0-sigma0)*mean(W) where W is the antiderivative of the profile
-   anchored at alpha = 0.
+   profile extraction is used instead of repeated averaging.  Inside a phase
+   bin z is affine in the period index, so one Vandermonde in the scaled
+   period index serves all bins: a single least-squares solve, refined in
+   long double on the whole (periods, bins) sample matrix, recovers the
+   coefficient profiles gamma_n(alpha) of f as a polynomial in z.  The
+   constant content is integrated exactly, and the zero-mean z^2 profile
+   content is assigned its Cesaro value -i*sgn*(s0-sigma0)*mean(W) where W is
+   the antiderivative of the profile anchored at alpha = 0.
 
 2. The closed-form limit table for the ladder symbols alpha^n, k, k*alpha^n,
    z*alpha^n, k^2, k^2*alpha, z^2*alpha, k^3 on both contours, a numeric
@@ -71,15 +73,17 @@ class SampledPath:
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.t0 < 0.0:
-            raise InvalidInputError(f"t0 must be nonnegative, got {self.t0}")
-        if self.dt <= 0.0:
-            raise InvalidInputError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.t0) and self.t0 >= 0.0):
+            raise InvalidInputError(f"t0 must be finite and nonnegative, got {self.t0}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise InvalidInputError(f"dt must be finite and positive, got {self.dt}")
         object.__setattr__(
             self, "samples", np.asarray(self.samples, dtype=complex)
         )
         if self.samples.ndim != 1 or len(self.samples) < 2:
             raise InvalidInputError("samples must be a 1-d sequence of length >= 2")
+        if not np.isfinite(self.samples).all():
+            raise InvalidInputError("samples must be finite")
 
     @property
     def times(self) -> np.ndarray:
@@ -98,8 +102,10 @@ class ClimReport:
     def __post_init__(self):
         if self.p_power < 0:
             raise InvalidInputError("p_power must be nonnegative")
-        if self.residual_flatness < 0.0:
-            raise InvalidInputError("residual_flatness must be nonnegative")
+        if not self.residual_flatness >= 0.0:
+            raise InvalidInputError(
+                f"residual_flatness must be nonnegative, got {self.residual_flatness}"
+            )
 
 
 def average_P(path: SampledPath) -> SampledPath:
@@ -137,6 +143,22 @@ def _geometric_z(times: np.ndarray, s0: complex, sigma0: float, direction: str):
     raise InvalidInputError(f"direction must be 'lower' or 'upper', got {direction!r}")
 
 
+def _z_coefficients(coef, s, c):
+    """z-monomial coefficients of sum_j coef[j] * T**j, where T = s*(z - c).
+
+    The polynomial index runs along the first axis of ``coef``; ``c``
+    broadcasts against ``coef[0]``, so one call shifts a whole batch of
+    polynomials, each around its own centre.  The arithmetic is done in the
+    dtype of ``coef`` and ``c``.
+    """
+    out = np.zeros_like(coef)
+    for j in range(len(coef)):
+        bj = coef[j] * s**j
+        for m in range(j + 1):
+            out[m] = out[m] + math.comb(j, m) * bj * (-c) ** (j - m)
+    return out
+
+
 def _fit_remove(f, times, z, c, degree, direction):
     """LSQ-fit constant coefficients of z^n (n <= degree) and remove n >= 1.
 
@@ -146,14 +168,8 @@ def _fit_remove(f, times, z, c, degree, direction):
     x = times / times[-1]
     V = np.vander(x, degree + 1, increasing=True)
     coef, *_ = np.linalg.lstsq(V, f, rcond=None)
-    b = coef / times[-1] ** np.arange(degree + 1)
     s = 1j if direction == "lower" else -1j
-    pz = np.zeros(degree + 1, dtype=complex)
-    base = np.array([-c, 1.0], dtype=complex)  # the polynomial (z - c)
-    cur = np.array([1.0 + 0.0j])
-    for j in range(degree + 1):
-        pz[: len(cur)] += b[j] * s**j * cur
-        cur = np.polynomial.polynomial.polymul(cur, base)
+    pz = _z_coefficients(coef / times[-1] ** np.arange(degree + 1), s, c)
     removed = np.zeros_like(f)
     zp = np.ones_like(z)
     for n in range(1, degree + 1):
@@ -169,7 +185,20 @@ def _poly_mean(x, y, degree):
 
 
 def _clim_profile(path, z, s0, sigma0, direction, degree, period, phase, flat_tol):
-    """Period-aware Clim: per-phase-bin profiles of f as a polynomial in z."""
+    """Period-aware Clim: the profiles gamma_n(alpha) of f as a polynomial in z.
+
+    The samples of the full periods form an (nfull, nbin) matrix, one row per
+    period and one column per phase bin b.  Down a column z is affine in the
+    period index p, z = z_b -/+ i*(nbin*dt)*p on the lower/upper contour, so
+    one Vandermonde in p (scaled by a power of two >= nfull), over the first-
+    and last-quarter rows, serves every bin: it is factored once, and each
+    solve fits all columns at once.  The raw samples grow like T^degree, so
+    the O(1) low-order coefficients sit below the double-precision noise
+    floor of one solve; two refinement solves on the residual of the whole
+    matrix, evaluated in long double, restore them (mixed-precision iterative
+    refinement).  A binomial shift around z_b, in long double, turns the
+    p-coefficients of each column into the z-monomial profiles gamma_n(b).
+    """
     dt = path.dt
     nbin = int(round(period / dt))
     if nbin < 2 or abs(nbin * dt - period) > 1e-9 * period:
@@ -186,43 +215,34 @@ def _clim_profile(path, z, s0, sigma0, direction, degree, period, phase, flat_to
             "for the averages to flatten",
             residual_flatness=math.inf,
         )
-    idx = np.arange(n)
-    per = idx // nbin
-    b = idx % nbin
-    quarters = (per < nfull // 4) | (per >= nfull - nfull // 4)
-    zscale = abs(z[-1])
-    zs = z / zscale
-    # Extended-precision copy of the fit variable: the raw samples grow like
-    # T^degree, so for long paths the O(1) low-order coefficients sit below
-    # the double-precision noise floor of both the sampled z values and a
-    # single least-squares solve.  Iterative refinement with residuals
-    # evaluated in long double against the accurately recomputed z restores
-    # them.
-    tl = np.longdouble(path.t0) + np.longdouble(dt) * np.arange(n)
+    nq = nfull // 4
+    p = np.r_[0:nq, nfull - nq : nfull]
+    grid = f[: nfull * nbin].reshape(nfull, nbin)
+    # real and imaginary parts as separate columns: the Vandermonde is real
+    rows = np.concatenate((grid[:nq], grid[nfull - nq :])).view(float)
+    # Scaling p by a power of two keeps p/scale and its powers exact, so the
+    # long-double residual below rounds only in its products and sums.
+    scale = 1 << (nfull - 1).bit_length()
+    Q, R = np.linalg.qr(np.vander(p / scale, degree + 1, increasing=True))
+    coef = np.linalg.solve(R, Q.T @ rows).astype(np.longdouble, order="C")
+    xl = (p.astype(np.longdouble) / scale)[:, None]
+    for _ in range(2):
+        # power basis, smallest terms first: the large terms then round once
+        resid = coef[1] * xl
+        resid += coef[0]
+        for j in range(2, degree + 1):
+            resid += coef[j] * xl**j
+        np.subtract(rows, resid, out=resid)
+        coef += np.linalg.solve(R, Q.T @ resid.astype(float))
+    del resid
+    span = np.longdouble(dt) * nbin * scale
+    coef = coef.view(np.clongdouble) / span ** np.arange(degree + 1)[:, None]
     sign = -1j if direction == "lower" else 1j
-    zsl = (np.clongdouble(s0 - sigma0) + np.clongdouble(sign) * tl) / np.longdouble(
-        zscale
-    )
-    gam = np.empty((degree + 1, nbin), dtype=complex)
-    powers = np.arange(degree + 1)
-    for bb in range(nbin):
-        m = (b == bb) & quarters & (per < nfull)
-        V = np.vander(zs[m], degree + 1, increasing=True)
-        zl = zsl[m]
-        fl = f[m].astype(np.clongdouble)
-        coef = np.zeros(degree + 1, dtype=np.clongdouble)
-        resid = fl
-        for _ in range(3):
-            step, *_ = np.linalg.lstsq(V, resid.astype(complex), rcond=None)
-            coef = coef + step.astype(np.clongdouble)
-            pred = np.zeros_like(fl)
-            for cc in coef[::-1]:
-                pred = pred * zl + cc
-            resid = fl - pred
-        gam[:, bb] = (coef / np.longdouble(zscale) ** powers).astype(complex)
+    tb = np.longdouble(path.t0) + np.longdouble(dt) * np.arange(nbin)
+    zb = np.clongdouble(s0 - sigma0) + np.clongdouble(sign) * tb
+    gam = _z_coefficients(coef, 1.0 / sign, zb).astype(complex)
 
-    times = path.times
-    alpha_b = (times[:nbin] - phase) % period
+    alpha_b = (path.t0 + dt * np.arange(nbin) - phase) % period
     order = np.argsort(alpha_b)
     x = alpha_b[order] / period
     fit_deg = min(degree + 2, 8)
@@ -250,14 +270,15 @@ def _clim_profile(path, z, s0, sigma0, direction, degree, period, phase, flat_to
     for nn in range(degree + 1):
         if nn > 0:
             zp = zp * z
-        predicted += gam[nn][b] * zp
+        predicted += np.resize(gam[nn], n) * zp
     resid = average_P(SampledPath(path.t0, dt, f - predicted))
     _, flat = _tail_stats(resid.samples)
     # The structural guard must tolerate rounding noise proportional to the
     # raw path magnitude (which grows like T^degree); genuinely unremoved
-    # content leaves a residual many orders above this floor.
+    # content leaves a residual many orders above this floor.  Written so
+    # that a NaN flatness fails it.
     fmax = float(np.max(np.abs(f)))
-    if flat > flat_tol * (1.0 + abs(value)) + 1e-12 * fmax:
+    if not flat <= flat_tol * (1.0 + abs(value)) + 1e-12 * fmax:
         raise NoClimError(
             f"profile residual not flat: {flat:.3g}", residual_flatness=flat
         )
@@ -283,7 +304,7 @@ def clim(
 ) -> ClimReport:
     """Numeric generalized Cesaro limit of a sampled path.
 
-    With ``period`` given (ladder symbols), the per-phase-bin profile method
+    With ``period`` given (ladder symbols), the period-aware profile method
     is used with expansion degree max_eigen.  Otherwise coefficients of z^n
     (n = 1..max_eigen) are fitted and removed, then P is applied up to max_p
     times until the tail of the path is flat to within
@@ -294,6 +315,12 @@ def clim(
         raise InvalidInputError("max_eigen must be nonnegative")
     if max_p < 0:
         raise InvalidInputError("max_p must be nonnegative")
+    if period is not None and not (math.isfinite(period) and period > 0.0):
+        raise InvalidInputError(f"period must be finite and positive, got {period}")
+    if not (cmath.isfinite(s0) and math.isfinite(sigma0) and math.isfinite(phase)):
+        raise InvalidInputError(
+            f"s0, sigma0 and phase must be finite, got {s0}, {sigma0}, {phase}"
+        )
     z = _geometric_z(path.times, s0, sigma0, direction)
 
     if period is not None:
@@ -313,7 +340,7 @@ def clim(
             f, pz = _fit_remove(f, times, z, c, max_eigen, direction)
             removed[: len(pz)] += pz
         mean, flat = _tail_stats(f)
-        if flat <= flat_tol * (1.0 + abs(mean)):
+        if flat <= flat_tol * (1.0 + abs(mean)):  # False for a NaN flatness
             return ClimReport(
                 value=mean,
                 removed_eigen=tuple(
@@ -405,8 +432,26 @@ class LemmaVerification:
     report: ClimReport
 
 
+#: each ladder symbol from k, alpha, z and the power n; z is None for the
+#: symbols that do not use it
+_LADDER_EXPR = {
+    "alpha_n": lambda k, alpha, z, n: alpha**n,
+    "k": lambda k, alpha, z, n: k,
+    "k2": lambda k, alpha, z, n: k**2,
+    "k3": lambda k, alpha, z, n: k**3,
+    "k_alpha": lambda k, alpha, z, n: k * alpha,
+    "k_alpha2": lambda k, alpha, z, n: k * alpha**2,
+    "k2_alpha": lambda k, alpha, z, n: k**2 * alpha,
+    "z_alpha": lambda k, alpha, z, n: z * alpha,
+    "z_alpha2": lambda k, alpha, z, n: z * alpha**2,
+    "z2_alpha": lambda k, alpha, z, n: z**2 * alpha,
+}
+
+
 def ladder_path(symbol: str, params: LemmaParams, T_max: float, dt: float) -> SampledPath:
     """Exact sampled path of a ladder symbol on the chosen contour."""
+    if symbol not in _LADDER_EXPR:
+        raise InvalidInputError(f"unknown lemma symbol {symbol!r}")
     C = 2.0 * math.pi / math.log(params.q)
     nsamp = int(math.floor((T_max - params.t0) / dt)) + 1
     # Build the path in extended precision: alpha comes from the cancellation
@@ -414,31 +459,18 @@ def ladder_path(symbol: str, params: LemmaParams, T_max: float, dt: float) -> Sa
     # contaminate the large-|z| samples of the degree-2 symbols systematically.
     T = np.longdouble(params.t0) + np.longdouble(dt) * np.arange(nsamp)
     Cl = np.longdouble(C)
-    c = complex(params.s0) - params.sigma0
-    if params.direction == "lower":
-        k = np.floor((T - np.longdouble(params.tau0)) / Cl)
-        alpha = T - Cl * k - np.longdouble(params.tau0)
-        z = np.clongdouble(c) - np.clongdouble(1j) * T
-    else:
-        k = np.floor((T + np.longdouble(params.tau0)) / Cl)
-        alpha = T - Cl * k + np.longdouble(params.tau0)
-        z = np.clongdouble(c) + np.clongdouble(1j) * T
-    n = params.n
-    values = {
-        "alpha_n": alpha**n,
-        "k": k,
-        "k2": k**2,
-        "k3": k**3,
-        "k_alpha": k * alpha,
-        "k_alpha2": k * alpha**2,
-        "k2_alpha": k**2 * alpha,
-        "z_alpha": z * alpha,
-        "z_alpha2": z * alpha**2,
-        "z2_alpha": z**2 * alpha,
-    }
-    if symbol not in values:
-        raise InvalidInputError(f"unknown lemma symbol {symbol!r}")
-    return SampledPath(t0=params.t0, dt=dt, samples=values[symbol].astype(complex))
+    sign = -1 if params.direction == "lower" else 1
+    # floor as trunc - (frac < 0): exact, and several times faster than
+    # np.floor, which is slow on long double
+    frac, k = np.modf((T + sign * np.longdouble(params.tau0)) / Cl)
+    k -= frac < 0
+    alpha = T - Cl * k + sign * np.longdouble(params.tau0)
+    z = None
+    if symbol.startswith("z"):
+        c = complex(params.s0) - params.sigma0
+        z = np.clongdouble(c) + np.clongdouble(sign * 1j) * T
+    values = _LADDER_EXPR[symbol](k, alpha, z, params.n)
+    return SampledPath(t0=params.t0, dt=dt, samples=values.astype(complex))
 
 
 def verify_lemma(

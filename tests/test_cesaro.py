@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from zetaff import (
+    ClimReport,
     InvalidInputError,
     LemmaParams,
     NoClimError,
     SampledPath,
     UnsupportedMuError,
     ValidationError,
+    ZetaffError,
     average_P,
     clim,
     counting_path,
@@ -97,6 +99,17 @@ def test_sampled_path_validation():
         SampledPath(0.0, 0.1, np.zeros(1))
 
 
+@pytest.mark.parametrize("t0, dt", [(math.nan, 0.1), (math.inf, 0.1), (0.0, math.inf), (0.0, math.nan)])
+def test_sampled_path_rejects_non_finite_grid(t0, dt):
+    with pytest.raises(InvalidInputError):
+        SampledPath(t0, dt, np.zeros(10))
+
+
+def test_clim_report_rejects_nan_flatness():
+    with pytest.raises(InvalidInputError):
+        ClimReport(value=0j, removed_eigen=(), p_power=0, residual_flatness=math.nan)
+
+
 # -------------------------------------------------------------------- clim
 
 
@@ -140,6 +153,86 @@ def test_clim_profile_dt_must_divide_period():
     path = ladder_path("k", params(), 100 * C, 0.9 * DT)
     with pytest.raises(InvalidInputError):
         clim(path, S0, SIGMA0, "lower", max_eigen=1, max_p=1, period=C, phase=TAU0)
+
+
+def test_clim_profile_nan_sample_raises():
+    samples = ladder_path("k", params(t0=0.5 * DT), 100 * C, DT).samples.copy()
+    samples[1000] = np.nan
+    with pytest.raises(ZetaffError):
+        clim(
+            SampledPath(0.5 * DT, DT, samples), S0, SIGMA0, "lower",
+            max_eigen=1, max_p=1, period=C, phase=TAU0,
+        )
+
+
+@pytest.mark.parametrize(
+    "s0, sigma0, period, phase",
+    [
+        (S0, SIGMA0, math.nan, TAU0),
+        (S0, SIGMA0, math.inf, TAU0),
+        (S0, SIGMA0, -math.inf, TAU0),
+        (S0, SIGMA0, C, math.nan),
+        (complex(math.nan, 0.0), SIGMA0, C, TAU0),
+        (S0, math.inf, C, TAU0),
+    ],
+)
+def test_clim_rejects_non_finite_arguments(s0, sigma0, period, phase):
+    path = ladder_path("k", params(t0=0.5 * DT), 100 * C, DT)
+    with pytest.raises(InvalidInputError):
+        clim(path, s0, sigma0, "lower", max_eigen=1, max_p=1, period=period, phase=phase)
+
+
+def _reference_profile_clim(path, direction, degree, phase):
+    """Per-bin loop reference for profile-mode clim: in each phase bin, fit f
+    as a polynomial in z with np.polyfit over the first- and last-quarter
+    periods, then take the same period means as clim."""
+    f = path.samples
+    n = len(f)
+    nbin = round(C / DT)
+    nfull = (n - 1) // nbin
+    idx = np.arange(n)
+    per = idx // nbin
+    quarters = (per < nfull // 4) | ((per >= nfull - nfull // 4) & (per < nfull))
+    sgn = 1.0 if direction == "lower" else -1.0
+    z = (S0 - SIGMA0) - sgn * 1j * path.times
+    gam = np.empty((degree + 1, nbin), dtype=complex)
+    for b in range(nbin):
+        m = quarters & (idx % nbin == b)
+        gam[:, b] = np.polyfit(z[m], f[m], degree)[::-1]
+    alpha = (path.times[:nbin] - phase) % C
+    order = np.argsort(alpha)
+    x = alpha[order] / C
+    fit = [np.polynomial.polynomial.polyfit(x, g[order], min(degree + 2, 8)) for g in gam]
+    means = [np.sum(c / (np.arange(len(c)) + 1)) for c in fit]
+    value = means[0]
+    if degree >= 2:
+        q2 = fit[2].copy()
+        q2[0] -= means[2]
+        m = np.arange(len(q2))
+        value += -1j * sgn * (S0 - SIGMA0) * C * np.sum(q2 / ((m + 1) * (m + 2)))
+    return value, means[1:]
+
+
+@pytest.mark.parametrize("symbol", ["k", "k2", "z2_alpha", "k3"])
+@pytest.mark.parametrize("direction", ["lower", "upper"])
+def test_clim_profile_matches_per_bin_reference(symbol, direction):
+    path = ladder_path(symbol, params(direction, t0=0.5 * DT), 200 * C, DT)
+    phase = TAU0 if direction == "lower" else -TAU0
+    degree = SYMBOL_DEGREE[symbol]
+    rep = clim(path, S0, SIGMA0, direction, max_eigen=degree, max_p=1, period=C, phase=phase)
+    value, means = _reference_profile_clim(path, direction, degree, phase)
+    assert rep.value == pytest.approx(value, rel=1e-9)
+    assert [n for n, _ in rep.removed_eigen] == list(range(1, degree + 1))
+    for (_, got), want in zip(rep.removed_eigen, means):
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_clim_profile_raises_on_underfit():
+    # k^3 needs degree 3; a degree-2 profile fit leaves z^3 content behind
+    path = ladder_path("k3", params(t0=0.5 * DT), 200 * C, DT)
+    with pytest.raises(NoClimError) as exc:
+        clim(path, S0, SIGMA0, "lower", max_eigen=2, max_p=1, period=C, phase=TAU0)
+    assert 0.0 < exc.value.residual_flatness < math.inf
 
 
 def test_clim_input_validation():
@@ -214,6 +307,40 @@ def test_lemma_other_configuration():
 def test_ladder_path_validation():
     with pytest.raises(InvalidInputError):
         ladder_path("k4", params(), 100 * C, DT)
+    # rejected before any sample is built
+    with pytest.raises(InvalidInputError):
+        ladder_path("k4", params(), 1e15 * C, DT)
+
+
+def _reference_ladder_samples(symbol, p, T_max, dt):
+    """All ten ladder symbols built with np.floor in long double."""
+    T = np.longdouble(p.t0) + np.longdouble(dt) * np.arange(int(math.floor((T_max - p.t0) / dt)) + 1)
+    Cl = np.longdouble(C)
+    c = complex(p.s0) - p.sigma0
+    if p.direction == "lower":
+        k = np.floor((T - np.longdouble(p.tau0)) / Cl)
+        alpha = T - Cl * k - np.longdouble(p.tau0)
+        z = np.clongdouble(c) - np.clongdouble(1j) * T
+    else:
+        k = np.floor((T + np.longdouble(p.tau0)) / Cl)
+        alpha = T - Cl * k + np.longdouble(p.tau0)
+        z = np.clongdouble(c) + np.clongdouble(1j) * T
+    values = {
+        "alpha_n": alpha**p.n, "k": k, "k2": k**2, "k3": k**3,
+        "k_alpha": k * alpha, "k_alpha2": k * alpha**2, "k2_alpha": k**2 * alpha,
+        "z_alpha": z * alpha, "z_alpha2": z * alpha**2, "z2_alpha": z**2 * alpha,
+    }
+    return values[symbol].astype(complex)
+
+
+@pytest.mark.parametrize("direction", ["lower", "upper"])
+def test_ladder_path_matches_reference_bitwise(direction):
+    # t0 < tau0, so the lower contour starts at k = -1
+    p = LemmaParams(q=Q, sigma0=SIGMA0, tau0=TAU0, s0=S0 + 0.3j, direction=direction, n=2, t0=0.1)
+    for symbol in LEMMA_SYMBOLS:
+        got = ladder_path(symbol, p, 50 * C, DT).samples
+        want = _reference_ladder_samples(symbol, p, 50 * C, DT)
+        assert got.tobytes() == want.tobytes(), symbol
 
 
 # ------------------------------------------- one-sided partial-sum limits
