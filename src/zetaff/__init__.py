@@ -8,7 +8,6 @@ mu in {0, -1, -2} values by generalized Cesaro limits, including the
 critical-line counting pipeline that yields r(s0, -2) = X_epsilon.
 """
 
-from ._kernels import BACKEND
 from .cesaro import (
     ClimReport,
     CountingFunction,
@@ -67,3 +66,6 @@ from .root_side import (
 )
 
 __version__ = "0.1.0"
+
+#: name of the power-sum kernel; benchmark run records report it
+BACKEND = "numpy"

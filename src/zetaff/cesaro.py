@@ -119,11 +119,10 @@ def average_P(path: SampledPath) -> SampledPath:
     integral = np.empty(len(f), dtype=complex)
     integral[0] = 0.0
     np.cumsum(0.5 * (f[1:] + f[:-1]) * path.dt, out=integral[1:])
-    out = integral.copy()
-    nz = t > 0.0
-    out[nz] /= t[nz]
-    if not nz[0]:
-        out[0] = f[0]
+    # t0 >= 0 and dt > 0, so only t[0] can be zero
+    out = np.empty_like(integral)
+    np.divide(integral[1:], t[1:], out=out[1:])
+    out[0] = f[0] if t[0] == 0.0 else 0.0
     return SampledPath(t0=path.t0, dt=path.dt, samples=out)
 
 
@@ -420,6 +419,12 @@ class LemmaParams:
     n: int = 1
     t0: float = 0.0
 
+    def __post_init__(self):
+        if self.direction not in ("lower", "upper"):
+            raise InvalidInputError(
+                f"direction must be 'lower' or 'upper', got {self.direction!r}"
+            )
+
 
 @dataclass(frozen=True)
 class LemmaVerification:
@@ -452,6 +457,10 @@ def ladder_path(symbol: str, params: LemmaParams, T_max: float, dt: float) -> Sa
     """Exact sampled path of a ladder symbol on the chosen contour."""
     if symbol not in _LADDER_EXPR:
         raise InvalidInputError(f"unknown lemma symbol {symbol!r}")
+    if not (math.isfinite(T_max) and T_max > 0.0):
+        raise InvalidInputError(f"T_max must be finite and positive, got {T_max}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidInputError(f"dt must be finite and positive, got {dt}")
     C = 2.0 * math.pi / math.log(params.q)
     nsamp = int(math.floor((T_max - params.t0) / dt)) + 1
     # Build the path in extended precision: alpha comes from the cancellation

@@ -118,6 +118,10 @@ def cmd_check_curve(args) -> int:
 
 
 def _mu_grid(mu_min: float, mu_max: float, mu_step: float):
+    if not all(math.isfinite(v) for v in (mu_min, mu_max, mu_step)):
+        raise ZetaffError(
+            f"mu grid bounds and step must be finite, got {mu_min}, {mu_max}, {mu_step}"
+        )
     if mu_step <= 0.0:
         raise ZetaffError(f"mu-step must be positive, got {mu_step}")
     if mu_min > mu_max:

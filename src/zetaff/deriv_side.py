@@ -37,6 +37,12 @@ class SeriesControl:
             raise InvalidInputError("tail_tol must be positive")
 
 
+def _require_finite(s0, mu) -> None:
+    """Raise InvalidInputError unless the order mu and the point s0 are finite."""
+    if not (math.isfinite(mu) and cmath.isfinite(s0)):
+        raise InvalidInputError(f"mu and s0 must be finite, got mu = {mu}, s0 = {s0}")
+
+
 def series_tail_bound(ratio: float, mu: float, n_terms: int) -> float:
     """Geometric bound on the omitted tail: max(1, N^(mu-1)) * r^(N+1)/(1-r)."""
     if ratio >= 1.0:
@@ -52,6 +58,7 @@ def deriv_side_factor(q, factor: LambdaFactor, s0, mu, ctl: SeriesControl = Seri
     when the truncation cannot meet ctl.tail_tol.
     """
     s0 = complex(s0)
+    _require_finite(s0, mu)
     lam = _factor_lambda(factor, q)
     x = lam * cmath.exp(-s0 * math.log(q))
     rho = abs(x)
@@ -79,6 +86,7 @@ def deriv_side_factor(q, factor: LambdaFactor, s0, mu, ctl: SeriesControl = Seri
 def deriv_side_total(curve: CurveZeta, s0, mu, ctl: SeriesControl = SeriesControl()) -> complex:
     """Sum of deriv_side_factor over every factor of the curve."""
     s0 = complex(s0)
+    _require_finite(s0, mu)
     if s0.real <= 1.0:
         raise InvalidInputError(f"Re(s0) must exceed 1, got {s0.real}")
     if float(rgamma(mu)) == 0.0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from ._kernels import power_sum_symmetric
 from .curve_model import CurveZeta, LambdaFactor, base_root
-from .deriv_side import SeriesControl, deriv_side_total
+from .deriv_side import SeriesControl, _require_finite, deriv_side_total
 from .errors import (
     InvalidInputError,
     OrderInsufficientError,
@@ -53,6 +53,7 @@ def root_side_classical(factor: LambdaFactor, q, s0, mu, k) -> complex:
 
     Returns e^(i*pi*mu) * nu * sum_{j=-k..k} ((s0 - r0) - i*C*j)^(-mu).
     """
+    _require_finite(s0, mu)
     if mu <= 1.0:
         raise WrongRegimeError(
             f"classical sum diverges for mu = {mu} <= 1; use root_side_em"
@@ -72,6 +73,7 @@ def root_side_em(factor: LambdaFactor, q, s0, mu, k) -> RegularizedSum:
     symmetric truncation at k; valid for -5 < mu, mu != 1.
     """
     mu = float(mu)
+    _require_finite(s0, mu)
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     if mu == 1.0:
@@ -110,6 +112,7 @@ def root_side_em(factor: LambdaFactor, q, s0, mu, k) -> RegularizedSum:
 def root_side_total(curve: CurveZeta, s0, mu, k) -> complex:
     """Sum of per-factor Euler-McLaurin root-side values over the curve."""
     s0 = complex(s0)
+    _require_finite(s0, mu)
     if s0.real <= 1.0:
         raise InvalidInputError(f"Re(s0) must exceed 1, got {s0.real}")
     total = 0.0 + 0.0j

@@ -90,6 +90,30 @@ def test_average_p_linearity():
     assert np.allclose(pfg, 2.0 * pf - 3j * pg, atol=1e-12)
 
 
+def _masked_average_P(path):
+    """average_P written with a boolean-mask division over t > 0."""
+    f = path.samples
+    t = path.times
+    integral = np.empty(len(f), dtype=complex)
+    integral[0] = 0.0
+    np.cumsum(0.5 * (f[1:] + f[:-1]) * path.dt, out=integral[1:])
+    out = integral.copy()
+    nz = t > 0.0
+    out[nz] /= t[nz]
+    if not nz[0]:
+        out[0] = f[0]
+    return out
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.37])
+def test_average_p_matches_masked_division_bitwise(t0):
+    rng = np.random.default_rng(11)
+    f = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)
+    path = SampledPath(t0, 0.013, f)
+    got = average_P(path).samples
+    assert np.array_equal(got.view(np.float64), _masked_average_P(path).view(np.float64))
+
+
 def test_sampled_path_validation():
     with pytest.raises(InvalidInputError):
         SampledPath(-1.0, 0.1, np.zeros(10))
@@ -310,6 +334,16 @@ def test_ladder_path_validation():
     # rejected before any sample is built
     with pytest.raises(InvalidInputError):
         ladder_path("k4", params(), 1e15 * C, DT)
+    for T_max, dt in ((math.nan, DT), (math.inf, DT), (0.0, DT), (-C, DT),
+                      (10 * C, math.nan), (10 * C, 0.0), (10 * C, -DT)):
+        with pytest.raises(InvalidInputError):
+            ladder_path("k", params(), T_max, dt)
+
+
+def test_lemma_params_rejects_unknown_direction():
+    with pytest.raises(InvalidInputError):
+        params(direction="sideways")
+    assert params(direction="upper").direction == "upper"
 
 
 def _reference_ladder_samples(symbol, p, T_max, dt):

@@ -128,6 +128,25 @@ def test_scan_mu_error_exits(tmp_path, capsys):
     assert main(args) == EXIT_TOL
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-mu", "--mu-min", "nan"],
+        ["scan-mu", "--mu-max", "inf"],
+        ["scan-mu", "--mu-step", "nan"],
+        ["scan-mu", "--s0-re", "nan"],
+        ["lemma", "--symbol", "k", "--t-max-periods", "nan"],
+    ],
+)
+def test_non_finite_input_exits_invalid(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    if argv[0] == "scan-mu":
+        argv = [*argv, "--out", str(out)]
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("invalid input: ")
+    assert not out.exists()
+
+
 def test_lemma_single_symbol(capsys):
     rc = main(["lemma", "--symbol", "alpha_n", "--t-max-periods", "200"])
     assert rc == EXIT_OK

@@ -116,6 +116,17 @@ def test_total_requires_re_s0_above_one():
         deriv_side_total(curve, 0.9, 2.6)
 
 
+@pytest.mark.parametrize(
+    "s0, mu",
+    [(math.nan, 2.6), (complex(5.1238, math.inf), 2.6), (5.1238, math.nan), (5.1238, math.inf)],
+)
+def test_non_finite_s0_or_mu_rejected(s0, mu):
+    with pytest.raises(InvalidInputError):
+        deriv_side_factor(25, LambdaFactor(0.6, 0.7, 1), s0, mu)
+    with pytest.raises(InvalidInputError):
+        deriv_side_total(make_curve(25, 0, []), s0, mu)
+
+
 def test_total_is_sum_of_factors():
     curve = make_curve(25, 1, [(0.6, C25 / 2), (0.4, C25 / 2)])
     ctl = SeriesControl(n_terms=25, tail_tol=1e-10)

@@ -111,6 +111,19 @@ def test_em_error_cases():
         root_side_em(FACTOR, 25, S0, 2.6, 0)
 
 
+@pytest.mark.parametrize(
+    "s0, mu",
+    [(math.nan, 2.6), (complex(S0, -math.inf), 2.6), (S0, math.nan), (S0, math.inf)],
+)
+def test_non_finite_s0_or_mu_rejected(s0, mu):
+    with pytest.raises(InvalidInputError):
+        root_side_em(FACTOR, 25, s0, mu, 1000)
+    with pytest.raises(InvalidInputError):
+        root_side_classical(FACTOR, 25, s0, mu, 100)
+    with pytest.raises(InvalidInputError):
+        root_side_total(make_curve(25, 0, []), s0, mu, 1000)
+
+
 def test_em_mu0_exact_zero():
     # at mu = 0 the truncated sum is 2k+1 and the subtracted boundary terms
     # are exactly 2k and 1, so the continuation cancels bit-exactly
