@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .deriv_side import _require_finite
 from .errors import (
     InvalidInputError,
     NoClimError,
@@ -548,15 +549,16 @@ def _ladder_partial_limit(mu: int, a: complex, direction: str, sigma0, tau0, C):
 
 
 def r_lambda_cesaro(factor, q, s0, mu: int) -> complex:
-    """Per-factor regularized root-side value at mu in {0, -1, -2}.
+    """Per-factor regularized root-side value at mu in {0, -1, -2}: exactly 0.
 
-    The one-sided partial sums N_+ and N_- expand as polynomials in k and k~
-    whose Cesaro limits (via the closed-form lemma table) are exact negatives
-    of each other; the assembly N_+ + (-N_+) therefore returns an exact zero.
-    The upper-contour limit is still evaluated independently and checked
-    against the negation before the cancellation is applied.
+    The value is e^(i*pi*mu) * nu * (N_+ + N_-), where N_+ and N_- are the
+    Cesaro limits of the one-sided partial sums, polynomials in k and k~.
+    Through the closed-form lemma table N_- = -N_+, so the value is zero.
+    Both limits are still evaluated independently, and the zero is returned
+    only after they are checked to cancel to 1e-9 * (1 + |N_+|).
     """
     s0 = complex(s0)
+    _require_finite(s0, mu)
     if s0.real <= 1.0:
         raise InvalidInputError(f"Re(s0) must exceed 1, got {s0.real}")
     if mu not in (0, -1, -2):
@@ -569,8 +571,7 @@ def r_lambda_cesaro(factor, q, s0, mu: int) -> complex:
         raise ValidationError(
             f"one-sided limits fail to cancel: N+ = {n_plus}, N- = {n_minus}"
         )
-    total = n_plus + (-n_plus)  # exact cancellation, by the identity above
-    return cmath.exp(1j * math.pi * mu) * factor.nu * total
+    return 0j
 
 
 @dataclass(frozen=True)
@@ -703,15 +704,27 @@ class CriticalLineResult:
 
 
 def r_critical_line(cf: CountingFunction, s0, mu: int, epsilons) -> CriticalLineResult:
-    """Critical-line assembly of r(s0, mu) for mu in {0, -1, -2}.
+    """Critical-line value r(s0, mu) for mu in {0, -1, -2}: exactly 0.
 
-    Each contour block is built from the closed-form Cesaro limits; the
-    upper-contour limits are exact negatives of the lower ones, so the blocks
-    are assembled with explicit cancellation and come out exactly zero.  For
-    mu = -2 the value is X_epsilon = Clim sum eps_i^2, itself zero because the
-    two-sided root count has Cesaro limit zero.
+    N(T) = Ncheck(T) + S(T) with Ncheck = (2g/C)T, and each of the Ncheck
+    and S blocks combines one Cesaro limit per contour.  On the lower
+    contour, with b = s0 - 1/2:
+
+        mu = 0:   Clim Ncheck = -(2g/C) i b,  Clim S = 0
+        mu = -1:  Clim (T Ncheck - Ncheck1) = -(g/C) b^2,  Clim (T S - S1) = -S1av
+        mu = -2:  Clim (T^2 Ncheck - 2T Ncheck1 + 2 Ncheck2) = (2g/3C) i b^3,
+                  Clim T^2 S = 0,  Clim TS1 = Clim S2 = -i b S1av
+
+    At mu = 0 and -2 the blocks add the two contours, and the upper contour
+    gives the exact negative of each lower limit.  At mu = -1 the blocks
+    subtract them, and the upper contour gives the same limit.  The mu = -2
+    S combination 0 - 2 Clim TS1 + 2 Clim S2 also vanishes on each contour.
+    For mu = -2 the value is X_epsilon = sum eps_i^2 * Clim of the two-sided
+    root count, which is zero because its one-sided limits cancel per root
+    ladder (see ``r_lambda_cesaro``).
     """
     s0 = complex(s0)
+    _require_finite(s0, mu)
     if s0.real <= 1.0:
         raise InvalidInputError(f"Re(s0) must exceed 1, got {s0.real}")
     epsilons = [float(e) for e in epsilons]
@@ -719,73 +732,25 @@ def r_critical_line(cf: CountingFunction, s0, mu: int, epsilons) -> CriticalLine
         raise InvalidInputError(
             f"expected {2 * cf.g} epsilons, got {len(epsilons)}"
         )
-    b = s0 - 0.5
-    C = cf.C
-    g = cf.g
-    s1 = s1_av(cf)
-    if mu == 0:
-        # Clim Ncheck = -(2g/C) i b on the lower contour, + on the upper.
-        t = -(2.0 * g / C) * 1j * b
-        ncheck_block = t + (-t)
-        s_block = 0.0 + 0.0j  # Clim S = 0, both directions
-        pieces = {"ncheck_block": ncheck_block, "s_block": s_block}
-        return CriticalLineResult(
-            mu=0, value=ncheck_block + s_block, x_epsilon=None, pieces=pieces
-        )
-    if mu == -1:
-        # r = i * Clim{ [T*Ncheck - Ncheck1 + T*S - S1] - [tilde counterpart] }
-        u = -(g / C) * b * b  # both contours give the same Ncheck combination
-        ncheck_block = 1j * (u - u)
-        w = 0.0 - s1  # Clim TS = 0, Clim S1 = S1av, both directions
-        s_block = 1j * (w - w)
-        pieces = {"ncheck_block": ncheck_block, "s_block": s_block}
-        return CriticalLineResult(
-            mu=-1, value=ncheck_block + s_block, x_epsilon=None, pieces=pieces
-        )
-    if mu == -2:
-        # Ncheck block: T^2*Ncheck - 2T*Ncheck1 + 2*Ncheck2 -> (2g/3C) i b^3
-        # on the lower contour; the upper contour gives the exact negative.
-        ib3 = 1j * b**3
-        lower_n = (2.0 * g / C) * ib3 - 2.0 * (g / C) * ib3 + 2.0 * (g / (3.0 * C)) * ib3
-        n_block = lower_n + (-lower_n)
-        # S block: Clim T^2 S = 0; Clim TS1 = Clim S2 = -i b S1av (lower),
-        # +i b S1av (upper); each contour's combination 0 - 2x + 2x vanishes.
-        x = -1j * b * s1
-        lower_s = 0.0 - 2.0 * x + 2.0 * x
-        upper_s = 0.0 - 2.0 * (-x) + 2.0 * (-x)
-        s_block = lower_s + upper_s
-        # X_eps = sum eps_i^2 over s0-roots; per root ladder the two-sided
-        # count has Clim 0, so each constant-eps family contributes eps^2 * 0.
-        count_clim = _ladder_partial_limit(0, b, "lower", 0.5, 0.0, C)
-        count_clim = count_clim + (-count_clim)
-        x_eps = sum(e * e for e in epsilons) * count_clim
-        pieces = {"ncheck_block": -(n_block), "s_block": -(s_block)}
-        return CriticalLineResult(
-            mu=-2,
-            value=x_eps - (n_block + s_block),
-            x_epsilon=x_eps,
-            pieces=pieces,
-        )
-    raise UnsupportedMuError(f"mu must be 0, -1 or -2, got {mu}")
+    if not all(math.isfinite(e) for e in epsilons):
+        raise InvalidInputError(f"epsilons must be finite, got {epsilons}")
+    if mu not in (0, -1, -2):
+        raise UnsupportedMuError(f"mu must be 0, -1 or -2, got {mu}")
+    return CriticalLineResult(
+        mu=mu,
+        value=0j,
+        x_epsilon=0j if mu == -2 else None,
+        pieces={"ncheck_block": 0j, "s_block": 0j},
+    )
 
 
-def x_epsilon_equispaced(sigma0: float, factor_count_paths=None) -> complex:
-    """X_epsilon for an equi-spaced off-line root family at Re(s) = sigma0.
+def x_epsilon_equispaced(sigma0: float) -> complex:
+    """X_epsilon for an equi-spaced off-line root family at Re(s) = sigma0: 0.
 
     All roots share eps = sigma0 - 1/2, so X_eps = eps^2 * Clim of the
-    two-sided root count, which vanishes (the one-sided count limits are
-    exact negatives).  Optionally a (lower_path, upper_path) pair of sampled
-    count paths is accepted; their numeric Clims are then used instead of the
-    closed forms.
+    two-sided root count, which vanishes because the one-sided count limits
+    are exact negatives.
     """
-    eps = float(sigma0) - 0.5
-    if factor_count_paths is None:
-        count_clim = 0.0 + 0.0j  # N_+ limit + its exact negative
-    else:
-        lower_path, upper_path = factor_count_paths
-        # step paths stay rough under repeated averaging, so the flatness
-        # demand is relaxed to the percent level
-        lo = clim(lower_path, 2.0, sigma0, "lower", max_eigen=1, max_p=8, flat_tol=1e-2)
-        hi = clim(upper_path, 2.0, sigma0, "upper", max_eigen=1, max_p=8, flat_tol=1e-2)
-        count_clim = lo.value + hi.value
-    return eps * eps * count_clim
+    if not math.isfinite(sigma0):
+        raise InvalidInputError(f"sigma0 must be finite, got {sigma0}")
+    return 0j

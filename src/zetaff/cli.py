@@ -12,12 +12,9 @@ Exit codes: 0 success, 1 tolerance failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import cesaro, curve_model, deriv_side, root_side
 from .errors import NoClimError, ZetaffError
@@ -25,17 +22,6 @@ from .errors import NoClimError, ZetaffError
 EXIT_OK = 0
 EXIT_TOL = 1
 EXIT_INVALID = 2
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("ZETAFF_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return n
 
 
 def _fmt(x: float) -> str:
@@ -155,8 +141,7 @@ def cmd_scan_mu(args) -> int:
                 r = root_side.root_side_em(factor, q, s0, mu, args.k).value
                 return d, r
 
-        with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-            sides = list(pool.map(row, mus))
+        sides = [row(mu) for mu in mus]
     except ZetaffError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -248,6 +233,9 @@ def cmd_critical_line(args) -> int:
         results = [
             cesaro.r_critical_line(cf, s0, mu, epsilons) for mu in (0, -1, -2)
         ]
+        x_offline = (
+            None if args.offline is None else cesaro.x_epsilon_equispaced(args.offline)
+        )
     except ZetaffError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -260,14 +248,13 @@ def cmd_critical_line(args) -> int:
         if res.x_epsilon is not None:
             print(f"  X_eps: {res.x_epsilon}")
         ok = ok and abs(res.value) <= args.tol
-    if args.offline is not None:
-        x = cesaro.x_epsilon_equispaced(args.offline)
-        print(f"off-line family at sigma0 = {args.offline}: X_eps = {x}")
+    if x_offline is not None:
+        print(f"off-line family at sigma0 = {args.offline}: X_eps = {x_offline}")
         print(
             "note: X_eps = 0 also holds for equi-spaced off-line roots, so "
             "X_eps = 0 alone does not imply the Riemann hypothesis here"
         )
-        ok = ok and abs(x) <= args.tol
+        ok = ok and abs(x_offline) <= args.tol
     return EXIT_OK if ok else EXIT_TOL
 
 

@@ -61,6 +61,10 @@ class LambdaFactor:
     nu: int = 1
 
     def __post_init__(self):
+        if not (math.isfinite(self.sigma0) and math.isfinite(self.tau0)):
+            raise InvalidInputError(
+                f"sigma0 and tau0 must be finite, got {self.sigma0}, {self.tau0}"
+            )
         if not 0.0 <= self.sigma0 <= 1.0:
             raise InvalidInputError(f"sigma0 must lie in [0, 1], got {self.sigma0}")
         if self.tau0 < 0.0:

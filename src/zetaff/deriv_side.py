@@ -44,11 +44,24 @@ def _require_finite(s0, mu) -> None:
 
 
 def series_tail_bound(ratio: float, mu: float, n_terms: int) -> float:
-    """Geometric bound on the omitted tail: max(1, N^(mu-1)) * r^(N+1)/(1-r)."""
-    if ratio >= 1.0:
+    """Bound on the omitted tail sum_{n > N} n^(mu-1) * r^n, for every mu.
+
+        t_{N+1} / (1 - r * max(1, ((N+2)/(N+1))^(mu-1))),
+        t_{N+1} = (N+1)^(mu-1) * r^(N+1),
+
+    and inf when the denominator is <= 0 or a power overflows a double.  The
+    term ratio t_{n+1}/t_n = r * ((n+1)/n)^(mu-1) is at most r for mu <= 1
+    and falls with n for mu > 1, so the tail is dominated by a geometric
+    series from t_{N+1} with the ratio at n = N+1.
+    """
+    n = float(n_terms)
+    try:
+        denom = 1.0 - ratio * max(1.0, ((n + 2.0) / (n + 1.0)) ** (mu - 1.0))
+        if denom <= 0.0:
+            return math.inf
+        return (n + 1.0) ** (mu - 1.0) * ratio ** (n_terms + 1) / denom
+    except OverflowError:
         return math.inf
-    worst = max(1.0, float(n_terms) ** (mu - 1.0))
-    return worst * ratio ** (n_terms + 1) / (1.0 - ratio)
 
 
 def deriv_side_factor(q, factor: LambdaFactor, s0, mu, ctl: SeriesControl = SeriesControl()) -> complex:

@@ -122,6 +122,9 @@ def test_scan_mu_error_exits(tmp_path, capsys):
     # nonpositive step
     args, _ = scan_args(tmp_path, "z.csv", ["--mu-step", "0"])
     assert main(args) == EXIT_INVALID
+    # an order so large that the tail bound overflows a double
+    args, _ = scan_args(tmp_path, "v.csv", ["--mu-min", "300", "--mu-max", "300"])
+    assert main(args) == EXIT_INVALID
     # unreachable tolerance
     args, _ = scan_args(tmp_path, "w.csv", ["--mu-min", "2.0", "--mu-max", "2.2",
                                             "--mu-step", "0.1", "--tol", "1e-20"])
@@ -136,6 +139,9 @@ def test_scan_mu_error_exits(tmp_path, capsys):
         ["scan-mu", "--mu-step", "nan"],
         ["scan-mu", "--s0-re", "nan"],
         ["lemma", "--symbol", "k", "--t-max-periods", "nan"],
+        ["scan-mu", "--tau0", "nan"],
+        ["critical-line", "--random", "--s0-re", "nan"],
+        ["critical-line", "--random", "--offline", "nan"],
     ],
 )
 def test_non_finite_input_exits_invalid(argv, tmp_path, capsys):
@@ -167,6 +173,12 @@ def test_critical_line_explicit_kappas(capsys):
     out = capsys.readouterr().out
     assert "r(s0, +0) = 0j" in out
     assert "X_eps: 0j" in out
+    blocks = "  ncheck_block: 0j\n  s_block: 0j\n"
+    assert out == (
+        "r(s0, +0) = 0j\n" + blocks
+        + "r(s0, -1) = 0j\n" + blocks
+        + "r(s0, -2) = 0j\n" + blocks + "  X_eps: 0j\n"
+    )
 
 
 def test_critical_line_random_and_offline(capsys):

@@ -58,6 +58,9 @@ def test_lambda_factor_validation():
         LambdaFactor(0.5, -0.3, 1)
     with pytest.raises(InvalidInputError):
         LambdaFactor(0.5, 0.0, 2)
+    for sigma0, tau0 in ((math.nan, 0.3), (0.5, math.nan), (0.5, math.inf)):
+        with pytest.raises(InvalidInputError):
+            LambdaFactor(sigma0, tau0, 1)
     # nu = -1 is reserved for the two pole factors
     with pytest.raises(InvalidInputError):
         LambdaFactor(0.6, 0.0, -1)

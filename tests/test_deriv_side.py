@@ -68,6 +68,9 @@ def test_total_zero_at_nonpositive_integer_mu_is_bit_exact():
 def test_series_tail_bound_behaviour():
     assert series_tail_bound(1.0, 2.0, 10) == math.inf
     assert series_tail_bound(1.3, 2.0, 10) == math.inf
+    # a power beyond the double range gives inf, not OverflowError
+    assert series_tail_bound(4.7e-7, 300.0, 20) == math.inf
+    assert series_tail_bound(0.5, 1e5, 20) == math.inf
     # decreasing in the truncation length
     bounds = [series_tail_bound(0.3, 2.6, n) for n in (5, 10, 20, 40)]
     assert all(a > b for a, b in zip(bounds, bounds[1:]))
@@ -75,6 +78,23 @@ def test_series_tail_bound_behaviour():
     ratio, n = 0.25, 12
     true_tail = sum(ratio**j for j in range(n + 1, 400))
     assert series_tail_bound(ratio, 1.0, n) >= true_tail
+
+
+def test_series_tail_bound_holds_for_all_mu():
+    # the bound against the tail sum_{n > N} n^(mu-1) rho^n to 30 digits,
+    # including mu > 1, where the terms first grow like n^(mu-1); the sum is
+    # direct because nsum's default extrapolation is off by up to 6e-6
+    # relative on some of these tails
+    with mp.workdps(30):
+        for rho in (0.05, 0.3, 0.6, 0.9):
+            for mu in (-2.0, 0.5, 1.5, 2.6, 4.0):
+                for n in (5, 20, 60):
+                    r, m = mp.mpf(rho), mp.mpf(mu)
+                    true_tail = mp.nsum(
+                        lambda j: j ** (m - 1) * r**j, [n + 1, mp.inf],
+                        method="direct", steps=[2000],
+                    )
+                    assert series_tail_bound(rho, mu, n) >= true_tail, (rho, mu, n)
 
 
 def test_divergent_series_error():
