@@ -29,6 +29,7 @@ Three layers live here:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -591,13 +592,15 @@ def make_counting(g: int, C: float, kappas) -> CountingFunction:
     """
     if g < 1:
         raise InvalidInputError(f"genus must be >= 1, got {g}")
-    if C <= 0.0:
-        raise InvalidInputError(f"period must be positive, got {C}")
+    if not (math.isfinite(C) and C > 0.0):
+        raise InvalidInputError(f"period must be finite and positive, got {C}")
     kappas = sorted(float(k) for k in kappas)
     if len(kappas) != 2 * g:
         raise InvalidInputError(
             f"expected {2 * g} kappas for genus {g}, got {len(kappas)}"
         )
+    if not all(math.isfinite(k) for k in kappas):
+        raise InvalidInputError(f"kappas must be finite, got {kappas}")
     for k in kappas:
         if not _PAIR_TOL < k < C - _PAIR_TOL:
             raise ValidationError(f"kappa = {k} must lie strictly inside (0, {C})")
@@ -613,33 +616,52 @@ def make_counting(g: int, C: float, kappas) -> CountingFunction:
     return CountingFunction(C=float(C), g=int(g), kappas=tuple(kappas))
 
 
-def _steps_below(cf: CountingFunction, alpha: float) -> float:
+def _heightwise(fn):
+    """Let an evaluator written for an array of heights take one height too.
+
+    A float in gives a float out.  It is evaluated as a one-element array, so
+    it rounds exactly as the same height inside a longer array would (NumPy's
+    scalar powers can round differently from its array powers).
+    """
+
+    @functools.wraps(fn)
+    def evaluator(cf: CountingFunction, T):
+        T = np.asarray(T, dtype=float)
+        values = fn(cf, np.atleast_1d(T))
+        return float(values[0]) if T.ndim == 0 else values
+
+    return evaluator
+
+
+@_heightwise
+def _steps_below(cf: CountingFunction, alpha):
     """Number of steps at or below alpha, with half weight exactly on a step."""
-    count = 0.0
+    count = np.zeros_like(alpha)
     for k in cf.kappas:
-        if alpha > k + _PAIR_TOL:
-            count += 1.0
-        elif abs(alpha - k) <= _PAIR_TOL:
-            count += 0.5
+        count += np.where(
+            alpha > k + _PAIR_TOL, 1.0, np.where(np.abs(alpha - k) <= _PAIR_TOL, 0.5, 0.0)
+        )
     return count
 
 
-def s_eval(cf: CountingFunction, T: float) -> float:
+@_heightwise
+def s_eval(cf: CountingFunction, T):
     """Periodic residual S(T) = N(alpha) - (2g/C)*alpha, alpha = T mod C.
 
     On the steps the midpoint value is returned, which makes trapezoid
     quadrature of S unbiased when steps coincide with sample points.
     """
-    alpha = float(T) % cf.C
+    alpha = T % cf.C
     return _steps_below(cf, alpha) - (2.0 * cf.g / cf.C) * alpha
 
 
-def s1_eval(cf: CountingFunction, T: float) -> float:
+@_heightwise
+def s1_eval(cf: CountingFunction, T):
     """First antiderivative S1(T) = int_0^alpha S; periodic, S1(0) = S1(C) = 0."""
-    alpha = float(T) % cf.C
+    alpha = T % cf.C
     acc = -(cf.g / cf.C) * alpha * alpha
     for k in cf.kappas:
-        acc += max(0.0, alpha - k)
+        acc += np.maximum(0.0, alpha - k)
     return acc
 
 
@@ -652,10 +674,14 @@ def s1_av(cf: CountingFunction) -> float:
     return acc
 
 
-def q_eval(cf: CountingFunction, T: float) -> float:
+@_heightwise
+def q_eval(cf: CountingFunction, T):
     """Periodic piece Q(alpha) = sum_i max(0, alpha - kappa_i)^2 / 2."""
-    alpha = float(T) % cf.C
-    return sum(0.5 * max(0.0, alpha - k) ** 2 for k in cf.kappas)
+    alpha = T % cf.C
+    acc = np.zeros_like(alpha)
+    for k in cf.kappas:
+        acc += 0.5 * np.maximum(0.0, alpha - k) ** 2
+    return acc
 
 
 def q_av(cf: CountingFunction) -> float:
@@ -663,12 +689,23 @@ def q_av(cf: CountingFunction) -> float:
     return sum((cf.C - k) ** 3 / (6.0 * cf.C) for k in cf.kappas)
 
 
-def s2_eval(cf: CountingFunction, T: float) -> float:
+@_heightwise
+def s2_eval(cf: CountingFunction, T):
     """Second antiderivative S2(T) = S1av*(T - alpha) + int_0^alpha S1."""
-    T = float(T)
     alpha = T % cf.C
     inner = q_eval(cf, alpha) - (cf.g / (3.0 * cf.C)) * alpha**3
     return s1_av(cf) * (T - alpha) + inner
+
+
+#: each counting-path kind as one expression in the heights t
+_COUNTING_EXPR = {
+    "S": s_eval,
+    "tS": lambda cf, t: t * s_eval(cf, t),
+    "t2S": lambda cf, t: t * t * s_eval(cf, t),
+    "S1": s1_eval,
+    "tS1": lambda cf, t: t * s1_eval(cf, t),
+    "S2": s2_eval,
+}
 
 
 def counting_path(cf: CountingFunction, kind: str, t_max: float, dt: float) -> SampledPath:
@@ -677,20 +714,15 @@ def counting_path(cf: CountingFunction, kind: str, t_max: float, dt: float) -> S
     kind is one of S, tS, t2S, S1, tS1, S2.  Step functions are sampled with
     the midpoint convention of ``s_eval``.
     """
+    if kind not in _COUNTING_EXPR:
+        raise InvalidInputError(f"unknown path kind {kind!r}")
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise InvalidInputError(f"t_max must be finite and positive, got {t_max}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidInputError(f"dt must be finite and positive, got {dt}")
     n = int(math.floor(t_max / dt)) + 1
     t = dt * np.arange(n)
-    builders = {
-        "S": lambda x: s_eval(cf, x),
-        "tS": lambda x: x * s_eval(cf, x),
-        "t2S": lambda x: x * x * s_eval(cf, x),
-        "S1": lambda x: s1_eval(cf, x),
-        "tS1": lambda x: x * s1_eval(cf, x),
-        "S2": lambda x: s2_eval(cf, x),
-    }
-    if kind not in builders:
-        raise InvalidInputError(f"unknown path kind {kind!r}")
-    fn = builders[kind]
-    return SampledPath(t0=0.0, dt=dt, samples=np.array([fn(x) for x in t], dtype=complex))
+    return SampledPath(t0=0.0, dt=dt, samples=_COUNTING_EXPR[kind](cf, t))
 
 
 @dataclass(frozen=True)
@@ -749,8 +781,9 @@ def x_epsilon_equispaced(sigma0: float) -> complex:
 
     All roots share eps = sigma0 - 1/2, so X_eps = eps^2 * Clim of the
     two-sided root count, which vanishes because the one-sided count limits
-    are exact negatives.
+    are exact negatives.  The roots of a curve zeta function lie in the
+    strip 0 <= Re(s) <= 1, so sigma0 must lie in [0, 1].
     """
-    if not math.isfinite(sigma0):
-        raise InvalidInputError(f"sigma0 must be finite, got {sigma0}")
+    if not 0.0 <= sigma0 <= 1.0:
+        raise InvalidInputError(f"sigma0 must lie in [0, 1], got {sigma0}")
     return 0j

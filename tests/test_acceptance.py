@@ -151,8 +151,8 @@ def test_criterion_6_counting_means():
         d1 = abs(s1_av(cf) - (kappa**2 / C - kappa + C / 6.0))
         d2 = abs(q_av(cf) - ((C / 2.0) * s1_av(cf) + C**2 / 12.0))
         worst_an = max(worst_an, d1, d2)
-        t1 = abs(s1_av(cf) - float(np.mean([s1_eval(cf, xx) for xx in x])))
-        t2 = abs(q_av(cf) - float(np.mean([q_eval(cf, xx) for xx in x])))
+        t1 = abs(s1_av(cf) - float(np.mean(s1_eval(cf, x))))
+        t2 = abs(q_av(cf) - float(np.mean(q_eval(cf, x))))
         worst_tr = max(worst_tr, t1, t2)
         ok = ok and d1 <= 1e-10 and d2 <= 1e-10 and t1 <= 1e-6 and t2 <= 1e-6
     report("6 counting-piece means", ok, f"analytic {worst_an:.2e}, quadrature {worst_tr:.2e}")

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetaff import (
     ClimReport,
@@ -38,7 +40,7 @@ from zetaff import (
     vertical_spacing,
     x_epsilon_equispaced,
 )
-from zetaff.cesaro import LEMMA_SYMBOLS, SYMBOL_DEGREE, _ladder_partial_limit
+from zetaff.cesaro import LEMMA_SYMBOLS, SYMBOL_DEGREE, _ladder_partial_limit, _steps_below
 from zetaff.curve_model import LambdaFactor
 
 Q = 25
@@ -443,6 +445,12 @@ def test_make_counting_validation():
         make_counting(1, C, [0.3, 0.4])  # not symmetric under kappa -> C-kappa
     with pytest.raises(ValidationError):
         make_counting(1, C, [0.0, C])  # must lie strictly inside (0, C)
+    for period in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            make_counting(1, period, [0.3, C - 0.3])
+    for kappas in ([math.nan, C - 0.3], [0.3, math.inf]):
+        with pytest.raises(InvalidInputError):
+            make_counting(1, C, kappas)
     # the self-paired limit kappa -> C/2 is allowed
     cf = make_counting(1, C, [C / 2.0, C / 2.0])
     assert cf.kappas == (C / 2.0, C / 2.0)
@@ -472,7 +480,7 @@ def test_s1_is_antiderivative_of_s():
     dx = C / n
     x = dx * (np.arange(n) + 0.5)
     for T in (0.45, 1.1, 1.9):
-        integral = float(np.sum([s_eval(cf, xx) for xx in x[x <= T]]) * dx)
+        integral = float(np.sum(s_eval(cf, x[x <= T])) * dx)
         assert s1_eval(cf, T) == pytest.approx(integral, abs=1e-4)
     assert s1_eval(cf, 0.0) == 0.0
     assert abs(s1_eval(cf, C - 1e-12)) <= 1e-9
@@ -489,12 +497,8 @@ def test_period_means_against_quadrature():
         # 2^16-point midpoint quadrature over one period
         n = 2**16
         x = (C / n) * (np.arange(n) + 0.5)
-        assert s1_av(cf) == pytest.approx(
-            float(np.mean([s1_eval(cf, xx) for xx in x])), abs=1e-6
-        )
-        assert q_av(cf) == pytest.approx(
-            float(np.mean([q_eval(cf, xx) for xx in x])), abs=1e-6
-        )
+        assert s1_av(cf) == pytest.approx(float(np.mean(s1_eval(cf, x))), abs=1e-6)
+        assert q_av(cf) == pytest.approx(float(np.mean(q_eval(cf, x))), abs=1e-6)
 
 
 def test_s2_growth_is_linear_with_s1av_slope():
@@ -509,8 +513,101 @@ def test_counting_path_kinds_and_validation():
     cf = make_counting(1, C, [37 * DT, C - 37 * DT])
     with pytest.raises(InvalidInputError):
         counting_path(cf, "S3", 10 * C, DT)
+    # the kind is checked before any array is built
+    with pytest.raises(InvalidInputError):
+        counting_path(cf, "S3", 2e8 * C, DT)
+    for t_max, dt in (
+        (math.nan, DT), (math.inf, DT), (0.0, DT), (-C, DT),
+        (10 * C, math.nan), (10 * C, math.inf), (10 * C, 0.0), (10 * C, -DT),
+    ):
+        with pytest.raises(InvalidInputError):
+            counting_path(cf, "S1", t_max, dt)
     path = counting_path(cf, "S1", 10 * C, DT)
     assert len(path.samples) == int(10 * C / DT) + 1
+
+
+# Per-sample scalar evaluators of the counting pieces, in the arithmetic order
+# the array evaluators keep; Python's ``**`` rounds through libm ``pow``.
+def _ref_steps_below(cf, alpha):
+    count = 0.0
+    for k in cf.kappas:
+        if alpha > k + 1e-12:
+            count += 1.0
+        elif abs(alpha - k) <= 1e-12:
+            count += 0.5
+    return count
+
+
+def _ref_s(cf, T):
+    alpha = float(T) % cf.C
+    return _ref_steps_below(cf, alpha) - (2.0 * cf.g / cf.C) * alpha
+
+
+def _ref_s1(cf, T):
+    alpha = float(T) % cf.C
+    acc = -(cf.g / cf.C) * alpha * alpha
+    for k in cf.kappas:
+        acc += max(0.0, alpha - k)
+    return acc
+
+
+def _ref_q(cf, T):
+    alpha = float(T) % cf.C
+    return sum(0.5 * max(0.0, alpha - k) ** 2 for k in cf.kappas)
+
+
+def _ref_s2(cf, T):
+    T = float(T)
+    alpha = T % cf.C
+    inner = _ref_q(cf, alpha) - (cf.g / (3.0 * cf.C)) * alpha**3
+    return s1_av(cf) * (T - alpha) + inner
+
+
+_REF_KINDS = {
+    "S": _ref_s,
+    "tS": lambda cf, x: x * _ref_s(cf, x),
+    "t2S": lambda cf, x: x * x * _ref_s(cf, x),
+    "S1": _ref_s1,
+    "tS1": lambda cf, x: x * _ref_s1(cf, x),
+    "S2": _ref_s2,
+}
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_counting_path_matches_per_sample_reference(g):
+    # one kappa on the sample grid, so the half step weight is used
+    half = [37 * DT, 0.8, 1.1][:g]
+    cf = make_counting(g, C, half + [C - k for k in half])
+    t = DT * np.arange(int(200 * C / DT) + 1)
+    steps = np.array([_ref_steps_below(cf, x % C) for x in t])
+    assert np.any(steps % 1.0 == 0.5)
+    for kind, fn in _REF_KINDS.items():
+        got = counting_path(cf, kind, 200 * C, DT).samples
+        ref = np.array([fn(cf, x) for x in t], dtype=complex)
+        assert got.shape == ref.shape
+        if kind == "S2":
+            # NumPy's array power and libm's pow differ by an ulp on some inputs
+            assert np.all(np.abs(got - ref) <= 1e-15 * (1.0 + np.abs(ref))), kind
+        else:
+            assert np.array_equal(got, ref), kind
+
+
+_EVALUATORS = (_steps_below, s_eval, s1_eval, q_eval, s2_eval)
+
+
+@given(
+    half=st.lists(st.floats(0.01, 0.5 * C - 0.01), min_size=1, max_size=3),
+    heights=st.lists(st.floats(0.0, 1e4 * C), min_size=1, max_size=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_counting_evaluators_take_floats_and_arrays(half, heights):
+    cf = make_counting(len(half), C, half + [C - k for k in half])
+    for fn in _EVALUATORS:
+        one = [fn(cf, x) for x in heights]
+        assert all(type(v) is float for v in one)
+        many = fn(cf, np.array(heights))
+        assert isinstance(many, np.ndarray) and many.shape == (len(heights),)
+        assert np.array_equal(many, np.array(one)), fn.__name__
 
 
 def test_counting_clims_numeric():
@@ -586,7 +683,10 @@ def test_x_epsilon_equispaced():
     hi = clim(upper, 2.0, 0.6, "upper", max_eigen=1, max_p=8, flat_tol=1e-2)
     x = (0.6 - 0.5) ** 2 * (lo.value + hi.value)
     assert abs(x) <= (0.1**2) * 1e-2
-    for sigma0 in (math.nan, math.inf, -math.inf):
+    assert x_epsilon_equispaced(0.0) == 0j
+    assert x_epsilon_equispaced(1.0) == 0j
+    # off-line roots of a curve zeta function lie in 0 <= Re(s) <= 1
+    for sigma0 in (math.nan, math.inf, -math.inf, 5.0, -0.1, 1.0 + 1e-9):
         with pytest.raises(InvalidInputError):
             x_epsilon_equispaced(sigma0)
 

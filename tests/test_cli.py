@@ -194,6 +194,11 @@ def test_critical_line_invalid_inputs(capsys):
     assert main(["critical-line", "--g", "1", "--kappas", "0.3,0.4"]) == EXIT_INVALID
     assert main(["critical-line", "--g", "1"]) == EXIT_INVALID
     assert main(["critical-line", "--g", "1", "--kappas", "0.3"]) == EXIT_INVALID
+    capsys.readouterr()
+    # an off-line root family must lie in the critical strip 0 <= sigma0 <= 1
+    for offline in ("5", "-0.1"):
+        assert main(["critical-line", "--random", "--offline", offline]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("invalid input: ")
 
 
 def test_console_entry_point(curve_file):
