@@ -9,12 +9,14 @@ Three layers live here:
    driven by a period-C phase (the root-ladder symbols), a period-aware
    profile extraction is used instead of repeated averaging.  Inside a phase
    bin z is affine in the period index, so one Vandermonde in the scaled
-   period index serves all bins: a single least-squares solve, refined in
-   long double on the whole (periods, bins) sample matrix, recovers the
+   period index serves all bins: a single least-squares solve over the
+   first- and last-quarter periods, refined in long double, recovers the
    coefficient profiles gamma_n(alpha) of f as a polynomial in z.  The
    constant content is integrated exactly, and the zero-mean z^2 profile
    content is assigned its Cesaro value -i*sgn*(s0-sigma0)*mean(W) where W is
-   the antiderivative of the profile anchored at alpha = 0.
+   the antiderivative of the profile anchored at alpha = 0.  The extraction
+   streams the path in chunks of whole periods and holds only the quarter
+   rows and the tail of the average, never the whole path.
 
 2. The closed-form limit table for the ladder symbols alpha^n, k, k*alpha^n,
    z*alpha^n, k^2, k^2*alpha, z^2*alpha, k^3 on both contours, a numeric
@@ -35,6 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .curve_model import vertical_spacing
 from .deriv_side import _require_finite
 from .errors import (
     InvalidInputError,
@@ -128,9 +131,8 @@ def average_P(path: SampledPath) -> SampledPath:
     return SampledPath(t0=path.t0, dt=path.dt, samples=out)
 
 
-def _tail_stats(f: np.ndarray):
-    """Mean and max absolute deviation over the last 10% of samples."""
-    tail = f[int(0.9 * len(f)):]
+def _tail_stats(tail: np.ndarray):
+    """Mean and max absolute deviation of the tail of a path."""
     mean = complex(tail.mean())
     flat = float(np.max(np.abs(tail - mean)))
     return mean, flat
@@ -139,9 +141,7 @@ def _tail_stats(f: np.ndarray):
 def _geometric_z(times: np.ndarray, s0: complex, sigma0: float, direction: str):
     if direction == "lower":
         return (s0 - sigma0) - 1j * times
-    if direction == "upper":
-        return (s0 - sigma0) + 1j * times
-    raise InvalidInputError(f"direction must be 'lower' or 'upper', got {direction!r}")
+    return (s0 - sigma0) + 1j * times
 
 
 def _z_coefficients(coef, s, c):
@@ -185,30 +185,60 @@ def _poly_mean(x, y, degree):
     return coeffs, complex(np.sum(coeffs / (np.arange(len(coeffs)) + 1)))
 
 
-def _clim_profile(path, z, s0, sigma0, direction, degree, period, phase, flat_tol):
+#: whole periods per chunk of the streamed profile Clim; at 128 phase bins a
+#: chunk is 32768 samples, 512 KiB per long-double or complex temporary
+_CHUNK_PERIODS = 256
+
+#: default flatness tolerance of a Clim, the one the lemma table is verified at
+_FLAT_TOL = 1e-7
+
+
+def _chunk_spans(lo, hi):
+    """Consecutive [a, b) of at most ``_CHUNK_PERIODS`` periods covering [lo, hi)."""
+    return ((a, min(a + _CHUNK_PERIODS, hi)) for a in range(lo, hi, _CHUNK_PERIODS))
+
+
+def _finite(samples):
+    if not np.isfinite(samples).all():
+        raise InvalidInputError("samples must be finite")
+    return samples
+
+
+def _clim_profile(
+    source, n, t0, dt, s0, sigma0, direction, degree, period, phase, flat_tol
+):
     """Period-aware Clim: the profiles gamma_n(alpha) of f as a polynomial in z.
 
-    The samples of the full periods form an (nfull, nbin) matrix, one row per
-    period and one column per phase bin b.  Down a column z is affine in the
-    period index p, z = z_b -/+ i*(nbin*dt)*p on the lower/upper contour, so
-    one Vandermonde in p (scaled by a power of two >= nfull), over the first-
-    and last-quarter rows, serves every bin: it is factored once, and each
-    solve fits all columns at once.  The raw samples grow like T^degree, so
-    the O(1) low-order coefficients sit below the double-precision noise
-    floor of one solve; two refinement solves on the residual of the whole
-    matrix, evaluated in long double, restore them (mixed-precision iterative
-    refinement).  A binomial shift around z_b, in long double, turns the
-    p-coefficients of each column into the z-monomial profiles gamma_n(b).
+    ``source(i0, i1)`` returns the samples f[i0:i1] of a path of n samples,
+    f[i] = f(t0 + i*dt).  The samples of the full periods form an (nfull,
+    nbin) matrix, one row per period and one column per phase bin b.  Down a
+    column z is affine in the period index p, z = z_b -/+ i*(nbin*dt)*p on the
+    lower/upper contour, so one Vandermonde in p (scaled by a power of two
+    >= nfull), over the first- and last-quarter rows, serves every bin: it is
+    factored once, and each solve fits all columns at once.  The raw samples
+    grow like T^degree, so the O(1) low-order coefficients sit below the
+    double-precision noise floor of one solve; two refinement solves on the
+    residual of the quarter rows, evaluated in long double, restore them
+    (mixed-precision iterative refinement).  A binomial shift around z_b, in
+    long double, turns the p-coefficients of each column into the z-monomial
+    profiles gamma_n(b).
+
+    The path is streamed in two passes over chunks of ``_CHUNK_PERIODS``
+    whole periods, and every sample read from the source is checked to be
+    finite.  Pass one reads only the quarter rows, keeps them, and forms the
+    refinement residual chunk by chunk.  Pass two walks the whole path: it
+    reuses the kept rows, reads the middle half and the trailing partial
+    period, predicts each chunk from the profiles by Horner's rule in z, and
+    carries the trapezoid integral of f - prediction across chunks.  Only the
+    last 10% of the averaged residual is kept, with max|f|, for the flatness
+    guard, so the memory is the quarter rows plus that tail.
     """
-    dt = path.dt
     nbin = int(round(period / dt))
     if nbin < 2 or abs(nbin * dt - period) > 1e-9 * period:
         raise InvalidInputError(
             f"dt = {dt} must divide the period {period} into an integer "
             "number of samples"
         )
-    f = path.samples
-    n = len(f)
     nfull = (n - 1) // nbin
     if nfull < 50:
         raise NoClimError(
@@ -216,34 +246,44 @@ def _clim_profile(path, z, s0, sigma0, direction, degree, period, phase, flat_to
             "for the averages to flatten",
             residual_flatness=math.inf,
         )
+
+    def periods(p0, p1):
+        return _finite(source(p0 * nbin, p1 * nbin)).reshape(-1, nbin)
+
+    # Pass one: the first- and last-quarter rows, the only ones the fit reads.
     nq = nfull // 4
     p = np.r_[0:nq, nfull - nq : nfull]
-    grid = f[: nfull * nbin].reshape(nfull, nbin)
+    kept = np.empty((2 * nq, nbin), dtype=complex)
+    for first, out in ((0, kept[:nq]), (nfull - nq, kept[nq:])):
+        for a, b in _chunk_spans(0, nq):
+            out[a:b] = periods(first + a, first + b)
     # real and imaginary parts as separate columns: the Vandermonde is real
-    rows = np.concatenate((grid[:nq], grid[nfull - nq :])).view(float)
+    rows = kept.view(float)
     # Scaling p by a power of two keeps p/scale and its powers exact, so the
     # long-double residual below rounds only in its products and sums.
     scale = 1 << (nfull - 1).bit_length()
     Q, R = np.linalg.qr(np.vander(p / scale, degree + 1, increasing=True))
     coef = np.linalg.solve(R, Q.T @ rows).astype(np.longdouble, order="C")
-    xl = (p.astype(np.longdouble) / scale)[:, None]
     for _ in range(2):
-        # power basis, smallest terms first: the large terms then round once
-        resid = coef[1] * xl
-        resid += coef[0]
-        for j in range(2, degree + 1):
-            resid += coef[j] * xl**j
-        np.subtract(rows, resid, out=resid)
-        coef += np.linalg.solve(R, Q.T @ resid.astype(float))
-    del resid
+        qt_resid = np.zeros((degree + 1, rows.shape[1]))
+        for a, b in _chunk_spans(0, 2 * nq):
+            xl = (p[a:b].astype(np.longdouble) / scale)[:, None]
+            # power basis, smallest terms first: the large terms then round once
+            resid = coef[1] * xl
+            resid += coef[0]
+            for j in range(2, degree + 1):
+                resid += coef[j] * xl**j
+            np.subtract(rows[a:b], resid, out=resid)
+            qt_resid += Q[a:b].T @ resid.astype(float)
+        coef += np.linalg.solve(R, qt_resid)
     span = np.longdouble(dt) * nbin * scale
     coef = coef.view(np.clongdouble) / span ** np.arange(degree + 1)[:, None]
     sign = -1j if direction == "lower" else 1j
-    tb = np.longdouble(path.t0) + np.longdouble(dt) * np.arange(nbin)
+    tb = np.longdouble(t0) + np.longdouble(dt) * np.arange(nbin)
     zb = np.clongdouble(s0 - sigma0) + np.clongdouble(sign) * tb
     gam = _z_coefficients(coef, 1.0 / sign, zb).astype(complex)
 
-    alpha_b = (path.t0 + dt * np.arange(nbin) - phase) % period
+    alpha_b = (t0 + dt * np.arange(nbin) - phase) % period
     order = np.argsort(alpha_b)
     x = alpha_b[order] / period
     fit_deg = min(degree + 2, 8)
@@ -265,20 +305,49 @@ def _clim_profile(path, z, s0, sigma0, direction, degree, period, phase, flat_to
             mean_w = period * np.sum(p2 / ((m + 1) * (m + 2)))
             value += -1j * sgn * (s0 - sigma0) * mean_w
 
-    # Remove all profile content and average once; the residual must be flat.
-    predicted = np.zeros_like(f)
-    zp = np.ones_like(z)
-    for nn in range(degree + 1):
-        if nn > 0:
-            zp = zp * z
-        predicted += np.resize(gam[nn], n) * zp
-    resid = average_P(SampledPath(path.t0, dt, f - predicted))
-    _, flat = _tail_stats(resid.samples)
+    # Pass two: remove all profile content and average once (the trapezoid
+    # rule of average_P, carried across chunks); the residual must be flat.
+    def chunks():
+        for lo, hi, stored in (
+            (0, nq, kept[:nq]),
+            (nq, nfull - nq, None),
+            (nfull - nq, nfull, kept[nq:]),
+        ):
+            for a, b in _chunk_spans(lo, hi):
+                if stored is None:
+                    yield a * nbin, periods(a, b)
+                else:
+                    yield a * nbin, stored[a - lo : b - lo]
+        yield nfull * nbin, _finite(source(nfull * nbin, n))[None, :]
+
+    itail = int(0.9 * n)
+    tail = np.empty(n - itail, dtype=complex)
+    integral_end, last, fmax = 0j, None, 0.0
+    for i0, f in chunks():
+        i1 = i0 + f.size
+        t = t0 + dt * np.arange(i0, i1)
+        z = _geometric_z(t.reshape(f.shape), s0, sigma0, direction)
+        width = f.shape[1]
+        predicted = gam[degree, :width]
+        for nn in range(degree - 1, -1, -1):
+            predicted = predicted * z + gam[nn, :width]
+        r = (f - predicted).ravel()
+        fmax = max(fmax, float(np.max(np.abs(f))))
+        # the first chunk starts the integral at 0; later ones continue it
+        # from the last sample of the chunk before
+        rr = r if last is None else np.concatenate(([last], r))
+        integral = np.cumsum(
+            np.concatenate(([integral_end], 0.5 * (rr[1:] + rr[:-1]) * dt))
+        )[-len(r):]
+        integral_end, last = integral[-1], r[-1]
+        if i1 > itail:
+            j = max(i0, itail)
+            np.divide(integral[j - i0 :], t[j - i0 :], out=tail[j - itail : i1 - itail])
+    _, flat = _tail_stats(tail)
     # The structural guard must tolerate rounding noise proportional to the
     # raw path magnitude (which grows like T^degree); genuinely unremoved
     # content leaves a residual many orders above this floor.  Written so
     # that a NaN flatness fails it.
-    fmax = float(np.max(np.abs(f)))
     if not flat <= flat_tol * (1.0 + abs(value)) + 1e-12 * fmax:
         raise NoClimError(
             f"profile residual not flat: {flat:.3g}", residual_flatness=flat
@@ -301,7 +370,7 @@ def clim(
     *,
     period: float | None = None,
     phase: float = 0.0,
-    flat_tol: float = 1e-7,
+    flat_tol: float = _FLAT_TOL,
 ) -> ClimReport:
     """Numeric generalized Cesaro limit of a sampled path.
 
@@ -312,6 +381,8 @@ def clim(
     flat_tol * (1 + |tail mean|).
     """
     s0 = complex(s0)
+    if direction not in ("lower", "upper"):
+        raise InvalidInputError(f"direction must be 'lower' or 'upper', got {direction!r}")
     if max_eigen < 0:
         raise InvalidInputError("max_eigen must be nonnegative")
     if max_p < 0:
@@ -322,17 +393,19 @@ def clim(
         raise InvalidInputError(
             f"s0, sigma0 and phase must be finite, got {s0}, {sigma0}, {phase}"
         )
-    z = _geometric_z(path.times, s0, sigma0, direction)
 
     if period is not None:
         if max_eigen < 1:
             raise InvalidInputError("profile mode needs max_eigen >= 1")
+        samples = path.samples
         return _clim_profile(
-            path, z, s0, sigma0, direction, max_eigen, period, phase, flat_tol
+            lambda i0, i1: samples[i0:i1], len(samples), path.t0, path.dt,
+            s0, sigma0, direction, max_eigen, period, phase, flat_tol,
         )
 
     f = path.samples.astype(complex)
     times = path.times
+    z = _geometric_z(times, s0, sigma0, direction)
     c = s0 - sigma0
     removed = np.zeros(max_eigen + 1, dtype=complex)
     flat = math.inf
@@ -340,7 +413,7 @@ def clim(
         if max_eigen > 0:
             f, pz = _fit_remove(f, times, z, c, max_eigen, direction)
             removed[: len(pz)] += pz
-        mean, flat = _tail_stats(f)
+        mean, flat = _tail_stats(f[int(0.9 * len(f)):])
         if flat <= flat_tol * (1.0 + abs(mean)):  # False for a NaN flatness
             return ClimReport(
                 value=mean,
@@ -422,10 +495,22 @@ class LemmaParams:
     t0: float = 0.0
 
     def __post_init__(self):
+        vertical_spacing(self.q)  # q must be a prime power
         if self.direction not in ("lower", "upper"):
             raise InvalidInputError(
                 f"direction must be 'lower' or 'upper', got {self.direction!r}"
             )
+        if not (
+            cmath.isfinite(complex(self.s0))
+            and math.isfinite(self.sigma0)
+            and math.isfinite(self.tau0)
+        ):
+            raise InvalidInputError(
+                f"s0, sigma0 and tau0 must be finite, got {self.s0}, "
+                f"{self.sigma0}, {self.tau0}"
+            )
+        if not (math.isfinite(self.t0) and self.t0 >= 0.0):
+            raise InvalidInputError(f"t0 must be finite and nonnegative, got {self.t0}")
 
 
 @dataclass(frozen=True)
@@ -445,7 +530,7 @@ _LADDER_EXPR = {
     "alpha_n": lambda k, alpha, z, n: alpha**n,
     "k": lambda k, alpha, z, n: k,
     "k2": lambda k, alpha, z, n: k**2,
-    "k3": lambda k, alpha, z, n: k**3,
+    "k3": lambda k, alpha, z, n: k * k * k,
     "k_alpha": lambda k, alpha, z, n: k * alpha,
     "k_alpha2": lambda k, alpha, z, n: k * alpha**2,
     "k2_alpha": lambda k, alpha, z, n: k**2 * alpha,
@@ -455,20 +540,32 @@ _LADDER_EXPR = {
 }
 
 
-def ladder_path(symbol: str, params: LemmaParams, T_max: float, dt: float) -> SampledPath:
-    """Exact sampled path of a ladder symbol on the chosen contour."""
+def _ladder_length(symbol: str, params: LemmaParams, T_max: float, dt: float) -> int:
+    """Validate a ladder path request and return its number of samples."""
     if symbol not in _LADDER_EXPR:
         raise InvalidInputError(f"unknown lemma symbol {symbol!r}")
     if not (math.isfinite(T_max) and T_max > 0.0):
         raise InvalidInputError(f"T_max must be finite and positive, got {T_max}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidInputError(f"dt must be finite and positive, got {dt}")
-    C = 2.0 * math.pi / math.log(params.q)
-    nsamp = int(math.floor((T_max - params.t0) / dt)) + 1
+    n = int(math.floor((T_max - params.t0) / dt)) + 1
+    if n < 2:
+        raise InvalidInputError(
+            f"T_max = {T_max} leaves fewer than 2 samples after t0 = {params.t0}"
+        )
+    return n
+
+
+def _ladder_block(symbol: str, params: LemmaParams, C: float, dt: float, i0: int, i1: int):
+    """Samples [i0, i1) of the ladder path of a symbol, C the period.
+
+    Each sample depends on its own index only, so a block is bit-identical
+    to the same slice of ``ladder_path(symbol, params, T_max, dt).samples``.
+    """
     # Build the path in extended precision: alpha comes from the cancellation
     # T - C*k - tau0, whose double-precision error grows like eps*T and would
     # contaminate the large-|z| samples of the degree-2 symbols systematically.
-    T = np.longdouble(params.t0) + np.longdouble(dt) * np.arange(nsamp)
+    T = np.longdouble(params.t0) + np.longdouble(dt) * np.arange(i0, i1)
     Cl = np.longdouble(C)
     sign = -1 if params.direction == "lower" else 1
     # floor as trunc - (frac < 0): exact, and several times faster than
@@ -480,30 +577,45 @@ def ladder_path(symbol: str, params: LemmaParams, T_max: float, dt: float) -> Sa
     if symbol.startswith("z"):
         c = complex(params.s0) - params.sigma0
         z = np.clongdouble(c) + np.clongdouble(sign * 1j) * T
-    values = _LADDER_EXPR[symbol](k, alpha, z, params.n)
-    return SampledPath(t0=params.t0, dt=dt, samples=values.astype(complex))
+    return _LADDER_EXPR[symbol](k, alpha, z, params.n).astype(complex)
+
+
+def ladder_path(symbol: str, params: LemmaParams, T_max: float, dt: float) -> SampledPath:
+    """Exact sampled path of a ladder symbol on the chosen contour."""
+    n = _ladder_length(symbol, params, T_max, dt)
+    C = vertical_spacing(params.q)
+    return SampledPath(
+        t0=params.t0, dt=dt, samples=_ladder_block(symbol, params, C, dt, 0, n)
+    )
 
 
 def verify_lemma(
     symbol: str, params: LemmaParams, T_max: float, dt: float, tol: float
 ) -> LemmaVerification:
-    """Compare the numeric Clim of a ladder symbol against its closed form."""
-    C = 2.0 * math.pi / math.log(params.q)
+    """Compare the numeric Clim of a ladder symbol against its closed form.
+
+    The value is the profile-mode ``clim`` of the ladder path, computed
+    without building the path: the profile extraction streams its samples.
+    """
+    C = vertical_spacing(params.q)
     # Sample at step midpoints so no sample lands exactly on a ladder jump
     # (where the floating-point floor is ambiguous and would mix k and k-1
     # values inside one phase bin).
     shifted = replace(params, t0=params.t0 + 0.5 * dt)
-    path = ladder_path(symbol, shifted, T_max, dt)
+    n = _ladder_length(symbol, shifted, T_max, dt)
     phase = params.tau0 if params.direction == "lower" else -params.tau0
-    report = clim(
-        path,
-        params.s0,
+    report = _clim_profile(
+        functools.partial(_ladder_block, symbol, shifted, C, dt),
+        n,
+        shifted.t0,
+        dt,
+        complex(params.s0),
         params.sigma0,
         params.direction,
-        max_eigen=SYMBOL_DEGREE[symbol],
-        max_p=1,
-        period=C,
-        phase=phase,
+        SYMBOL_DEGREE[symbol],
+        C,
+        phase,
+        _FLAT_TOL,
     )
     r0 = complex(params.sigma0, params.tau0)
     cf = lemma_closed_form(
@@ -564,7 +676,7 @@ def r_lambda_cesaro(factor, q, s0, mu: int) -> complex:
         raise InvalidInputError(f"Re(s0) must exceed 1, got {s0.real}")
     if mu not in (0, -1, -2):
         raise UnsupportedMuError(f"mu must be 0, -1 or -2, got {mu}")
-    C = 2.0 * math.pi / math.log(q)
+    C = vertical_spacing(q)
     a = s0 - complex(factor.sigma0, factor.tau0)
     n_plus = _ladder_partial_limit(mu, a, "lower", factor.sigma0, factor.tau0, C)
     n_minus = _ladder_partial_limit(mu, a, "upper", factor.sigma0, factor.tau0, C)

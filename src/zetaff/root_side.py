@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from ._kernels import power_sum_symmetric
-from .curve_model import CurveZeta, LambdaFactor, base_root
+from .curve_model import CurveZeta, LambdaFactor, base_root, vertical_spacing
 from .deriv_side import SeriesControl, _require_finite, deriv_side_total
 from .errors import (
     InvalidInputError,
@@ -60,7 +60,7 @@ def root_side_classical(factor: LambdaFactor, q, s0, mu, k) -> complex:
         )
     if k < 0:
         raise InvalidInputError(f"k must be nonnegative, got {k}")
-    C = 2.0 * math.pi / math.log(q)
+    C = vertical_spacing(q)
     a = complex(s0) - base_root(factor)
     total = power_sum_symmetric(a, C, mu, k)
     return cmath.exp(1j * math.pi * mu) * factor.nu * total
@@ -85,7 +85,7 @@ def root_side_em(factor: LambdaFactor, q, s0, mu, k) -> RegularizedSum:
         raise OrderInsufficientError(
             f"retained corrections are valid only for mu > -5, got mu = {mu}"
         )
-    C = 2.0 * math.pi / math.log(q)
+    C = vertical_spacing(q)
     a = complex(s0) - base_root(factor)
     wm = a - 1j * C * k
     wp = a + 1j * C * k

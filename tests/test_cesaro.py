@@ -7,6 +7,8 @@ quadrature and the analytic period means.
 """
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +42,14 @@ from zetaff import (
     vertical_spacing,
     x_epsilon_equispaced,
 )
-from zetaff.cesaro import LEMMA_SYMBOLS, SYMBOL_DEGREE, _ladder_partial_limit, _steps_below
+from zetaff import cesaro
+from zetaff.cesaro import (
+    LEMMA_SYMBOLS,
+    SYMBOL_DEGREE,
+    _ladder_block,
+    _ladder_partial_limit,
+    _steps_below,
+)
 from zetaff.curve_model import LambdaFactor
 
 Q = 25
@@ -348,6 +357,17 @@ def test_lemma_params_rejects_unknown_direction():
     assert params(direction="upper").direction == "upper"
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("q", 0), ("q", 1), ("q", 6), ("q", 25.0), ("s0", complex(math.nan, 0.0)),
+     ("sigma0", math.inf), ("tau0", math.nan), ("t0", -DT), ("t0", math.inf)],
+)
+def test_lemma_params_rejects_bad_input(field, value):
+    # rejected when the parameters are made, before any sample is built
+    with pytest.raises(InvalidInputError):
+        replace(params(), **{field: value})
+
+
 def _reference_ladder_samples(symbol, p, T_max, dt):
     """All ten ladder symbols built with np.floor in long double."""
     T = np.longdouble(p.t0) + np.longdouble(dt) * np.arange(int(math.floor((T_max - p.t0) / dt)) + 1)
@@ -377,6 +397,97 @@ def test_ladder_path_matches_reference_bitwise(direction):
         got = ladder_path(symbol, p, 50 * C, DT).samples
         want = _reference_ladder_samples(symbol, p, 50 * C, DT)
         assert got.tobytes() == want.tobytes(), symbol
+
+
+@pytest.mark.parametrize("direction", ["lower", "upper"])
+def test_ladder_block_matches_path_slices_bitwise(direction):
+    p = LemmaParams(q=Q, sigma0=SIGMA0, tau0=TAU0, s0=S0 + 0.3j, direction=direction, n=2, t0=0.1)
+    for symbol in LEMMA_SYMBOLS:
+        path = ladder_path(symbol, p, 50 * C, DT).samples
+        n = len(path)
+        for i0, i1 in ((0, 1), (3, 130), (1000, 2345), (n - 77, n)):
+            got = _ladder_block(symbol, p, C, DT, i0, i1)
+            assert got.tobytes() == path[i0:i1].tobytes(), (symbol, i0, i1)
+
+
+@pytest.mark.parametrize("direction", ["lower", "upper"])
+def test_streamed_lemma_clim_equals_in_memory_clim(direction, monkeypatch):
+    # 200.5 periods: 50 quarter periods, 100 middle ones and a trailing half
+    # period, none of them a multiple of the 7-period chunks
+    T_max = 200.5 * C
+    p = params(direction)
+    phase = TAU0 if direction == "lower" else -TAU0
+    default = {s: verify_lemma(s, p, T_max, DT, 5e-3).numeric for s in LEMMA_SYMBOLS}
+    monkeypatch.setattr(cesaro, "_CHUNK_PERIODS", 7)
+    for symbol in LEMMA_SYMBOLS:
+        streamed = verify_lemma(symbol, p, T_max, DT, 5e-3)
+        path = ladder_path(symbol, replace(p, t0=0.5 * DT), T_max, DT)
+        in_memory = clim(
+            path, S0, SIGMA0, direction, max_eigen=SYMBOL_DEGREE[symbol], max_p=1,
+            period=C, phase=phase,
+        )
+        assert streamed.numeric == in_memory.value, symbol
+        assert streamed.report == in_memory, symbol
+        # the chunk length changes only the rounding of the refinement sums
+        assert streamed.numeric == pytest.approx(default[symbol], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("direction", ["lower", "upper"])
+def test_streamed_flatness_matches_in_memory_average(direction, monkeypatch):
+    # e^(i sqrt T) is content no period profile removes, so the guard fails
+    # and reports the flatness it measured chunk by chunk
+    monkeypatch.setattr(cesaro, "_CHUNK_PERIODS", 7)
+    ladder = ladder_path("k", params(direction, t0=0.5 * DT), 200.5 * C, DT)
+    f = ladder.samples + 1e-3 * np.exp(1j * np.sqrt(ladder.times))
+    path = SampledPath(ladder.t0, DT, f)
+    phase = TAU0 if direction == "lower" else -TAU0
+    with pytest.raises(NoClimError) as exc:
+        clim(path, S0, SIGMA0, direction, max_eigen=1, max_p=1, period=C, phase=phase)
+    # in memory: per-bin fits over the quarter periods, the prediction on
+    # every sample, and average_P of the whole residual
+    n, nbin = len(f), round(C / DT)
+    nfull = (n - 1) // nbin
+    idx = np.arange(n)
+    per = idx // nbin
+    quarters = (per < nfull // 4) | ((per >= nfull - nfull // 4) & (per < nfull))
+    sgn = 1.0 if direction == "lower" else -1.0
+    z = (S0 - SIGMA0) - sgn * 1j * path.times
+    predicted = np.empty(n, dtype=complex)
+    for b in range(nbin):
+        col = idx % nbin == b
+        predicted[col] = np.polyval(np.polyfit(z[quarters & col], f[quarters & col], 1), z[col])
+    averaged = average_P(SampledPath(path.t0, DT, f - predicted)).samples
+    tail = averaged[int(0.9 * n):]
+    flat = np.max(np.abs(tail - tail.mean()))
+    assert exc.value.residual_flatness == pytest.approx(flat, rel=1e-6)
+
+
+@pytest.mark.parametrize("bad", [1000, 100 * 128 + 5, -1])
+def test_streamed_clim_rejects_non_finite_chunk(bad):
+    # a SampledPath cannot hold a NaN, but a streamed source is only checked
+    # chunk by chunk: a quarter row (pass one), a middle period (pass two)
+    # and the trailing partial period
+    samples = ladder_path("k", params(t0=0.5 * DT), 200.5 * C, DT).samples.copy()
+    samples[bad] = np.nan
+    with pytest.raises(InvalidInputError):
+        cesaro._clim_profile(
+            lambda i0, i1: samples[i0:i1], len(samples), 0.5 * DT, DT,
+            complex(S0), SIGMA0, "lower", 1, C, TAU0, 1e-7,
+        )
+
+
+def test_streamed_lemma_clim_memory_is_bounded():
+    # a path of 1.28e6 samples held in memory as long-double and complex
+    # arrays peaks near 160 MiB; the streamed Clim keeps the quarter rows
+    # (10 MiB) and the tail of the average (2 MiB)
+    tracemalloc.start()
+    try:
+        res = verify_lemma("k3", params(), 1e4 * C, DT, 5e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.passed
+    assert peak < 32 * 2**20
 
 
 # ------------------------------------------- one-sided partial-sum limits
@@ -429,6 +540,9 @@ def test_r_lambda_cesaro_validation():
     for s0 in (math.nan, complex(S0, math.inf), complex(math.nan, 0.0)):
         with pytest.raises(InvalidInputError):
             r_lambda_cesaro(factor, Q, s0, 0)
+    for q in (0, 1, 6):
+        with pytest.raises(InvalidInputError):
+            r_lambda_cesaro(factor, q, S0, 0)
 
 
 # ------------------------------------------------------ counting pipeline

@@ -98,6 +98,9 @@ def test_classical_rejects_wrong_regime():
         root_side_classical(FACTOR, 25, S0, 0.3, 100)
     with pytest.raises(InvalidInputError):
         root_side_classical(FACTOR, 25, S0, 2.6, -1)
+    for q in (0, 1, 6):  # C = 2*pi/ln q needs a prime power q
+        with pytest.raises(InvalidInputError):
+            root_side_classical(FACTOR, q, S0, 2.6, 100)
 
 
 def test_em_error_cases():
@@ -109,6 +112,9 @@ def test_em_error_cases():
         root_side_em(FACTOR, 25, S0, -6.2, 1000)
     with pytest.raises(InvalidInputError):
         root_side_em(FACTOR, 25, S0, 2.6, 0)
+    for q in (0, 1, 6):
+        with pytest.raises(InvalidInputError):
+            root_side_em(FACTOR, q, S0, 2.6, 1000)
 
 
 @pytest.mark.parametrize(
