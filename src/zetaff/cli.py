@@ -280,7 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-min", type=float, default=-1.45)
     p.add_argument("--mu-max", type=float, default=2.55)
     p.add_argument("--mu-step", type=float, default=0.1)
-    p.add_argument("--k", type=int, default=1000)
+    p.add_argument(
+        "--k", type=int, default=None,
+        help="root-side truncation (default: chosen per factor and mu by the error model)",
+    )
     p.add_argument("--terms", type=int, default=20)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out", help="CSV output path (default stdout)")

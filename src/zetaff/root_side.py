@@ -5,14 +5,25 @@ For a factor with base root r0 the root side is the regularized power sum
     r = e^(i*pi*mu) * nu * sum_{j in Z} (s0 - r_j)^(-mu),   r_j = r0 + i*C*j.
 
 For mu > 1 the symmetric truncation converges classically.  For mu <= 1 the
-sum is continued by subtracting the explicit Euler-McLaurin boundary terms
-(leading power, half-term, B2 and B4 corrections) from the truncated sum.
+sum is continued by subtracting the Euler-McLaurin boundary terms of its two
+tails from the truncation at k (DLMF 2.10): the leading power, the half-term
+and the Bernoulli terms
+
+    i (mu)_(2m-1) C^(2m-1) |B_2m|/(2m)! (w-^(-mu-2m+1) - w+^(-mu-2m+1)),
+
+m = 1 .. 8 (B2 .. B16), with w-/+ = (s0 - r0) -/+ i*C*k.  Without an explicit
+k, k is chosen from a few candidates by an error model: the first omitted
+Bernoulli term (truncation) plus eps times the scale of what is summed
+(rounding), which grows with k.  A small k with many Bernoulli terms beats a
+large k with few, where the cancelling sum loses digits: at k = 10 a call
+sums 21 kernel terms.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from ._kernels import power_sum_symmetric
@@ -25,27 +36,68 @@ from .errors import (
     WrongRegimeError,
 )
 
+#: |B_2m| / (2m)! for m = 1 .. 9, that is B2 .. B18 (DLMF 24.2), from the
+#: numerator and denominator of |B_2m|
+_BERNOULLI = tuple(
+    num / (den * math.factorial(2 * m))
+    for m, (num, den) in enumerate(
+        ((1, 6), (1, 30), (1, 42), (1, 30), (5, 66), (691, 2730), (7, 6),
+         (3617, 510), (43867, 798)),
+        start=1,
+    )
+)
+
+#: (m, |B_(2m+2)|(2m)! / (|B_2m|(2m+2)!)) for m = 1 .. 8
+_BERNOULLI_STEPS = tuple((m, _BERNOULLI[m] / _BERNOULLI[m - 1]) for m in range(1, 9))
+
+#: Bernoulli terms kept at most, B2 .. B16; the B18 bound is then the
+#: truncation error
+_EM_TERMS = 8
+
+#: truncations the error model chooses from when no k is given
+_K_CANDIDATES = (4, 6, 10, 16, 25, 40, 64, 100, 160, 250, 400, 1000)
+
+_BERNOULLI_LABELS = tuple(f"B{2 * m}-term" for m in range(1, _EM_TERMS + 1))
+_LABELS = frozenset(("boundary-power", "half-term", *_BERNOULLI_LABELS))
+
+_EPS = sys.float_info.epsilon
+
 
 @dataclass(frozen=True)
 class RegularizedSum:
     """Continued root-side value with a ledger of subtracted terms.
 
-    corrections holds (label, value) pairs for each subtracted divergence;
-    est_error is the magnitude scale of the first omitted Euler-McLaurin term.
+    corrections holds (label, value) pairs for each subtracted boundary term;
+    k_used is the truncation and order the highest Bernoulli index kept (16
+    for B2 .. B16, 0 for none).  est_error bounds the error of value: the
+    truncation part (the first omitted Bernoulli term) plus the rounding part
+    (double-precision rounding of the truncated sum and of the boundary terms).
     """
 
     value: complex
     k_used: int
     corrections: tuple
     est_error: float
+    order: int = 0
+    truncation_error: float = 0.0
+    rounding_error: float = 0.0
 
     def __post_init__(self):
-        if self.est_error < 0.0:
-            raise InvalidInputError("est_error must be nonnegative")
-        allowed = {"boundary-power", "half-term", "B2-term", "B4-term"}
+        if not (self.truncation_error >= 0.0 and self.rounding_error >= 0.0):
+            raise InvalidInputError("truncation_error and rounding_error must be nonnegative")
+        if not self.est_error >= self.truncation_error + self.rounding_error:
+            raise InvalidInputError("est_error must be nonnegative and cover both parts")
         for label, _ in self.corrections:
-            if label not in allowed:
+            if label not in _LABELS:
                 raise InvalidInputError(f"unknown correction label {label!r}")
+
+
+def _ladder_offset(factor: LambdaFactor, C, s0) -> complex:
+    """a = s0 - r0, checked not to be i*C*j: s0 on the ladder is a root."""
+    a = complex(s0) - base_root(factor)
+    if a.real == 0.0 and a.imag == C * round(a.imag / C):
+        raise InvalidInputError(f"s0 = {s0} lies on the root ladder of {factor}")
+    return a
 
 
 def root_side_classical(factor: LambdaFactor, q, s0, mu, k) -> complex:
@@ -61,20 +113,126 @@ def root_side_classical(factor: LambdaFactor, q, s0, mu, k) -> complex:
     if k < 0:
         raise InvalidInputError(f"k must be nonnegative, got {k}")
     C = vertical_spacing(q)
-    a = complex(s0) - base_root(factor)
+    a = _ladder_offset(factor, C, s0)
     total = power_sum_symmetric(a, C, mu, k)
     return cmath.exp(1j * math.pi * mu) * factor.nu * total
 
 
-def root_side_em(factor: LambdaFactor, q, s0, mu, k) -> RegularizedSum:
+def _bernoulli_coefficients(mu, C):
+    """(mu)_(2m-1) C^(2m-1) |B_2m|/(2m)! for m = 1 .. 9, that is B2 .. B18.
+
+    The B_2m term of the continuation is i times this coefficient times
+    w-^(-mu-2m+1) - w+^(-mu-2m+1).  Each coefficient is the one before times
+    (mu + 2m - 1)(mu + 2m) C^2 |B_(2m+2)|(2m)!/(|B_2m|(2m+2)!).
+    """
+    c = mu * C * _BERNOULLI[0]
+    coefs = [c]
+    for m, ratio in _BERNOULLI_STEPS:
+        c *= (mu + 2 * m - 1) * (mu + 2 * m) * ratio * C * C
+        coefs.append(c)
+    return coefs
+
+
+def _bernoulli_bounds(coefs, mu, rm, rp):
+    """Bounds on the Bernoulli terms the continuation keeps, and on the next one.
+
+    |B_2m term| <= |coef_m| (rm^(-mu-2m+1) + rp^(-mu-2m+1)), rm = |w-| and
+    rp = |w+|.  Terms are kept while these bounds shrink, up to B16.  Returns
+    the number of kept terms, the sum of their bounds and the bound on the
+    first omitted term, the truncation error.
+    """
+    em, ep = rm ** (-mu - 1.0), rp ** (-mu - 1.0)
+    sm, sp = rm**-2.0, rp**-2.0
+    kept, total, prev = 0, 0.0, math.inf
+    for c in coefs[:_EM_TERMS]:
+        bound = abs(c) * (em + ep)
+        if not bound < prev:
+            break
+        kept, total, prev = kept + 1, total + bound, bound
+        em *= sm
+        ep *= sp
+    else:
+        bound = abs(coefs[_EM_TERMS]) * (em + ep)
+    return kept, total, bound
+
+
+def _abs_sum_bound(a, C, mu, k):
+    """Closed-form bound on sum_{j=-k..k} |a - i*C*j|^(-mu), p = -mu.
+
+    With x = |Re a| and t_j = Im a - C*j, |w_j| lies between max(x, |t_j|)
+    and x + |t_j|.  For p >= 0 the terms (x + |t|)^p form a valley in t, so
+    their grid sum is at most the integral over [t_k, t_-k] divided by C
+    plus the two end values.  For p < 0 the terms peak at the nearest rung
+    j0; every other rung has |t_j| >= C*(|j - j0| - 1/2), so the rest is at
+    most twice a decreasing sum of max(x, u)^p, bounded by its first term
+    plus an integral.
+    """
+    p = -mu
+    x = abs(a.real)
+    lo, hi = a.imag - C * k, a.imag + C * k
+    if p >= 0.0:
+        def F(T):  # int_0^T (x + u)^p du
+            return ((x + T) ** (p + 1.0) - x ** (p + 1.0)) / (p + 1.0)
+
+        span = F(-lo) + F(hi) if lo < 0.0 < hi else abs(F(abs(hi)) - F(abs(lo)))
+        return span / C + (x + abs(lo)) ** p + (x + abs(hi)) ** p
+    j0 = min(max(round(a.imag / C), -k), k)
+    rmin = abs(a - 1j * C * j0)
+    u0, u1 = C / 2.0, C * (2 * k + 1)
+    x0 = max(x, u0)
+    # int_u0^u1 max(x, u)^p du: flat up to x, a power beyond
+    tail = (min(x, u1) - u0) * x**p if x > u0 else 0.0
+    if u1 > x0:
+        tail += x0 ** (p + 1.0) * math.expm1((p + 1.0) * math.log(u1 / x0)) / (p + 1.0)
+    return rmin**p + 2.0 * (x0**p + tail / C)
+
+
+def _error_model(a, C, mu, k, coefs):
+    """(truncation, rounding, number of kept Bernoulli terms) at k.
+
+    The rounding part is eps times the scale of what is summed, the moduli
+    of the 2k+1 kernel terms plus those of the boundary terms, times the
+    growth of a term's relative error with |mu| log|w|: the kernel and the
+    complex powers form w^(-mu) as exp(-mu*log w).
+    """
+    rm, rp = math.hypot(a.real, a.imag - C * k), math.hypot(a.real, a.imag + C * k)
+    hm, hp = rm**-mu, rp**-mu
+    kept, kept_sum, truncation = _bernoulli_bounds(coefs, mu, rm, rp)
+    boundary = (hm * rm + hp * rp) / (abs(1.0 - mu) * C) + 0.5 * (hm + hp) + kept_sum
+    growth = 2.0 + abs(mu) * (abs(math.log(max(rm, rp))) + math.pi)
+    rounding = _EPS * growth * (_abs_sum_bound(a, C, mu, k) + boundary)
+    return truncation, rounding, kept
+
+
+def _choose_k(a, C, mu, coefs):
+    """The candidate truncation with the smallest modelled error, and its model.
+
+    The truncation part falls with k and the rounding part grows, so the
+    modelled error falls and then rises; the scan takes the candidates in
+    increasing order and stops at the first that does no better than the
+    one before.
+    """
+    best_k, best = None, None
+    for k in _K_CANDIDATES:
+        model = _error_model(a, C, mu, k, coefs)
+        if best is not None and model[0] + model[1] >= best[0] + best[1]:
+            break
+        best_k, best = k, model
+    return best_k, best
+
+
+def root_side_em(factor: LambdaFactor, q, s0, mu, k=None) -> RegularizedSum:
     """Euler-McLaurin continued root-side sum for one factor.
 
-    Subtracts the boundary power, half-term, B2 and B4 corrections from the
-    symmetric truncation at k; valid for -5 < mu, mu != 1.
+    Subtracts the boundary power, the half-term and the Bernoulli terms
+    B2 .. B16 (while their bounds shrink) from the symmetric truncation at k;
+    valid for -5 < mu, mu != 1.  With k None, k is the candidate in
+    _K_CANDIDATES with the smallest modelled error, truncation plus rounding
+    (see RegularizedSum); an explicit k >= 1 is used as given.
     """
     mu = float(mu)
     _require_finite(s0, mu)
-    if k < 1:
+    if k is not None and k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     if mu == 1.0:
         raise RemovableSingularityError(
@@ -86,31 +244,56 @@ def root_side_em(factor: LambdaFactor, q, s0, mu, k) -> RegularizedSum:
             f"retained corrections are valid only for mu > -5, got mu = {mu}"
         )
     C = vertical_spacing(q)
-    a = complex(s0) - base_root(factor)
+    a = _ladder_offset(factor, C, s0)
+    coefs = _bernoulli_coefficients(mu, C)
+    try:
+        if k is None:
+            k, (truncation, rounding, kept) = _choose_k(a, C, mu, coefs)
+        else:
+            k = int(k)
+            truncation, rounding, kept = _error_model(a, C, mu, k, coefs)
+    except OverflowError:
+        raise InvalidInputError(
+            f"root-side terms overflow a double at mu = {mu}, s0 = {s0}"
+        ) from None
     wm = a - 1j * C * k
     wp = a + 1j * C * k
 
     S = power_sum_symmetric(a, C, mu, k)
-    b1 = (1j / ((1.0 - mu) * C)) * (wm ** (1.0 - mu) - wp ** (1.0 - mu))
-    b2 = 0.5 * (wm ** (-mu) + wp ** (-mu))
-    b3 = (1j * mu * C / 12.0) * (wm ** (-mu - 1.0) - wp ** (-mu - 1.0))
-    b4 = (1j * mu * (mu + 1.0) * (mu + 2.0) * C**3 / 720.0) * (
-        wm ** (-mu - 3.0) - wp ** (-mu - 3.0)
-    )
+    pm, pp = wm ** (-mu), wp ** (-mu)
+    # i/((1-mu)C) * (w-^(1-mu) - w+^(1-mu)) with w-/+ = a -/+ iCk written out,
+    # so that at mu = 0 it is 2k exactly and the continuation cancels exactly
+    b1 = (k * (pm + pp) + 1j * a * (pm - pp) / C) / (1.0 - mu)
+    b2 = 0.5 * (pm + pp)
     pref = cmath.exp(1j * math.pi * mu) * factor.nu
-    value = pref * (S - b1 - b2 - b3 - b4)
-    est_error = abs(wm) ** (-mu - 5.0)
-    corrections = (
-        ("boundary-power", pref * b1),
-        ("half-term", pref * b2),
-        ("B2-term", pref * b3),
-        ("B4-term", pref * b4),
+    corrections = [("boundary-power", pref * b1), ("half-term", pref * b2)]
+    rest = S - b1 - b2
+    # w^(-mu-2m+1) from w^(-mu-1) by repeated division by w^2
+    em, ep = pm / wm, pp / wp
+    sm, sp = 1.0 / (wm * wm), 1.0 / (wp * wp)
+    for label, c in zip(_BERNOULLI_LABELS, coefs[:kept]):
+        term = 1j * c * (em - ep)
+        rest -= term
+        corrections.append((label, pref * term))
+        em *= sm
+        ep *= sp
+    return RegularizedSum(
+        value=pref * rest,
+        k_used=k,
+        corrections=tuple(corrections),
+        est_error=truncation + rounding,
+        order=2 * kept,
+        truncation_error=truncation,
+        rounding_error=rounding,
     )
-    return RegularizedSum(value=value, k_used=int(k), corrections=corrections, est_error=est_error)
 
 
-def root_side_total(curve: CurveZeta, s0, mu, k) -> complex:
-    """Sum of per-factor Euler-McLaurin root-side values over the curve."""
+def root_side_total(curve: CurveZeta, s0, mu, k=None) -> complex:
+    """Sum of per-factor Euler-McLaurin root-side values over the curve.
+
+    k is passed to root_side_em for every factor; None lets each factor's
+    error model choose it.
+    """
     s0 = complex(s0)
     _require_finite(s0, mu)
     if s0.real <= 1.0:
@@ -121,7 +304,7 @@ def root_side_total(curve: CurveZeta, s0, mu, k) -> complex:
     return total
 
 
-def identity_residual(curve: CurveZeta, s0, mu, ctl: SeriesControl, k):
+def identity_residual(curve: CurveZeta, s0, mu, ctl: SeriesControl, k=None):
     """Return (abs_diff, rel_diff) between derivative and root sides.
 
     rel_diff uses the denominator 1 + |d| so it stays meaningful when the

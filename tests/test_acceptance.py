@@ -68,6 +68,22 @@ def test_criterion_1_mu_scan():
     report("1 mu-scan identity", ok, f"worst rel {worst:.2e}, {elapsed:.2f}s")
 
 
+def test_criterion_1_relative_to_d_default_k():
+    """The default root side (k chosen by the error model) relative to |d|.
+
+    |d| is only 1e-8 to 7e-6 on this grid, so the 1 + |d| convention of
+    criterion 1 reports an absolute error; this line divides by |d|.
+    """
+    ctl = SeriesControl(n_terms=20, tail_tol=1e-12)
+    worst = 0.0
+    for mu in [-1.45 + 0.1 * i for i in range(41)]:
+        d = deriv_side_factor(Q, FACTOR, S0, mu, ctl)
+        r = root_side_em(FACTOR, Q, S0, mu).value
+        worst = max(worst, abs(d - r) / abs(d))
+    report("1b mu-scan identity relative to |d|, default k", worst <= 1e-5,
+           f"worst rel {worst:.2e}")
+
+
 def test_criterion_2_euler_mclaurin_oracle():
     """Continuation at k=1000 reproduces the k=10^7 classical sum."""
     start = time.perf_counter()

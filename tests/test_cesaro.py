@@ -360,7 +360,8 @@ def test_lemma_params_rejects_unknown_direction():
 @pytest.mark.parametrize(
     "field, value",
     [("q", 0), ("q", 1), ("q", 6), ("q", 25.0), ("s0", complex(math.nan, 0.0)),
-     ("sigma0", math.inf), ("tau0", math.nan), ("t0", -DT), ("t0", math.inf)],
+     ("sigma0", math.inf), ("tau0", math.nan), ("t0", -DT), ("t0", math.inf),
+     ("n", 0), ("n", -2), ("n", 1.5), ("n", 2.0), ("n", True)],
 )
 def test_lemma_params_rejects_bad_input(field, value):
     # rejected when the parameters are made, before any sample is built
@@ -747,6 +748,70 @@ def test_counting_clims_numeric():
             max_eigen=1, max_p=2, flat_tol=1e-2,
         )
         assert abs(rep.value - (-1j * b * s1_av(cf))) <= 5e-3
+
+
+@pytest.mark.parametrize("degree", [1, 3, 8])
+def test_vandermonde_qr_is_orthonormal(degree):
+    # one Gram-Schmidt pass loses orthogonality to 7.5e-12 at degree 8
+    x = np.arange(128001) / 128000.0
+    Q, R = cesaro._vandermonde_qr(x, degree)
+    assert np.abs(Q.T @ Q - np.eye(degree + 1)).max() <= 1e-14
+    assert np.allclose(Q @ R, np.vander(x, degree + 1, increasing=True), rtol=0, atol=1e-14)
+    assert np.array_equal(R, np.triu(R)) and np.all(np.diag(R) > 0)
+
+
+def _reference_plain_clim(path, s0, sigma0, direction, max_eigen, max_p, flat_tol):
+    """Plain-mode clim with a complex lstsq at every stage and the fitted
+    z^n terms (n >= 1) removed as explicit powers of z."""
+    f = path.samples
+    times = path.times
+    z = (s0 - sigma0) - 1j * times if direction == "lower" else (s0 - sigma0) + 1j * times
+    s = 1j if direction == "lower" else -1j
+    removed = np.zeros(max_eigen + 1, dtype=complex)
+    flat = math.inf
+    for stage in range(max_p + 1):
+        if max_eigen > 0:
+            V = np.vander(times / times[-1], max_eigen + 1, increasing=True)
+            coef, *_ = np.linalg.lstsq(V, f, rcond=None)
+            pz = cesaro._z_coefficients(coef / times[-1] ** np.arange(max_eigen + 1), s, s0 - sigma0)
+            f = f - sum(pz[n] * z**n for n in range(1, max_eigen + 1))
+            removed += pz
+        tail = f[int(0.9 * len(f)):]
+        mean = complex(tail.mean())
+        flat = float(np.max(np.abs(tail - mean)))
+        if flat <= flat_tol * (1.0 + abs(mean)):
+            return stage, mean, removed[1:]
+        f = average_P(SampledPath(path.t0, path.dt, f)).samples
+    return None, flat, None
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_plain_clim_matches_per_stage_lstsq_reference(g):
+    half = [37 * DT, 0.8, 1.1][:g]
+    cf = make_counting(g, C, half + [C - k for k in half])
+    outcomes = set()
+    for kind in ("S", "tS", "t2S", "S1", "tS1", "S2"):
+        path = counting_path(cf, kind, 200 * C, DT)
+        for direction in ("lower", "upper"):
+            for max_eigen in range(4):
+                args = (S0, 0.5, direction, max_eigen, 3, 1e-2)
+                p_power, value, removed = _reference_plain_clim(path, *args)
+                case = (kind, direction, max_eigen)
+                if p_power is None:
+                    with pytest.raises(NoClimError) as err:
+                        clim(path, *args[:3], max_eigen=max_eigen, max_p=3, flat_tol=1e-2)
+                    assert err.value.residual_flatness == pytest.approx(value, rel=1e-10), case
+                    outcomes.add("none")
+                    continue
+                rep = clim(path, *args[:3], max_eigen=max_eigen, max_p=3, flat_tol=1e-2)
+                assert rep.p_power == p_power, case
+                assert rep.value == pytest.approx(value, rel=1e-10, abs=1e-12), case
+                assert [n for n, _ in rep.removed_eigen] == list(range(1, max_eigen + 1))
+                got = np.array([v for _, v in rep.removed_eigen])
+                assert np.allclose(got, removed, rtol=1e-10, atol=1e-12), case
+                outcomes.add(p_power)
+    # the cases flatten after one and after two averagings, and some never do
+    assert {1, 2, "none"} <= outcomes
 
 
 def test_r_critical_line_exact_zeros():

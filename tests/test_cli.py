@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import math
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zetaff import vertical_spacing
+from zetaff import cesaro, vertical_spacing
 from zetaff.cli import EXIT_INVALID, EXIT_OK, EXIT_TOL, main, parse_curve_file
 
 C25 = vertical_spacing(25)
@@ -151,6 +156,42 @@ def test_non_finite_input_exits_invalid(argv, tmp_path, capsys):
     assert main(argv) == EXIT_INVALID
     assert capsys.readouterr().err.startswith("invalid input: ")
     assert not out.exists()
+
+
+def test_lemma_invalid_n_exits_before_any_path_work(monkeypatch):
+    def no_path_work(*args, **kwargs):
+        raise AssertionError("verify_lemma must not run for an invalid n")
+
+    monkeypatch.setattr(cesaro, "verify_lemma", no_path_work)
+    for n in ("0", "-1"):
+        assert main(["lemma", "--symbol", "alpha_n", "--n", n]) == EXIT_INVALID
+
+
+_MU_BOUND = st.one_of(
+    st.floats(-6.0, 6.0), st.sampled_from([math.nan, math.inf, -math.inf])
+)
+
+
+@given(
+    k=st.one_of(st.none(), st.integers(-3, 0), st.integers(1, 3000)),
+    mu_min=_MU_BOUND,
+    span=st.floats(0.0, 3.0),
+    mu_max=st.one_of(st.none(), _MU_BOUND),
+    mu_step=st.sampled_from(["0.25", "0.5", "1.0", "nan", "0"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_scan_mu_exit_code_contract(k, mu_min, span, mu_max, mu_step):
+    # scan-mu exits 0, 1 or 2 and never escapes with a traceback, whatever
+    # the truncation and the mu bounds
+    if mu_max is None:
+        mu_max = mu_min + span
+    # "--opt=value", so that argparse reads "-inf" and "-1e-05" as values
+    argv = ["scan-mu", f"--mu-min={mu_min!r}", f"--mu-max={mu_max!r}",
+            f"--mu-step={mu_step}", f"--out={os.devnull}"]
+    if k is not None:
+        argv.append(f"--k={k}")
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (EXIT_OK, EXIT_TOL, EXIT_INVALID)
 
 
 def test_lemma_single_symbol(capsys):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -22,6 +23,7 @@ from zetaff import (
     root_side_total,
     vertical_spacing,
 )
+from zetaff.root_side import _K_CANDIDATES
 
 C25 = vertical_spacing(25)
 S0 = 5.1238
@@ -135,6 +137,16 @@ def test_em_mu0_exact_zero():
     # are exactly 2k and 1, so the continuation cancels bit-exactly
     got = root_side_em(FACTOR, 25, S0, 0.0, 1000)
     assert got.value == 0j
+    assert root_side_em(FACTOR, 25, S0, 0.0).value == 0j
+    # for every truncation and base root, not only for lucky roundings
+    for k in range(1, 130):
+        assert root_side_em(FACTOR, 25, S0, 0.0, k).value == 0j, k
+    rng = random.Random(5)
+    for _ in range(20):
+        f = LambdaFactor(rng.uniform(0.0, 1.0), rng.uniform(0.0, C25), 1)
+        s0 = complex(rng.uniform(1.5, 5.0), rng.uniform(-1.0, 1.0))
+        for k in (None, 27, 1000):
+            assert root_side_em(f, 25, s0, 0.0, k).value == 0j, (f, s0, k)
 
 
 def test_em_negative_integer_mu_near_zero():
@@ -173,8 +185,10 @@ def test_em_report_fields():
     got = root_side_em(FACTOR, 25, S0, 2.6, 1000)
     assert got.k_used == 1000
     assert got.est_error >= 0.0
+    assert got.est_error == got.truncation_error + got.rounding_error
+    assert got.order == 16
     labels = [label for label, _ in got.corrections]
-    assert labels == ["boundary-power", "half-term", "B2-term", "B4-term"]
+    assert labels == ["boundary-power", "half-term"] + [f"B{2 * m}-term" for m in range(1, 9)]
     # continuation identity: value + corrections = truncated classical sum
     total = got.value + sum(v for _, v in got.corrections)
     classical = root_side_classical(FACTOR, 25, S0, 2.6, 1000)
@@ -186,6 +200,88 @@ def test_regularized_sum_validation():
         RegularizedSum(value=0j, k_used=1, corrections=(("bogus", 0j),), est_error=0.0)
     with pytest.raises(InvalidInputError):
         RegularizedSum(value=0j, k_used=1, corrections=(), est_error=-1.0)
+    with pytest.raises(InvalidInputError):
+        RegularizedSum(value=0j, k_used=1, corrections=(("B18-term", 0j),), est_error=0.0)
+    for trunc, rnd, est in ((-1.0, 0.0, 1.0), (0.0, math.nan, 1.0), (1e-3, 1e-3, 1e-3)):
+        with pytest.raises(InvalidInputError):
+            RegularizedSum(value=0j, k_used=1, corrections=(), est_error=est,
+                           truncation_error=trunc, rounding_error=rnd)
+    ok = RegularizedSum(value=0j, k_used=1, corrections=(("B16-term", 0j),), est_error=2e-3,
+                        order=16, truncation_error=1e-3, rounding_error=1e-3)
+    assert ok.order == 16
+
+
+@pytest.mark.parametrize("k", [None, 4, 10, 1000])
+@pytest.mark.parametrize("mu", [-4.5, -3.5, -1.45, -0.45, 0.5, 2.6])
+def test_est_error_covers_oracle_error(mu, k):
+    # est_error is the first omitted Bernoulli term plus the rounding of the
+    # cancelling sum; at k = 4 the first dominates, at mu = -4.5 and k = 1000
+    # the second (the error is about 1e2 there)
+    got = root_side_em(FACTOR, 25, S0, mu, k)
+    expected = cmath.exp(1j * math.pi * mu) * ladder_sum_oracle(A, C25, mu)
+    assert abs(got.value - expected) <= got.est_error
+    assert got.est_error == got.truncation_error + got.rounding_error
+    assert got.k_used == (k if k is not None else got.k_used)
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_em_keeps_bernoulli_terms_while_their_bounds_shrink(q):
+    # near the truncation point |w| is only a few C, so the asymptotic
+    # Bernoulli terms stop shrinking before B16; est_error still holds
+    C = vertical_spacing(q)
+    orders = []
+    for mu in (2.6, 0.5, -1.45):
+        for k in (1, 2):
+            got = root_side_em(FACTOR, q, S0, mu, k)
+            expected = cmath.exp(1j * math.pi * mu) * ladder_sum_oracle(A, C, mu)
+            assert abs(got.value - expected) <= got.est_error, (mu, k)
+            assert len(got.corrections) == 2 + got.order // 2
+            orders.append(got.order)
+    assert min(orders) < 16 and max(orders) == 16
+    # at mu = -1 the series ends: B4 and beyond vanish, nothing is truncated
+    got = root_side_em(FACTOR, q, S0, -1.0, 1)
+    assert got.order == 4 and got.truncation_error == 0.0
+
+
+def test_default_k_is_chosen_by_the_error_model():
+    for mu in (-4.5, -1.45, 0.5, 2.6):
+        got = root_side_em(FACTOR, 25, S0, mu)
+        assert got.k_used in _K_CANDIDATES
+        # the choice has the smallest modelled error among its neighbours,
+        # and the value is that of the explicit call
+        explicit = root_side_em(FACTOR, 25, S0, mu, got.k_used)
+        assert explicit.value == got.value and explicit.est_error == got.est_error
+        i = _K_CANDIDATES.index(got.k_used)
+        for j in (i - 1, i + 1):
+            if 0 <= j < len(_K_CANDIDATES):
+                assert root_side_em(FACTOR, 25, S0, mu, _K_CANDIDATES[j]).est_error >= got.est_error
+        # and it is far more accurate than the old fixed k = 1000 at mu < 0
+        assert got.est_error <= root_side_em(FACTOR, 25, S0, mu, 1000).est_error
+    curve = make_curve(25, 2, [(0.6, 0.7), (0.4, C25 - 0.7), (0.6, C25 - 0.7), (0.4, 0.7)])
+    total = root_side_total(curve, S0, -1.45)
+    assert total == sum(root_side_em(f, 25, S0, -1.45).value for f in curve.factors)
+
+
+def test_s0_on_the_ladder_or_overflow_is_rejected():
+    # s0 - r0 = i*C*j is a root of the factor; it escaped as a bare
+    # ZeroDivisionError, or as a NaN value, depending on mu and k
+    f = LambdaFactor(0.6, 0.0, 1)
+    for j in (0, 1, 4):
+        s0 = complex(0.6, j * C25)
+        for mu in (0.0, -0.5, 2.6):
+            for k in (None, 4, 7):
+                with pytest.raises(InvalidInputError):
+                    root_side_em(f, 25, s0, mu, k)
+        with pytest.raises(InvalidInputError):
+            root_side_classical(f, 25, s0, 2.6, 10)
+    # 0.01^-200 overflows a double: this returned NaN
+    for k in (None, 10):
+        with pytest.raises(InvalidInputError):
+            root_side_em(FACTOR, 25, complex(0.61, 0.7), 200.0, k)
+    # off the ladder on the same vertical line, Re(s0 - r0) = 0, all is finite
+    for mu in (0.5, -0.5, 2.6):
+        got = root_side_em(f, 25, complex(0.6, 0.7), mu)
+        assert cmath.isfinite(got.value) and math.isfinite(got.est_error)
 
 
 def test_root_side_total_and_identity():
