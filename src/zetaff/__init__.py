@@ -59,7 +59,6 @@ from .errors import (
 )
 from .root_side import (
     RegularizedSum,
-    identity_residual,
     root_side_classical,
     root_side_em,
     root_side_total,

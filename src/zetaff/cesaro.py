@@ -818,14 +818,18 @@ def s1_av(cf: CountingFunction) -> float:
     return acc
 
 
-@_heightwise
-def q_eval(cf: CountingFunction, T):
-    """Periodic piece Q(alpha) = sum_i max(0, alpha - kappa_i)^2 / 2."""
-    alpha = T % cf.C
+def _q_of_phase(cf: CountingFunction, alpha):
+    """Q at phases alpha = T mod C that are already reduced."""
     acc = np.zeros_like(alpha)
     for k in cf.kappas:
         acc += 0.5 * np.maximum(0.0, alpha - k) ** 2
     return acc
+
+
+@_heightwise
+def q_eval(cf: CountingFunction, T):
+    """Periodic piece Q(alpha) = sum_i max(0, alpha - kappa_i)^2 / 2."""
+    return _q_of_phase(cf, T % cf.C)
 
 
 def q_av(cf: CountingFunction) -> float:
@@ -837,7 +841,7 @@ def q_av(cf: CountingFunction) -> float:
 def s2_eval(cf: CountingFunction, T):
     """Second antiderivative S2(T) = S1av*(T - alpha) + int_0^alpha S1."""
     alpha = T % cf.C
-    inner = q_eval(cf, alpha) - (cf.g / (3.0 * cf.C)) * alpha**3
+    inner = _q_of_phase(cf, alpha) - (cf.g / (3.0 * cf.C)) * alpha**3
     return s1_av(cf) * (T - alpha) + inner
 
 

@@ -127,21 +127,13 @@ def cmd_scan_mu(args) -> int:
         mus = _mu_grid(args.mu_min, args.mu_max, args.mu_step)
         if args.curve:
             curve = parse_curve_file(args.curve)
-
-            def row(mu):
-                d = deriv_side.deriv_side_total(curve, s0, mu, ctl)
-                r = root_side.root_side_total(curve, s0, mu, args.k)
-                return d, r
+            d = deriv_side.deriv_side_total(curve, s0, mus, ctl)
+            r = root_side.root_side_total(curve, s0, mus, args.k).tolist()
         else:
             factor = curve_model.LambdaFactor(args.sigma0, args.tau0, 1)
-            q = args.q
-
-            def row(mu):
-                d = deriv_side.deriv_side_factor(q, factor, s0, mu, ctl)
-                r = root_side.root_side_em(factor, q, s0, mu, args.k).value
-                return d, r
-
-        sides = [row(mu) for mu in mus]
+            d = deriv_side.deriv_side_factor(args.q, factor, s0, mus, ctl)
+            r = [res.value for res in root_side.root_side_em(factor, args.q, s0, mus, args.k)]
+        sides = list(zip(d.tolist(), r))
     except ZetaffError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -8,6 +8,9 @@ of -ln zeta at s0 expands into the convergent series
 
 valid for Re(s0) > sigma0.  At mu in {0, -1, -2, ...} the reciprocal gamma
 prefactor vanishes, so the derivative side is exactly zero there.
+
+deriv_side_factor and deriv_side_total take one order mu or a 1-d grid of
+orders; a grid gives each order's value bitwise as a one-order call does.
 """
 
 from __future__ import annotations
@@ -64,48 +67,88 @@ def series_tail_bound(ratio: float, mu: float, n_terms: int) -> float:
         return math.inf
 
 
-def deriv_side_factor(q, factor: LambdaFactor, s0, mu, ctl: SeriesControl = SeriesControl()) -> complex:
+def _orders(mu):
+    """mu as a list of float orders, and whether it was one order or a grid."""
+    orders = np.asarray(mu, dtype=np.float64)
+    if orders.ndim > 1:
+        raise InvalidInputError(f"mu must be one order or a 1-d grid, got shape {orders.shape}")
+    return orders.reshape(-1).tolist(), orders.ndim == 0
+
+
+def _series_values(q, factors, s0, orders, ctl, check_zero_orders):
+    """deriv_side_factor of each factor at each order, one list per factor.
+
+    The orders are checked one at a time, in order, and an order raises what
+    a one-order deriv_side_factor call raises.  With check_zero_orders false
+    an order at which 1/Gamma(mu) vanishes is zero without the series checks,
+    as in deriv_side_total.  e^(i*pi*mu)/Gamma(mu)*(ln q)^mu and n^(1-mu) are
+    computed once per order, and x^n once per factor.
+    """
+    values = [[0j] * len(orders) for _ in factors]
+    xs = None
+    live, prefixes = [], []
+    for i, mu in enumerate(orders):
+        _require_finite(s0, mu)
+        rg = float(rgamma(mu))
+        if rg == 0.0 and not check_zero_orders:
+            continue
+        if xs is None:
+            xs = [_factor_lambda(f, q) * cmath.exp(-s0 * math.log(q)) for f in factors]
+        for factor, x in zip(factors, xs):
+            rho = abs(x)
+            if rho >= 1.0:
+                raise DivergentSeriesError(
+                    f"|lambda*q^(-s0)| = {rho:.6g} >= 1; need Re(s0) > sigma0 = {factor.sigma0}"
+                )
+            bound = series_tail_bound(rho, mu, ctl.n_terms)
+            if bound > ctl.tail_tol:
+                raise TailBudgetError(
+                    f"tail bound {bound:.3g} exceeds budget {ctl.tail_tol:.3g} "
+                    f"at n_terms = {ctl.n_terms}",
+                    achieved=bound,
+                )
+        if rg == 0.0:
+            # mu is a nonpositive integer: 1/Gamma(mu) = 0 exactly, the value stays 0j
+            continue
+        live.append(i)
+        prefixes.append(cmath.exp(1j * math.pi * mu) * rg * math.log(q) ** mu)
+    if not live:
+        return values
+    n = np.arange(1, ctl.n_terms + 1)
+    # n ** (1 - mu) with a scalar exponent for each order: NumPy takes n ** 0.5
+    # as a square root, which rounds differently from the general power
+    powers = np.array([n.astype(float) ** (1.0 - orders[i]) for i in live])
+    for row, factor, x in zip(values, factors, xs):
+        sums = np.sum(x**n / powers, axis=1).tolist()
+        for i, p, total in zip(live, prefixes, sums):
+            row[i] = p * factor.nu * total
+    return values
+
+
+def deriv_side_factor(q, factor: LambdaFactor, s0, mu, ctl: SeriesControl = SeriesControl()):
     """Derivative-side value for one factor at s0 and order mu.
 
-    Raises DivergentSeriesError when |lambda*q^(-s0)| >= 1 and TailBudgetError
-    when the truncation cannot meet ctl.tail_tol.
+    mu is one order, giving a complex, or a 1-d grid of orders, giving a
+    complex ndarray with one value per order.  Raises DivergentSeriesError
+    when |lambda*q^(-s0)| >= 1 and TailBudgetError when the truncation cannot
+    meet ctl.tail_tol, at the first order that does.
+    """
+    orders, one = _orders(mu)
+    values = _series_values(q, [factor], complex(s0), orders, ctl, check_zero_orders=True)[0]
+    return values[0] if one else np.array(values, dtype=np.complex128)
+
+
+def deriv_side_total(curve: CurveZeta, s0, mu, ctl: SeriesControl = SeriesControl()):
+    """Sum of deriv_side_factor over every factor of the curve.
+
+    mu is one order, giving a complex, or a 1-d grid of orders, giving a
+    complex ndarray.  At nonpositive integer mu every factor vanishes, and
+    the sum is 0j exactly.
     """
     s0 = complex(s0)
-    _require_finite(s0, mu)
-    lam = _factor_lambda(factor, q)
-    x = lam * cmath.exp(-s0 * math.log(q))
-    rho = abs(x)
-    if rho >= 1.0:
-        raise DivergentSeriesError(
-            f"|lambda*q^(-s0)| = {rho:.6g} >= 1; need Re(s0) > sigma0 = {factor.sigma0}"
-        )
-    bound = series_tail_bound(rho, mu, ctl.n_terms)
-    if bound > ctl.tail_tol:
-        raise TailBudgetError(
-            f"tail bound {bound:.3g} exceeds budget {ctl.tail_tol:.3g} "
-            f"at n_terms = {ctl.n_terms}",
-            achieved=bound,
-        )
-    rg = float(rgamma(mu))
-    if rg == 0.0:
-        # mu is a nonpositive integer: 1/Gamma(mu) = 0 exactly.
-        return 0.0 + 0.0j
-    n = np.arange(1, ctl.n_terms + 1)
-    terms = x**n / n.astype(float) ** (1.0 - mu)
-    total = complex(np.sum(terms))
-    return cmath.exp(1j * math.pi * mu) * rg * math.log(q) ** mu * factor.nu * total
-
-
-def deriv_side_total(curve: CurveZeta, s0, mu, ctl: SeriesControl = SeriesControl()) -> complex:
-    """Sum of deriv_side_factor over every factor of the curve."""
-    s0 = complex(s0)
-    _require_finite(s0, mu)
+    orders, one = _orders(mu)
     if s0.real <= 1.0:
         raise InvalidInputError(f"Re(s0) must exceed 1, got {s0.real}")
-    if float(rgamma(mu)) == 0.0:
-        # Every factor vanishes identically; keep the zero bit-exact.
-        return 0.0 + 0.0j
-    return sum(
-        (deriv_side_factor(curve.q, f, s0, mu, ctl) for f in curve.factors),
-        start=0.0 + 0.0j,
-    )
+    values = _series_values(curve.q, curve.factors, s0, orders, ctl, check_zero_orders=False)
+    totals = [sum(column, start=0.0 + 0.0j) for column in zip(*values)]
+    return totals[0] if one else np.array(totals, dtype=np.complex128)

@@ -17,6 +17,12 @@ Bernoulli term (truncation) plus eps times the scale of what is summed
 (rounding), which grows with k.  A small k with many Bernoulli terms beats a
 large k with few, where the cancelling sum loses digits: at k = 10 a call
 sums 21 kernel terms.
+
+root_side_em and root_side_total take one order mu or a 1-d grid of orders.
+A grid is checked and modelled order by order, exactly as one-order calls
+would be; the orders of a factor that chose the same k then share one kernel
+call, which computes the ladder geometry once for all of them.  Each order's
+result is bitwise that of a one-order call.
 """
 
 from __future__ import annotations
@@ -26,9 +32,11 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._kernels import power_sum_symmetric
 from .curve_model import CurveZeta, LambdaFactor, base_root, vertical_spacing
-from .deriv_side import SeriesControl, _require_finite, deriv_side_total
+from .deriv_side import _orders, _require_finite
 from .errors import (
     InvalidInputError,
     OrderInsufficientError,
@@ -221,16 +229,8 @@ def _choose_k(a, C, mu, coefs):
     return best_k, best
 
 
-def root_side_em(factor: LambdaFactor, q, s0, mu, k=None) -> RegularizedSum:
-    """Euler-McLaurin continued root-side sum for one factor.
-
-    Subtracts the boundary power, the half-term and the Bernoulli terms
-    B2 .. B16 (while their bounds shrink) from the symmetric truncation at k;
-    valid for -5 < mu, mu != 1.  With k None, k is the candidate in
-    _K_CANDIDATES with the smallest modelled error, truncation plus rounding
-    (see RegularizedSum); an explicit k >= 1 is used as given.
-    """
-    mu = float(mu)
+def _check_em_order(s0, mu, k) -> None:
+    """Raise for an order, truncation or point root_side_em cannot handle."""
     _require_finite(s0, mu)
     if k is not None and k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
@@ -243,9 +243,10 @@ def root_side_em(factor: LambdaFactor, q, s0, mu, k=None) -> RegularizedSum:
         raise OrderInsufficientError(
             f"retained corrections are valid only for mu > -5, got mu = {mu}"
         )
-    C = vertical_spacing(q)
-    a = _ladder_offset(factor, C, s0)
-    coefs = _bernoulli_coefficients(mu, C)
+
+
+def _em_model(a, C, mu, k, coefs, s0):
+    """(k, truncation, rounding, kept): the given k, or the error model's choice."""
     try:
         if k is None:
             k, (truncation, rounding, kept) = _choose_k(a, C, mu, coefs)
@@ -256,16 +257,21 @@ def root_side_em(factor: LambdaFactor, q, s0, mu, k=None) -> RegularizedSum:
         raise InvalidInputError(
             f"root-side terms overflow a double at mu = {mu}, s0 = {s0}"
         ) from None
+    return k, truncation, rounding, kept
+
+
+def _continued(a, C, mu, coefs, pref, S, k, truncation, rounding, kept) -> RegularizedSum:
+    """Subtract the boundary terms at k from the truncated sum S.
+
+    pref is e^(i*pi*mu) * nu, and the model fields are those of _em_model.
+    """
     wm = a - 1j * C * k
     wp = a + 1j * C * k
-
-    S = power_sum_symmetric(a, C, mu, k)
     pm, pp = wm ** (-mu), wp ** (-mu)
     # i/((1-mu)C) * (w-^(1-mu) - w+^(1-mu)) with w-/+ = a -/+ iCk written out,
     # so that at mu = 0 it is 2k exactly and the continuation cancels exactly
     b1 = (k * (pm + pp) + 1j * a * (pm - pp) / C) / (1.0 - mu)
     b2 = 0.5 * (pm + pp)
-    pref = cmath.exp(1j * math.pi * mu) * factor.nu
     corrections = [("boundary-power", pref * b1), ("half-term", pref * b2)]
     rest = S - b1 - b2
     # w^(-mu-2m+1) from w^(-mu-1) by repeated division by w^2
@@ -288,29 +294,79 @@ def root_side_em(factor: LambdaFactor, q, s0, mu, k=None) -> RegularizedSum:
     )
 
 
-def root_side_total(curve: CurveZeta, s0, mu, k=None) -> complex:
+def _em_sums(factors, q, s0, orders, k):
+    """root_side_em of each factor at each order, one list per factor.
+
+    The orders are checked one at a time, in order, so a grid raises what a
+    one-order call at its first offending order raises.  The Bernoulli
+    coefficients and e^(i*pi*mu) are computed once per order; the error
+    model and the boundary terms stay scalar per factor and order.  Each
+    factor's kernel runs once per distinct truncation, on all the orders
+    that chose it.
+    """
+    if not orders:
+        return [[] for _ in factors]
+    plans = [[] for _ in factors]
+    for i, mu in enumerate(orders):
+        _check_em_order(s0, mu, k)
+        if i == 0:
+            # q and s0 are checked after the first order, as in a one-order call
+            C = vertical_spacing(q)
+            offsets = [_ladder_offset(f, C, s0) for f in factors]
+        coefs = _bernoulli_coefficients(mu, C)
+        for a, plan in zip(offsets, plans):
+            plan.append((coefs, _em_model(a, C, mu, k, coefs, s0)))
+    phases = [cmath.exp(1j * math.pi * mu) for mu in orders]
+    results = []
+    for factor, a, plan in zip(factors, offsets, plans):
+        by_k = {}
+        for i, (_, model) in enumerate(plan):
+            by_k.setdefault(model[0], []).append(i)
+        S = [0j] * len(orders)
+        for k_used, rows in by_k.items():
+            sums = power_sum_symmetric(a, C, [orders[i] for i in rows], k_used)
+            for i, value in zip(rows, sums.tolist()):
+                S[i] = value
+        results.append([
+            _continued(a, C, mu, coefs, phase * factor.nu, S_mu, *model)
+            for mu, phase, S_mu, (coefs, model) in zip(orders, phases, S, plan)
+        ])
+    return results
+
+
+def root_side_em(factor: LambdaFactor, q, s0, mu, k=None):
+    """Euler-McLaurin continued root-side sum for one factor.
+
+    Subtracts the boundary power, the half-term and the Bernoulli terms
+    B2 .. B16 (while their bounds shrink) from the symmetric truncation at k;
+    valid for -5 < mu, mu != 1.  With k None, k is the candidate in
+    _K_CANDIDATES with the smallest modelled error, truncation plus rounding
+    (see RegularizedSum), chosen per order; an explicit k >= 1 is used as
+    given.  mu is one order, giving a RegularizedSum, or a 1-d grid of
+    orders, giving a list with one per order: the grid shares the kernel's
+    ladder geometry across the orders and gives each order's result bit for
+    bit.
+    """
+    orders, one = _orders(mu)
+    sums = _em_sums([factor], q, s0, orders, k)[0]
+    return sums[0] if one else sums
+
+
+def root_side_total(curve: CurveZeta, s0, mu, k=None):
     """Sum of per-factor Euler-McLaurin root-side values over the curve.
 
     k is passed to root_side_em for every factor; None lets each factor's
-    error model choose it.
+    error model choose it.  mu is one order, giving a complex, or a 1-d grid
+    of orders, giving a complex ndarray.
     """
     s0 = complex(s0)
-    _require_finite(s0, mu)
+    orders, one = _orders(mu)
     if s0.real <= 1.0:
         raise InvalidInputError(f"Re(s0) must exceed 1, got {s0.real}")
-    total = 0.0 + 0.0j
-    for f in curve.factors:
-        total += root_side_em(f, curve.q, s0, mu, k).value
-    return total
-
-
-def identity_residual(curve: CurveZeta, s0, mu, ctl: SeriesControl, k=None):
-    """Return (abs_diff, rel_diff) between derivative and root sides.
-
-    rel_diff uses the denominator 1 + |d| so it stays meaningful when the
-    derivative side vanishes.
-    """
-    d = deriv_side_total(curve, s0, mu, ctl)
-    r = root_side_total(curve, s0, mu, k)
-    abs_diff = abs(d - r)
-    return abs_diff, abs_diff / (1.0 + abs(d))
+    totals = []
+    for column in zip(*_em_sums(curve.factors, curve.q, s0, orders, k)):
+        total = 0.0 + 0.0j
+        for result in column:
+            total += result.value
+        totals.append(total)
+    return totals[0] if one else np.array(totals, dtype=np.complex128)

@@ -624,6 +624,37 @@ def test_s2_growth_is_linear_with_s1av_slope():
     )
 
 
+def s2_reducing_twice(cf, T):
+    """S2 with Q re-reducing the reduced phase, as s2_eval once did: the
+    reference the one-reduction s2_eval must match bit for bit."""
+    alpha = T % cf.C
+    alpha_again = alpha % cf.C
+    q = np.zeros_like(alpha_again)
+    for k in cf.kappas:
+        q += 0.5 * np.maximum(0.0, alpha_again - k) ** 2
+    return s1_av(cf) * (T - alpha) + (q - (cf.g / (3.0 * cf.C)) * alpha**3)
+
+
+def test_s2_reduces_the_height_once_bitwise():
+    rng = np.random.default_rng(12)
+    for g in (1, 2, 3):
+        half = list(rng.uniform(0.05 * C, 0.45 * C, g))
+        cf = make_counting(g, C, half + [C - k for k in half])
+        t = DT * np.arange(128001)
+        assert np.array_equal(s2_eval(cf, t), s2_reducing_twice(cf, t))
+        # negative heights too, where T % C is not T
+        heights = rng.uniform(-1e3 * C, 1e3 * C, 4000)
+        assert np.array_equal(s2_eval(cf, heights), s2_reducing_twice(cf, heights))
+
+
+def test_s2_is_continuous_where_the_phase_rounds_up_to_c():
+    # -1e-20 % C rounds to C itself; reducing that again gave Q(0) in place
+    # of Q(C), and S2 was off by Q(C) = 1.18 next to S2(0) = 0
+    cf = make_counting(1, C, [0.5, C - 0.5])
+    assert -1e-20 % C == C
+    assert abs(s2_eval(cf, -1e-20)) <= 1e-14
+
+
 def test_counting_path_kinds_and_validation():
     cf = make_counting(1, C, [37 * DT, C - 37 * DT])
     with pytest.raises(InvalidInputError):

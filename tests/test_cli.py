@@ -11,8 +11,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetaff import cesaro, vertical_spacing
-from zetaff.cli import EXIT_INVALID, EXIT_OK, EXIT_TOL, main, parse_curve_file
+from zetaff import (
+    LambdaFactor,
+    SeriesControl,
+    cesaro,
+    deriv_side_factor,
+    deriv_side_total,
+    root_side_em,
+    root_side_total,
+    vertical_spacing,
+)
+from zetaff.cli import (
+    EXIT_INVALID,
+    EXIT_OK,
+    EXIT_TOL,
+    _mu_grid,
+    build_parser,
+    main,
+    parse_curve_file,
+)
 
 C25 = vertical_spacing(25)
 
@@ -113,6 +130,43 @@ def test_scan_mu_curve_file(curve_file, tmp_path):
     )
     assert main(args) == EXIT_OK
     assert len(out.read_text().splitlines()) == 1 + 4
+
+
+def per_row_csv(argv):
+    """scan-mu's CSV as a loop of one-order calls per row writes it: the
+    reference the grid calls must match byte for byte."""
+    args = build_parser().parse_args(["scan-mu", *argv])
+    s0 = complex(args.s0_re, args.s0_im)
+    ctl = SeriesControl(n_terms=args.terms)
+    if args.curve:
+        curve = parse_curve_file(args.curve)
+
+        def row(mu):
+            return (deriv_side_total(curve, s0, mu, ctl),
+                    root_side_total(curve, s0, mu, args.k))
+    else:
+        factor = LambdaFactor(args.sigma0, args.tau0, 1)
+
+        def row(mu):
+            return (deriv_side_factor(args.q, factor, s0, mu, ctl),
+                    root_side_em(factor, args.q, s0, mu, args.k).value)
+
+    lines = ["mu,re_deriv,im_deriv,re_root,im_root,abs_diff,rel_diff"]
+    for mu in _mu_grid(args.mu_min, args.mu_max, args.mu_step):
+        d, r = row(mu)
+        abs_diff = abs(d - r)
+        values = (mu, d.real, d.imag, r.real, r.imag, abs_diff, abs_diff / (1.0 + abs(d)))
+        lines.append(",".join(f"{v:.17g}" for v in values))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--k", "1000"], ["curve"], ["curve", "--k", "10"],
+                                   ["--mu-min", "-3", "--mu-max", "0.5", "--mu-step", "0.5"]])
+def test_scan_mu_csv_matches_one_order_per_row(extra, curve_file, tmp_path):
+    extra = [x for e in extra for x in (["--curve", curve_file] if e == "curve" else [e])]
+    args, out = scan_args(tmp_path, "grid.csv", extra)
+    assert main(args) == EXIT_OK
+    assert out.read_bytes() == per_row_csv(extra).encode()
 
 
 def test_scan_mu_error_exits(tmp_path, capsys):

@@ -1,9 +1,13 @@
 """Tests for the derivative side of the identities."""
 
+import cmath
 import math
+import random
 
 import mpmath as mp
+import numpy as np
 import pytest
+from scipy.special import rgamma
 
 from zetaff import (
     DivergentSeriesError,
@@ -17,6 +21,7 @@ from zetaff import (
     series_tail_bound,
     vertical_spacing,
 )
+from zetaff.curve_model import _factor_lambda
 
 C25 = vertical_spacing(25)
 
@@ -154,3 +159,52 @@ def test_total_is_sum_of_factors():
     total = deriv_side_total(curve, s0, mu, ctl)
     parts = sum(deriv_side_factor(25, f, s0, mu, ctl) for f in curve.factors)
     assert total == pytest.approx(parts, rel=1e-14)
+
+
+#: the scan-mu default grid, formed as scan-mu forms it, and orders where
+#: 1/Gamma(mu) vanishes or n ** (1 - mu) is a square root or a reciprocal
+GRID = [-1.45 + i * 0.1 for i in range(41)] + [0.0, -1.0, -2.0, 0.5, 2.0, 1.0, 3.7]
+
+
+def one_order_reference(q, factor, s0, mu, n_terms):
+    """The factor series as a one-order expression: the reference a grid
+    call must match bit for bit."""
+    x = _factor_lambda(factor, q) * cmath.exp(-complex(s0) * math.log(q))
+    rg = float(rgamma(mu))
+    if rg == 0.0:
+        return 0j
+    n = np.arange(1, n_terms + 1)
+    total = complex(np.sum(x**n / n.astype(float) ** (1.0 - mu)))
+    return cmath.exp(1j * math.pi * mu) * rg * math.log(q) ** mu * factor.nu * total
+
+
+@pytest.mark.parametrize("n_terms", [20, 60])
+def test_order_grid_matches_one_order_series_bitwise(n_terms):
+    ctl = SeriesControl(n_terms=n_terms, tail_tol=math.inf)
+    rng = random.Random(n_terms)
+    for _ in range(20):
+        f = LambdaFactor(rng.uniform(0.0, 1.0), rng.uniform(0.0, C25), 1)
+        s0 = complex(rng.uniform(1.5, 5.0), rng.uniform(-1.0, 1.0))
+        got = deriv_side_factor(25, f, s0, GRID, ctl)
+        assert got.dtype == complex and got.shape == (len(GRID),)
+        want = [one_order_reference(25, f, s0, mu, n_terms) for mu in GRID]
+        assert repr(got.tolist()) == repr(want)
+        assert repr([deriv_side_factor(25, f, s0, mu, ctl) for mu in GRID]) == repr(want)
+
+
+def test_total_order_grid_matches_one_order_calls_bitwise():
+    curve = make_curve(25, 2, [(0.6, 0.7), (0.4, C25 - 0.7), (0.6, C25 - 0.7), (0.4, 0.7)])
+    got = deriv_side_total(curve, 5.1238, GRID)
+    assert repr(got.tolist()) == repr([deriv_side_total(curve, 5.1238, mu) for mu in GRID])
+    assert repr(got.tolist()[41:44]) == repr([0j, 0j, 0j])
+    assert type(deriv_side_total(curve, 5.1238, 2.6)) is complex
+
+
+@pytest.mark.parametrize("grid, error", [([0.5, math.nan, 2.6, 150.0], InvalidInputError),
+                                         ([0.5, 150.0, 2.6, math.nan], TailBudgetError)])
+def test_order_grid_raises_as_its_first_offending_order(grid, error):
+    curve = make_curve(25, 0, [])
+    for call in (lambda: deriv_side_factor(25, LambdaFactor(0.6, 0.7, 1), 5.1238, grid),
+                 lambda: deriv_side_total(curve, 5.1238, grid)):
+        with pytest.raises(error):
+            call()

@@ -16,7 +16,6 @@ from zetaff import (
     SeriesControl,
     WrongRegimeError,
     deriv_side_total,
-    identity_residual,
     make_curve,
     root_side_classical,
     root_side_em,
@@ -291,13 +290,78 @@ def test_root_side_total_and_identity():
     total = root_side_total(curve, S0, 2.6, 1000)
     parts = sum(root_side_em(f, 25, S0, 2.6, 1000).value for f in curve.factors)
     assert total == pytest.approx(parts, rel=1e-14)
-    abs_diff, rel_diff = identity_residual(curve, S0, 2.6, SeriesControl(20, 1e-12), 1000)
     d = deriv_side_total(curve, S0, 2.6, SeriesControl(20, 1e-12))
-    assert rel_diff == pytest.approx(abs_diff / (1 + abs(d)), rel=1e-12)
-    assert rel_diff <= 1e-8
+    assert abs(d - total) / (1 + abs(d)) <= 1e-8
 
 
 def test_identity_residual_genus0():
     curve = make_curve(7, 0, [])
-    _, rel_diff = identity_residual(curve, 3.7, 2.6, SeriesControl(40, 1e-12), 2000)
-    assert rel_diff <= 1e-12
+    d = deriv_side_total(curve, 3.7, 2.6, SeriesControl(40, 1e-12))
+    r = root_side_total(curve, 3.7, 2.6, 2000)
+    assert abs(d - r) / (1 + abs(d)) <= 1e-12
+
+
+#: the scan-mu default grid, formed as scan-mu forms it, and orders where
+#: the continuation is exact or special
+GRID = [-1.45 + i * 0.1 for i in range(41)] + [0.0, 0.5, 2.0, -1.0, -4.5]
+
+
+def bits(result: RegularizedSum) -> str:
+    """Every field of a result, written so that equal strings mean equal bits."""
+    return repr((result.value, result.k_used, result.corrections, result.est_error,
+                 result.order, result.truncation_error, result.rounding_error))
+
+
+@pytest.mark.parametrize("k", [None, 1000])
+def test_em_order_grid_matches_one_order_calls_bitwise(k):
+    rng = random.Random(11)
+    for _ in range(20):
+        f = LambdaFactor(rng.uniform(0.0, 1.0), rng.uniform(0.0, C25), 1)
+        s0 = complex(rng.uniform(1.5, 5.0), rng.uniform(-1.0, 1.0))
+        got = root_side_em(f, 25, s0, GRID, k)
+        assert isinstance(got, list) and len(got) == len(GRID)
+        for mu, result in zip(GRID, got):
+            assert bits(result) == bits(root_side_em(f, 25, s0, mu, k)), (f, s0, mu)
+
+
+def test_total_order_grid_matches_one_order_calls_bitwise():
+    curve = make_curve(25, 2, [(0.6, 0.7), (0.4, C25 - 0.7), (0.6, C25 - 0.7), (0.4, 0.7)])
+    for k in (None, 10, 1000):
+        got = root_side_total(curve, S0, GRID, k)
+        assert got.dtype == complex and got.shape == (len(GRID),)
+        assert repr(got.tolist()) == repr([root_side_total(curve, S0, mu, k) for mu in GRID])
+        assert type(root_side_total(curve, S0, 2.6, k)) is complex
+
+
+def test_em_mu0_exact_zero_inside_a_grid():
+    for k in (None, 27, 1000):
+        for got in (root_side_em(FACTOR, 25, S0, [-0.3, 0.0, 0.4], k)[1].value,
+                    root_side_total(make_curve(25, 0, []), S0, [-0.3, 0.0, 0.4], k).tolist()[1]):
+            assert got == 0j and repr(got) == "0j", k
+
+
+# an order the root side rejects at s0 = 0.61 + 0.7i, and the error it raises
+_BAD_ORDERS = [
+    (math.nan, InvalidInputError),
+    (1.0, RemovableSingularityError),
+    (-5.0, OrderInsufficientError),
+    (200.0, InvalidInputError),  # 0.01^-200 overflows a double
+]
+
+
+@pytest.mark.parametrize("first, second", [(b1, b2) for b1 in _BAD_ORDERS for b2 in _BAD_ORDERS
+                                           if b1[1] is not b2[1]])
+def test_order_grid_raises_as_its_first_offending_order(first, second):
+    s0 = complex(0.61, 0.7)
+    grid = [0.5, first[0], 2.6, second[0]]
+    with pytest.raises(first[1]):
+        root_side_em(FACTOR, 25, s0, first[0])
+    for k in (None, 10):
+        with pytest.raises(first[1]) as exc:
+            root_side_em(FACTOR, 25, s0, grid, k)
+        assert not isinstance(exc.value, second[1])
+    # s0 - 1 = 0.01 for the pole factor (1, 0)
+    curve = make_curve(25, 2, [(0.6, 0.7), (0.4, C25 - 0.7), (0.6, C25 - 0.7), (0.4, 0.7)])
+    with pytest.raises(first[1]) as exc:
+        root_side_total(curve, 1.01, grid)
+    assert not isinstance(exc.value, second[1])
