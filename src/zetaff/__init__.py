@@ -35,10 +35,8 @@ from .cesaro import (
 from .curve_model import (
     CurveZeta,
     LambdaFactor,
-    RootGrid,
     base_root,
     check_functional_equation,
-    enumerate_roots,
     eval_zeta,
     make_curve,
     vertical_spacing,

@@ -95,19 +95,6 @@ class CurveZeta:
         return tuple(f for f in self.factors if f.nu == 1)
 
 
-@dataclass(frozen=True)
-class RootGrid:
-    """An index window [j_min, j_max] into the root ladder of one factor."""
-
-    factor: LambdaFactor
-    j_min: int
-    j_max: int
-
-    def __post_init__(self):
-        if self.j_min > self.j_max:
-            raise InvalidInputError("j_min must not exceed j_max")
-
-
 def _match_and_remove(pool, sigma0, tau0, C):
     """Remove one (sigma0, tau0) entry from pool within tolerance; None if absent."""
     for i, (s, t) in enumerate(pool):
@@ -165,13 +152,6 @@ def make_curve(q, genus, base_roots) -> CurveZeta:
 def base_root(factor: LambdaFactor) -> complex:
     """Return r0 = sigma0 + i*tau0, the ladder root with Im in [0, C)."""
     return complex(factor.sigma0, factor.tau0)
-
-
-def enumerate_roots(grid: RootGrid, q) -> list:
-    """Return the ladder roots sigma0 + i*(tau0 + C*j), ascending in j."""
-    C = vertical_spacing(q)
-    f = grid.factor
-    return [complex(f.sigma0, f.tau0 + C * j) for j in range(grid.j_min, grid.j_max + 1)]
 
 
 def _factor_lambda(factor: LambdaFactor, q) -> complex:

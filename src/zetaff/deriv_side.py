@@ -7,7 +7,10 @@ of -ln zeta at s0 expands into the convergent series
         * sum_{n=1..N} lambda^n * q^(-n*s0) / n^(1-mu)
 
 valid for Re(s0) > sigma0.  At mu in {0, -1, -2, ...} the reciprocal gamma
-prefactor vanishes, so the derivative side is exactly zero there.
+prefactor vanishes, so the derivative side is exactly zero there; that zero
+is decided from mu itself, and elsewhere 1/Gamma(mu) is 1.0 / math.gamma(mu).
+An order at which the prefactor is not a finite double raises
+InvalidInputError.
 
 deriv_side_factor and deriv_side_total take one order mu or a 1-d grid of
 orders; a grid gives each order's value bitwise as a one-order call does.
@@ -20,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rgamma
 
 from .curve_model import CurveZeta, LambdaFactor, _factor_lambda
 from .errors import DivergentSeriesError, InvalidInputError, TailBudgetError
@@ -80,8 +82,8 @@ def _series_values(q, factors, s0, orders, ctl, check_zero_orders):
 
     The orders are checked one at a time, in order, and an order raises what
     a one-order deriv_side_factor call raises.  With check_zero_orders false
-    an order at which 1/Gamma(mu) vanishes is zero without the series checks,
-    as in deriv_side_total.  e^(i*pi*mu)/Gamma(mu)*(ln q)^mu and n^(1-mu) are
+    a nonpositive integer order is zero without the series checks, as in
+    deriv_side_total.  e^(i*pi*mu)/Gamma(mu)*(ln q)^mu and n^(1-mu) are
     computed once per order, and x^n once per factor.
     """
     values = [[0j] * len(orders) for _ in factors]
@@ -89,8 +91,8 @@ def _series_values(q, factors, s0, orders, ctl, check_zero_orders):
     live, prefixes = [], []
     for i, mu in enumerate(orders):
         _require_finite(s0, mu)
-        rg = float(rgamma(mu))
-        if rg == 0.0 and not check_zero_orders:
+        zero = mu <= 0.0 and mu.is_integer()
+        if zero and not check_zero_orders:
             continue
         if xs is None:
             xs = [_factor_lambda(f, q) * cmath.exp(-s0 * math.log(q)) for f in factors]
@@ -107,11 +109,17 @@ def _series_values(q, factors, s0, orders, ctl, check_zero_orders):
                     f"at n_terms = {ctl.n_terms}",
                     achieved=bound,
                 )
-        if rg == 0.0:
-            # mu is a nonpositive integer: 1/Gamma(mu) = 0 exactly, the value stays 0j
+        if zero:
+            # 1/Gamma(mu) = 0 exactly, the value stays 0j
             continue
+        try:
+            prefix = cmath.exp(1j * math.pi * mu) * (1.0 / math.gamma(mu)) * math.log(q) ** mu
+        except (OverflowError, ZeroDivisionError):
+            prefix = math.nan
+        if not cmath.isfinite(prefix):
+            raise InvalidInputError(f"e^(i*pi*mu)*(ln q)^mu/Gamma(mu) overflows at mu = {mu}")
         live.append(i)
-        prefixes.append(cmath.exp(1j * math.pi * mu) * rg * math.log(q) ** mu)
+        prefixes.append(prefix)
     if not live:
         return values
     n = np.arange(1, ctl.n_terms + 1)

@@ -303,3 +303,18 @@ def test_console_entry_point(curve_file):
     )
     assert proc.returncode == 0
     assert "valid curve" in proc.stdout
+
+
+def test_import_loads_only_numpy_and_the_standard_library():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import zetaff, zetaff.cli\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['numpy', 'zetaff']\n"

@@ -12,11 +12,9 @@ from zetaff import (
     InvalidInputError,
     LambdaFactor,
     PoleEvaluationError,
-    RootGrid,
     ValidationError,
     base_root,
     check_functional_equation,
-    enumerate_roots,
     eval_zeta,
     make_curve,
     vertical_spacing,
@@ -70,27 +68,8 @@ def test_lambda_factor_validation():
     LambdaFactor(1.0, 0.0, -1)
 
 
-def test_root_grid_validation():
-    f = LambdaFactor(0.5, 0.3, 1)
-    with pytest.raises(InvalidInputError):
-        RootGrid(f, 3, 2)
-    RootGrid(f, -2, 2)
-
-
-def test_base_root_and_enumerate_roots():
-    f = LambdaFactor(0.6, 0.7, 1)
-    assert base_root(f) == complex(0.6, 0.7)
-    grid = RootGrid(f, -2, 3)
-    roots = enumerate_roots(grid, 25)
-    assert len(roots) == 6
-    mp.mp.dps = 50
-    C = float(2 * mp.pi / mp.log(25))
-    for j, r in zip(range(-2, 4), roots):
-        assert r.real == 0.6
-        assert r.imag == pytest.approx(0.7 + C * j, abs=1e-12)
-    # consecutive roots are spaced by exactly C
-    for lo, hi in zip(roots, roots[1:]):
-        assert (hi - lo).imag == pytest.approx(C25, abs=1e-12)
+def test_base_root():
+    assert base_root(LambdaFactor(0.6, 0.7, 1)) == complex(0.6, 0.7)
 
 
 def test_make_curve_genus2_and_normalization():

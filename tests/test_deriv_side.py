@@ -7,7 +7,8 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import rgamma
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetaff import (
     DivergentSeriesError,
@@ -15,6 +16,7 @@ from zetaff import (
     LambdaFactor,
     SeriesControl,
     TailBudgetError,
+    ZetaffError,
     deriv_side_factor,
     deriv_side_total,
     make_curve,
@@ -24,6 +26,13 @@ from zetaff import (
 from zetaff.curve_model import _factor_lambda
 
 C25 = vertical_spacing(25)
+GENUS2 = [(0.6, 0.7), (0.4, C25 - 0.7), (0.6, C25 - 0.7), (0.4, 0.7)]
+
+
+def rgamma(mu):
+    """1/Gamma(mu) by the library's rule: exactly 0.0 at a nonpositive integer
+    order, decided from mu itself, and 1.0 / math.gamma(mu) elsewhere."""
+    return 0.0 if mu <= 0.0 and mu.is_integer() else 1.0 / math.gamma(mu)
 
 
 def oracle_factor(q, sigma0, tau0, nu, s0, mu, n_terms):
@@ -55,19 +64,62 @@ def test_factor_complex_s0_matches_high_precision_series():
     assert got == pytest.approx(expected, rel=1e-13)
 
 
-@pytest.mark.parametrize("mu", [0.0, -1.0, -2.0, -3.0])
+@pytest.mark.parametrize("mu", [0.0, -0.0, -1.0, -2.0, -3.0])
 def test_factor_zero_at_nonpositive_integer_mu(mu):
+    """A nonpositive integer order, -0.0 included, is recognised from mu
+    itself: 1/Gamma(mu) vanishes there and the value is 0j bit for bit."""
     f = LambdaFactor(0.6, 0.7, 1)
-    value = deriv_side_factor(25, f, 5.1238, mu)
-    assert value == 0j  # bit-exact, via the vanishing reciprocal gamma
+    assert repr(deriv_side_factor(25, f, 5.1238, mu)) == "0j"
 
 
 def test_total_zero_at_nonpositive_integer_mu_is_bit_exact():
-    curve = make_curve(25, 2, [(0.6, 0.7), (0.4, C25 - 0.7), (0.6, C25 - 0.7), (0.4, 0.7)])
-    for mu in (0, -1, -2, -3):
-        value = deriv_side_total(curve, 3.3 + 0.4j, mu)
-        assert value == 0j
-        assert value.real == 0.0 and value.imag == 0.0
+    curve = make_curve(25, 2, GENUS2)
+    for mu in (0, -0.0, -1, -2, -3):
+        assert repr(deriv_side_total(curve, 3.3 + 0.4j, mu)) == "0j"
+
+
+def test_rgamma_rule_matches_high_precision():
+    # the rule one_order_reference shares with the library, against mpmath
+    # across the orders where 1/Gamma(mu) is a normal double
+    rng = random.Random(171)
+    orders = [rng.uniform(-171.0, 171.6) for _ in range(2000)]
+    orders += [-170.5, -0.5, 0.5, 1.0, 2.0, 171.6]
+    with mp.workdps(40):
+        for mu in orders:
+            want = mp.rgamma(mp.mpf(mu))
+            assert abs(rgamma(mu) - want) <= 2e-15 * abs(want), mu
+
+
+def test_orders_beyond_the_gamma_range_raise():
+    # above mu ~ 171.6 1/Gamma(mu) underflows, and the total runs the series
+    # checks there as the factor does, instead of taking the order as a zero
+    curve = make_curve(25, 2, GENUS2)
+    with pytest.raises(TailBudgetError):
+        deriv_side_total(curve, 5.1238, 300.0)
+    with pytest.raises(TailBudgetError):
+        deriv_side_factor(25, LambdaFactor(0.6, 0.7, 1), 5.1238, 300.0)
+    # below mu ~ -171 Gamma(mu) is subnormal or zero, so 1/Gamma(mu) is not
+    # a finite double
+    for mu in (-171.5, -200.5):
+        with pytest.raises(InvalidInputError):
+            deriv_side_total(curve, 5.1238, mu)
+        with pytest.raises(InvalidInputError):
+            deriv_side_factor(25, LambdaFactor(0.6, 0.7, 1), 5.1238, mu)
+
+
+@given(st.one_of(st.floats(-200.0, 250.0), st.integers(-200, 250).map(float)))
+@settings(max_examples=200, deadline=None)
+def test_domain_edges_give_finite_values_or_raise(mu):
+    curve = make_curve(25, 2, GENUS2)
+    for call in (lambda: deriv_side_factor(25, LambdaFactor(0.6, 0.7, 1), 5.1238, mu),
+                 lambda: deriv_side_total(curve, 5.1238, mu)):
+        try:
+            value = call()
+        except ZetaffError:
+            continue
+        assert cmath.isfinite(value), mu
+    if mu <= 0.0 and mu.is_integer():
+        assert repr(deriv_side_total(curve, 5.1238, mu)) == "0j"
 
 
 def test_series_tail_bound_behaviour():
@@ -170,7 +222,7 @@ def one_order_reference(q, factor, s0, mu, n_terms):
     """The factor series as a one-order expression: the reference a grid
     call must match bit for bit."""
     x = _factor_lambda(factor, q) * cmath.exp(-complex(s0) * math.log(q))
-    rg = float(rgamma(mu))
+    rg = rgamma(mu)
     if rg == 0.0:
         return 0j
     n = np.arange(1, n_terms + 1)
@@ -195,7 +247,7 @@ def test_order_grid_matches_one_order_series_bitwise(n_terms):
 
 
 def test_total_order_grid_matches_one_order_calls_bitwise():
-    curve = make_curve(25, 2, [(0.6, 0.7), (0.4, C25 - 0.7), (0.6, C25 - 0.7), (0.4, 0.7)])
+    curve = make_curve(25, 2, GENUS2)
     got = deriv_side_total(curve, 5.1238, GRID)
     assert repr(got.tolist()) == repr([deriv_side_total(curve, 5.1238, mu) for mu in GRID])
     assert repr(got.tolist()[41:44]) == repr([0j, 0j, 0j])
@@ -203,7 +255,9 @@ def test_total_order_grid_matches_one_order_calls_bitwise():
 
 
 @pytest.mark.parametrize("grid, error", [([0.5, math.nan, 2.6, 150.0], InvalidInputError),
-                                         ([0.5, 150.0, 2.6, math.nan], TailBudgetError)])
+                                         ([0.5, 150.0, 2.6, math.nan], TailBudgetError),
+                                         ([0.5, -171.5, 300.0], InvalidInputError),
+                                         ([0.5, 300.0, -171.5], TailBudgetError)])
 def test_order_grid_raises_as_its_first_offending_order(grid, error):
     curve = make_curve(25, 0, [])
     for call in (lambda: deriv_side_factor(25, LambdaFactor(0.6, 0.7, 1), 5.1238, grid),
