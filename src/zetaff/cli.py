@@ -6,18 +6,23 @@ Subcommands:
   lemma          numeric verification of the Cesaro closed-form table
   critical-line  critical-line assembly of r(s0, mu) for mu in {0, -1, -2}
 
-Exit codes: 0 success, 1 tolerance failure, 2 invalid input.
+Exit codes: 0 success; 1 tolerance failure (a result outside --tol, or a lemma
+symbol with no classical limit); 2 invalid input: a usage error, or a ZetaffError
+or OSError (an unreadable curve file, an unwritable --out, a closed stdout pipe),
+which main alone reports, as "invalid input: <reason>" and never as a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import random
 import sys
 
 from . import cesaro, curve_model, deriv_side, root_side
-from .errors import NoClimError, ZetaffError
+from .errors import InvalidInputError, NoClimError, ValidationError, ZetaffError
 
 EXIT_OK = 0
 EXIT_TOL = 1
@@ -33,10 +38,17 @@ def parse_curve_file(path: str) -> curve_model.CurveZeta:
 
     Format: a header line ``q <int> genus <int>`` followed by one factor per
     line ``sigma0 tau0 nu``.  The two pole factors (nu = -1) may be listed
-    but are appended automatically either way.
+    but are appended automatically either way.  Any failure, an unreadable
+    file included, raises InvalidInputError starting "invalid curve: ".
     """
-    with open(path) as fh:
-        lines = fh.readlines()
+    try:
+        with open(path) as fh:
+            return _parse_curve(fh.readlines())
+    except (OSError, ZetaffError) as exc:
+        raise InvalidInputError(f"invalid curve: {exc}") from exc
+
+
+def _parse_curve(lines) -> curve_model.CurveZeta:
     header = None
     roots = []
     poles = []
@@ -77,11 +89,7 @@ def parse_curve_file(path: str) -> curve_model.CurveZeta:
 
 
 def cmd_check_curve(args) -> int:
-    try:
-        curve = parse_curve_file(args.curve)
-    except (OSError, ZetaffError) as exc:
-        print(f"invalid curve: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    curve = parse_curve_file(args.curve)
     rng = random.Random(0)
     worst = 0.0
     for _ in range(10):
@@ -89,11 +97,9 @@ def cmd_check_curve(args) -> int:
         ok, residual = curve_model.check_functional_equation(curve, s, 1e-9)
         worst = max(worst, residual)
         if not ok:
-            print(
-                f"functional equation fails at s = {s}: residual {residual:.3g}",
-                file=sys.stderr,
+            raise ValidationError(
+                f"invalid curve: functional equation fails at s = {s}: residual {residual:.3g}"
             )
-            return EXIT_INVALID
     n_roots = len(curve.root_factors())
     print(
         f"valid curve: q={curve.q} genus={curve.genus} "
@@ -123,23 +129,19 @@ def _mu_grid(mu_min: float, mu_max: float, mu_step: float):
 def cmd_scan_mu(args) -> int:
     s0 = complex(args.s0_re, args.s0_im)
     ctl = deriv_side.SeriesControl(n_terms=args.terms)
-    try:
-        mus = _mu_grid(args.mu_min, args.mu_max, args.mu_step)
-        if args.curve:
-            curve = parse_curve_file(args.curve)
-            d = deriv_side.deriv_side_total(curve, s0, mus, ctl)
-            r = root_side.root_side_total(curve, s0, mus, args.k).tolist()
-        else:
-            factor = curve_model.LambdaFactor(args.sigma0, args.tau0, 1)
-            d = deriv_side.deriv_side_factor(args.q, factor, s0, mus, ctl)
-            r = [res.value for res in root_side.root_side_em(factor, args.q, s0, mus, args.k)]
-        sides = list(zip(d.tolist(), r))
-    except ZetaffError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    mus = _mu_grid(args.mu_min, args.mu_max, args.mu_step)
+    if args.curve:
+        curve = parse_curve_file(args.curve)
+        d = deriv_side.deriv_side_total(curve, s0, mus, ctl)
+        r = root_side.root_side_total(curve, s0, mus, args.k).tolist()
+    else:
+        factor = curve_model.LambdaFactor(args.sigma0, args.tau0, 1)
+        d = deriv_side.deriv_side_factor(args.q, factor, s0, mus, ctl)
+        r = [res.value for res in root_side.root_side_em(factor, args.q, s0, mus, args.k)]
+    sides = list(zip(d.tolist(), r))
 
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    # opened only now, so that invalid input leaves no output file
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:
         out.write("mu,re_deriv,im_deriv,re_root,im_root,abs_diff,rel_diff\n")
         worst = 0.0
         for mu, (d, r) in zip(mus, sides):
@@ -153,9 +155,6 @@ def cmd_scan_mu(args) -> int:
                 )
                 + "\n"
             )
-    finally:
-        if args.out:
-            out.close()
     if worst > args.tol:
         print(f"worst rel_diff {worst:.3g} exceeds tol {args.tol:.3g}", file=sys.stderr)
         return EXIT_TOL
@@ -189,9 +188,6 @@ def cmd_lemma(args) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_TOL
-            except ZetaffError as exc:
-                print(f"invalid input: {exc}", file=sys.stderr)
-                return EXIT_INVALID
             rows.append(res)
             all_pass = all_pass and res.passed
     def cfmt(z: complex) -> str:
@@ -211,26 +207,18 @@ def cmd_lemma(args) -> int:
 def cmd_critical_line(args) -> int:
     s0 = complex(args.s0_re, args.s0_im)
     C = curve_model.vertical_spacing(args.q)
-    try:
-        if args.random:
-            rng = random.Random(args.seed)
-            half = [rng.uniform(0.05 * C, 0.45 * C) for _ in range(args.g)]
-            kappas = half + [C - k for k in half]
-        elif args.kappas:
-            kappas = [float(tok) for tok in args.kappas.split(",")]
-        else:
-            raise ZetaffError("provide --kappas or --random")
-        cf = cesaro.make_counting(args.g, C, kappas)
-        epsilons = [0.0] * (2 * args.g)
-        results = [
-            cesaro.r_critical_line(cf, s0, mu, epsilons) for mu in (0, -1, -2)
-        ]
-        x_offline = (
-            None if args.offline is None else cesaro.x_epsilon_equispaced(args.offline)
-        )
-    except ZetaffError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    if args.random:
+        rng = random.Random(args.seed)
+        half = [rng.uniform(0.05 * C, 0.45 * C) for _ in range(args.g)]
+        kappas = half + [C - k for k in half]
+    elif args.kappas:
+        kappas = args.kappas
+    else:
+        raise ZetaffError("provide --kappas or --random")
+    cf = cesaro.make_counting(args.g, C, kappas)
+    epsilons = [0.0] * (2 * args.g)
+    results = [cesaro.r_critical_line(cf, s0, mu, epsilons) for mu in (0, -1, -2)]
+    x_offline = None if args.offline is None else cesaro.x_epsilon_equispaced(args.offline)
     ok = True
     for res in results:
         print(f"r(s0, {res.mu:+d}) = {res.value}")
@@ -248,6 +236,11 @@ def cmd_critical_line(args) -> int:
         )
         ok = ok and abs(x_offline) <= args.tol
     return EXIT_OK if ok else EXIT_TOL
+
+
+def float_list(text: str) -> list:
+    """argparse type of a comma-separated list of numbers."""
+    return [float(tok) for tok in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("critical-line", help="critical-line r(s0, mu) assembly")
     p.add_argument("--q", type=int, default=25)
     p.add_argument("--g", type=int, default=1)
-    p.add_argument("--kappas", help="comma-separated step positions in (0, C)")
+    p.add_argument("--kappas", type=float_list, help="comma-separated step positions in (0, C)")
     p.add_argument("--random", action="store_true", help="random symmetric kappas")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--s0-re", type=float, default=5.1238)
@@ -312,11 +305,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code (see the module docstring)."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ZetaffError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout pipe raises here, not at exit
+        return code
+    except (OSError, ZetaffError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the signal module docs' recipe: the flush at exit must not meet the pipe
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -9,7 +9,7 @@ of -ln zeta at s0 expands into the convergent series
 valid for Re(s0) > sigma0.  At mu in {0, -1, -2, ...} the reciprocal gamma
 prefactor vanishes, so the derivative side is exactly zero there; that zero
 is decided from mu itself, and elsewhere 1/Gamma(mu) is 1.0 / math.gamma(mu).
-An order at which the prefactor is not a finite double raises
+An order at which the prefactor or the value is not a finite double raises
 InvalidInputError.
 
 deriv_side_factor and deriv_side_total take one order mu or a 1-d grid of
@@ -36,10 +36,12 @@ class SeriesControl:
     tail_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.n_terms < 1:
-            raise InvalidInputError("n_terms must be >= 1")
-        if self.tail_tol <= 0.0:
-            raise InvalidInputError("tail_tol must be positive")
+        n = self.n_terms
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise InvalidInputError(f"n_terms must be an integer >= 1, got {n!r}")
+        # inf turns the tail check off; NaN would too, silently
+        if not self.tail_tol > 0.0:
+            raise InvalidInputError(f"tail_tol must be positive, got {self.tail_tol!r}")
 
 
 def _require_finite(s0, mu) -> None:
@@ -81,7 +83,11 @@ def _series_values(q, factors, s0, orders, ctl, check_zero_orders):
     """deriv_side_factor of each factor at each order, one list per factor.
 
     The orders are checked one at a time, in order, and an order raises what
-    a one-order deriv_side_factor call raises.  With check_zero_orders false
+    a one-order deriv_side_factor call raises.  A value that is not a finite
+    double (with the tail check off, tail_tol = inf, n ** (1 - mu) can
+    underflow to 0) raises InvalidInputError, once every order's checks have
+    passed; it is decided from the values, with NumPy's floating-point
+    warnings off.  With check_zero_orders false
     a nonpositive integer order is zero without the series checks, as in
     deriv_side_total.  e^(i*pi*mu)/Gamma(mu)*(ln q)^mu and n^(1-mu) are
     computed once per order, and x^n once per factor.
@@ -123,13 +129,19 @@ def _series_values(q, factors, s0, orders, ctl, check_zero_orders):
     if not live:
         return values
     n = np.arange(1, ctl.n_terms + 1)
-    # n ** (1 - mu) with a scalar exponent for each order: NumPy takes n ** 0.5
-    # as a square root, which rounds differently from the general power
-    powers = np.array([n.astype(float) ** (1.0 - orders[i]) for i in live])
-    for row, factor, x in zip(values, factors, xs):
-        sums = np.sum(x**n / powers, axis=1).tolist()
-        for i, p, total in zip(live, prefixes, sums):
-            row[i] = p * factor.nu * total
+    with np.errstate(all="ignore"):
+        # n ** (1 - mu) with a scalar exponent for each order: NumPy takes n ** 0.5
+        # as a square root, which rounds differently from the general power
+        powers = np.array([n.astype(float) ** (1.0 - orders[i]) for i in live])
+        sums = [np.sum(x**n / powers, axis=1).tolist() for x in xs]
+    for j, (i, p) in enumerate(zip(live, prefixes)):
+        for row, factor, factor_sums in zip(values, factors, sums):
+            row[i] = p * factor.nu * factor_sums[j]
+            if not cmath.isfinite(row[i]):
+                raise InvalidInputError(
+                    f"the series is not a finite double at mu = {orders[i]}, "
+                    f"n_terms = {ctl.n_terms}"
+                )
     return values
 
 

@@ -27,6 +27,7 @@ result is bitwise that of a one-order call.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import sys
@@ -191,7 +192,8 @@ def _abs_sum_bound(a, C, mu, k):
     # int_u0^u1 max(x, u)^p du: flat up to x, a power beyond
     tail = (min(x, u1) - u0) * x**p if x > u0 else 0.0
     if u1 > x0:
-        tail += x0 ** (p + 1.0) * math.expm1((p + 1.0) * math.log(u1 / x0)) / (p + 1.0)
+        e, span = p + 1.0, math.log(u1 / x0)
+        tail += x0**e * (math.expm1(e * span) / e if e else span)
     return rmin**p + 2.0 * (x0**p + tail / C)
 
 
@@ -201,7 +203,10 @@ def _error_model(a, C, mu, k, coefs):
     The rounding part is eps times the scale of what is summed, the moduli
     of the 2k+1 kernel terms plus those of the boundary terms, times the
     growth of a term's relative error with |mu| log|w|: the kernel and the
-    complex powers form w^(-mu) as exp(-mu*log w).
+    complex powers form w^(-mu) as exp(-mu*log w).  To that it adds the
+    rounding of y = Im a - C*j, up to eps*C|j| <= eps*(|Im a| + |w|), which
+    the power turns into a relative error |mu| eps |Im a| / |w|: near a
+    ladder, where |w| << |Im a|, it is the larger part.
     """
     rm, rp = math.hypot(a.real, a.imag - C * k), math.hypot(a.real, a.imag + C * k)
     hm, hp = rm**-mu, rp**-mu
@@ -209,6 +214,8 @@ def _error_model(a, C, mu, k, coefs):
     boundary = (hm * rm + hp * rp) / (abs(1.0 - mu) * C) + 0.5 * (hm + hp) + kept_sum
     growth = 2.0 + abs(mu) * (abs(math.log(max(rm, rp))) + math.pi)
     rounding = _EPS * growth * (_abs_sum_bound(a, C, mu, k) + boundary)
+    if a.imag:
+        rounding += _EPS * abs(mu) * abs(a.imag) * _abs_sum_bound(a, C, mu + 1.0, k)
     return truncation, rounding, kept
 
 
@@ -221,7 +228,11 @@ def _choose_k(a, C, mu, coefs):
     one before.
     """
     best_k, best = None, None
-    for k in _K_CANDIDATES:
+    # the model holds only while the window reaches the rung nearest s0
+    # (k >= |Im a|/C): beyond it a tail's terms first grow, and the first
+    # omitted Bernoulli term at k understates the remainder
+    first = min(bisect.bisect_left(_K_CANDIDATES, abs(a.imag) / C), len(_K_CANDIDATES) - 1)
+    for k in _K_CANDIDATES[first:]:
         model = _error_model(a, C, mu, k, coefs)
         if best is not None and model[0] + model[1] >= best[0] + best[1]:
             break
@@ -341,8 +352,9 @@ def root_side_em(factor: LambdaFactor, q, s0, mu, k=None):
     B2 .. B16 (while their bounds shrink) from the symmetric truncation at k;
     valid for -5 < mu, mu != 1.  With k None, k is the candidate in
     _K_CANDIDATES with the smallest modelled error, truncation plus rounding
-    (see RegularizedSum), chosen per order; an explicit k >= 1 is used as
-    given.  mu is one order, giving a RegularizedSum, or a 1-d grid of
+    (see RegularizedSum), among those whose window reaches the rung nearest
+    s0, chosen per order; an explicit k >= 1 is used as given, and its
+    est_error holds only if C*k >= |Im(s0 - r0)|.  mu is one order, giving a RegularizedSum, or a 1-d grid of
     orders, giving a list with one per order: the grid shares the kernel's
     ladder geometry across the orders and gives each order's result bit for
     bit.

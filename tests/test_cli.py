@@ -232,20 +232,76 @@ _MU_BOUND = st.one_of(
     span=st.floats(0.0, 3.0),
     mu_max=st.one_of(st.none(), _MU_BOUND),
     mu_step=st.sampled_from(["0.25", "0.5", "1.0", "nan", "0"]),
+    io_fault=st.sampled_from([None, "curve", "out"]),
 )
 @settings(max_examples=40, deadline=None)
-def test_scan_mu_exit_code_contract(k, mu_min, span, mu_max, mu_step):
+def test_scan_mu_exit_code_contract(k, mu_min, span, mu_max, mu_step, io_fault):
     # scan-mu exits 0, 1 or 2 and never escapes with a traceback, whatever
-    # the truncation and the mu bounds
+    # the truncation, the mu bounds, and whether its files can be opened
     if mu_max is None:
         mu_max = mu_min + span
+    missing = os.path.join(os.devnull, "missing")  # no file can be below a device
     # "--opt=value", so that argparse reads "-inf" and "-1e-05" as values
     argv = ["scan-mu", f"--mu-min={mu_min!r}", f"--mu-max={mu_max!r}",
-            f"--mu-step={mu_step}", f"--out={os.devnull}"]
+            f"--mu-step={mu_step}", f"--out={missing if io_fault == 'out' else os.devnull}"]
+    if io_fault == "curve":
+        argv.append(f"--curve={missing}")
     if k is not None:
         argv.append(f"--k={k}")
-    with contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) in (EXIT_OK, EXIT_TOL, EXIT_INVALID)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_TOL, EXIT_INVALID)
+    if io_fault is not None:
+        assert code == EXIT_INVALID and err.getvalue().startswith("invalid input: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-mu", "--curve", "{missing}"],
+        ["scan-mu", "--out", "{missing}"],
+        ["check-curve", "--curve", "{missing}"],
+        ["lemma", "--q", "6"],
+        ["lemma", "--sigma0", "nan"],
+        ["critical-line", "--q", "6"],
+        ["critical-line", "--q", "1"],
+        ["scan-mu", "--terms", "0"],
+        ["scan-mu", "--terms", "-3"],
+    ],
+)
+def test_every_failure_is_reported_by_main(argv, tmp_path, capsys):
+    # scan-mu's missing --curve and --out escaped as FileNotFoundError,
+    # check-curve printed "invalid curve: ", and the rest printed "error: "
+    # from outside the per-command handlers
+    missing = str(tmp_path / "no" / "such.txt")
+    assert main([arg.format(missing=missing) for arg in argv]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and err.count("\n") == 1
+    assert not os.path.exists(missing)
+
+
+def test_kappas_that_are_not_numbers_are_a_usage_error(capsys):
+    # "0.3,abc" escaped as a ValueError from float()
+    with pytest.raises(SystemExit) as exc:
+        main(["critical-line", "--kappas", "0.3,abc"])
+    assert exc.value.code == EXIT_INVALID
+    assert "argument --kappas: invalid float_list value: '0.3,abc'" in capsys.readouterr().err
+
+
+def test_closed_stdout_pipe_exits_invalid_without_a_traceback():
+    # the read end is closed before the child starts, so its first write to
+    # stdout, or the flush main makes, meets a closed pipe every time
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "zetaff", "scan-mu"], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_INVALID
+    assert proc.stderr == "invalid input: [Errno 32] Broken pipe\n"
 
 
 def test_lemma_single_symbol(capsys):

@@ -171,10 +171,27 @@ def test_tail_budget_error_reports_achieved_bound():
 
 
 def test_series_control_validation():
-    with pytest.raises(InvalidInputError):
-        SeriesControl(n_terms=0)
-    with pytest.raises(InvalidInputError):
-        SeriesControl(tail_tol=0.0)
+    # a NaN tail_tol turned the tail check off, and n_terms = 2.5 was accepted
+    for bad in (dict(n_terms=0), dict(n_terms=2.5), dict(n_terms=True), dict(n_terms=20.0),
+                dict(tail_tol=0.0), dict(tail_tol=math.nan)):
+        with pytest.raises(InvalidInputError):
+            SeriesControl(**bad)
+    # inf turns the tail check off on purpose: the bitwise grid tests use it
+    assert SeriesControl(n_terms=np.int64(5), tail_tol=math.inf).tail_tol == math.inf
+
+
+def test_series_that_is_not_finite_raises():
+    # with the tail check off, n ** (1 - mu) underflows to 0 for large n at
+    # mu = 171 and the sum was nan+nanj; the value decides, not a warning
+    ctl = SeriesControl(n_terms=100, tail_tol=math.inf)
+    f = LambdaFactor(0.6, 0.7, 1)
+    curve = make_curve(25, 2, GENUS2)
+    for call in (lambda mu: deriv_side_factor(25, f, 5.1238, mu, ctl),
+                 lambda mu: deriv_side_total(curve, 5.1238, mu, ctl)):
+        for mu in (171.0, [2.0, 171.0], [171.0, 2.0]):
+            with pytest.raises(InvalidInputError, match="mu = 171.0"):
+                call(mu)
+        assert cmath.isfinite(call(150.0))
 
 
 def test_conjugate_factor_symmetry():

@@ -3,9 +3,12 @@
 import cmath
 import math
 import random
+import sys
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetaff import (
     InvalidInputError,
@@ -15,6 +18,7 @@ from zetaff import (
     RemovableSingularityError,
     SeriesControl,
     WrongRegimeError,
+    ZetaffError,
     deriv_side_total,
     make_curve,
     root_side_classical,
@@ -22,7 +26,7 @@ from zetaff import (
     root_side_total,
     vertical_spacing,
 )
-from zetaff.root_side import _K_CANDIDATES
+from zetaff.root_side import _K_CANDIDATES, _ladder_offset
 
 C25 = vertical_spacing(25)
 S0 = 5.1238
@@ -259,6 +263,115 @@ def test_default_k_is_chosen_by_the_error_model():
     curve = make_curve(25, 2, [(0.6, 0.7), (0.4, C25 - 0.7), (0.6, C25 - 0.7), (0.4, 0.7)])
     total = root_side_total(curve, S0, -1.45)
     assert total == sum(root_side_em(f, 25, S0, -1.45).value for f in curve.factors)
+
+
+@pytest.mark.parametrize("mu", [-1.45, 0.5, 2.6])
+def test_default_k_window_reaches_the_rung_nearest_s0(mu):
+    # at Im(s0 - r0) = 5.1 C the error model chose k = 4, which leaves the
+    # rung nearest s0 in a tail: the error was 0.04 against an est_error of
+    # 1e-4 at mu = 0.5
+    f, q, s0 = LambdaFactor(0.6, 0.7, 1), 3, 3.0 + 30.0j
+    C = vertical_spacing(q)
+    a = _ladder_offset(f, C, s0)
+    got = root_side_em(f, q, s0, mu)
+    assert got.k_used * C >= abs(a.imag)
+    expected = cmath.exp(1j * math.pi * mu) * ladder_sum_oracle(a, C, mu)
+    assert abs(got.value - expected) <= got.est_error
+
+
+_PRIME_POWERS = [2, 3, 4, 9, 25, 49, 125]
+
+
+@st.composite
+def q_and_factor(draw):
+    q = draw(st.sampled_from(_PRIME_POWERS))
+    C = vertical_spacing(q)
+    return q, LambdaFactor(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, C, exclude_max=True)))
+
+
+@given(
+    qf=q_and_factor(),
+    mu=st.one_of(st.floats(-5.0, 300.0, exclude_min=True), st.floats(1.0 - 1e-6, 1.0 + 1e-6)),
+    s0=st.builds(complex, st.floats(-3.0, 8.0), st.floats(-50.0, 50.0)),
+    k=st.sampled_from([None, 1, 3, 1000]),
+)
+@settings(max_examples=300, deadline=None)
+def test_root_side_domain_edges_give_finite_values_or_raise(qf, mu, s0, k):
+    q, f = qf
+    try:
+        got = root_side_em(f, q, s0, mu, k)
+    except ZetaffError:
+        return
+    assert cmath.isfinite(got.value) and math.isfinite(got.est_error)
+
+
+@st.composite
+def curves(draw):
+    """A curve from make_curve: 0 to 2 generic quadruples of base roots and
+    an optional critical-line pair, closed under q/lambda and conjugation."""
+    q = draw(st.sampled_from(_PRIME_POWERS))
+    C = vertical_spacing(q)
+    roots = []
+    for _ in range(draw(st.integers(0, 2))):
+        s, t = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, C, exclude_max=True))
+        roots += [(s, t), (1.0 - s, C - t), (s, C - t), (1.0 - s, t)]
+    if draw(st.booleans()):
+        t = draw(st.floats(0.0, C, exclude_max=True))
+        roots += [(0.5, t), (0.5, C - t)]
+    return make_curve(q, len(roots) // 2, roots)
+
+
+@given(
+    curve=curves(),
+    re_s0=st.floats(1.0, 8.0, exclude_min=True),
+    im_s0=st.floats(-50.0, 50.0),
+    mu=st.floats(-4.5, 6.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_conjugation_symmetry_of_both_totals(curve, re_s0, im_s0, mu):
+    """e^(-i pi mu) side(conj s0) = conj(e^(-i pi mu) side(s0)) on both sides.
+
+    The factor set is closed under conjugation, so both sides are real
+    after the phase at real s0.  The root side is held to the summed
+    est_error of its factors at s0 and at conj s0.  The derivative side
+    is held to rounding: eps times the moduli of the summed terms, times
+    4 n_terms for the growth of a power x^n's rounding with n.
+
+    The root side failed this by up to 2e4x at |Im s0| <= 10, where the
+    default k left the rung nearest s0 outside the window, and by up to 35x
+    at Re s0 = 1 + 2e-15, before est_error counted the rounding of the rung
+    offsets Im a - C*j.
+    """
+    s0 = complex(re_s0, im_s0)
+    phase = cmath.exp(-1j * math.pi * mu)
+    q, factors = curve.q, curve.factors
+    try:
+        rs = [root_side_em(f, q, s0, mu) for f in factors]
+    except RemovableSingularityError:
+        return
+    rc = [root_side_em(f, q, s0.conjugate(), mu) for f in factors]
+    r, r_conj = root_side_total(curve, s0, mu), root_side_total(curve, s0.conjugate(), mu)
+    budget = sum(x.est_error for x in rs) + sum(x.est_error for x in rc)
+    assert abs(phase * r_conj - (phase * r).conjugate()) <= budget
+
+    ctl = SeriesControl(n_terms=200, tail_tol=1e-12)
+    try:
+        d = deriv_side_total(curve, s0, mu, ctl)
+    except ZetaffError:
+        # the series checks depend on |x| only, which conj s0 keeps up to
+        # rounding: within an ulp of |x| = 1 the type may differ
+        with pytest.raises(ZetaffError):
+            deriv_side_total(curve, s0.conjugate(), mu, ctl)
+        return
+    d_conj = deriv_side_total(curve, s0.conjugate(), mu, ctl)
+    scale = 0.0
+    if not (mu <= 0.0 and mu.is_integer()):
+        pref = abs(math.log(q) ** mu / math.gamma(mu))
+        for f in factors:
+            rho = q ** (f.sigma0 - re_s0)
+            scale += pref * sum(rho**n * n ** (mu - 1.0) for n in range(1, ctl.n_terms + 1))
+    rounding = 4.0 * ctl.n_terms * sys.float_info.epsilon * scale
+    assert abs(phase * d_conj - (phase * d).conjugate()) <= rounding
 
 
 def test_s0_on_the_ladder_or_overflow_is_rejected():
