@@ -9,14 +9,14 @@ Three layers live here:
    driven by a period-C phase (the root-ladder symbols), a period-aware
    profile extraction is used instead of repeated averaging.  Inside a phase
    bin z is affine in the period index, so one Vandermonde in the scaled
-   period index serves all bins: a single least-squares solve over the
-   first- and last-quarter periods, refined in long double, recovers the
-   coefficient profiles gamma_n(alpha) of f as a polynomial in z.  The
-   constant content is integrated exactly, and the zero-mean z^2 profile
-   content is assigned its Cesaro value -i*sgn*(s0-sigma0)*mean(W) where W is
-   the antiderivative of the profile anchored at alpha = 0.  The extraction
-   streams the path in chunks of whole periods and holds only the quarter
-   rows and the tail of the average, never the whole path.
+   period index serves all bins: a single weighted least-squares solve over
+   the first- and last-quarter periods recovers the coefficient profiles
+   gamma_n(alpha) of f as a polynomial in z.  The constant content is
+   integrated exactly, and the zero-mean z^2 profile content is assigned its
+   Cesaro value -i*sgn*(s0-sigma0)*mean(W) where W is the antiderivative of
+   the profile anchored at alpha = 0.  The extraction streams the path in
+   chunks of whole periods and holds only the quarter rows and the tail of
+   the average, never the whole path.
 
 2. The closed-form limit table for the ladder symbols alpha^n, k, k*alpha^n,
    z*alpha^n, k^2, k^2*alpha, z^2*alpha, k^3 on both contours, a numeric
@@ -149,8 +149,7 @@ def _z_coefficients(coef, s, c):
 
     The polynomial index runs along the first axis of ``coef``; ``c``
     broadcasts against ``coef[0]``, so one call shifts a whole batch of
-    polynomials, each around its own centre.  The arithmetic is done in the
-    dtype of ``coef`` and ``c``.
+    polynomials, each around its own centre.
     """
     out = np.zeros_like(coef)
     for j in range(len(coef)):
@@ -212,7 +211,7 @@ def _poly_mean(x, y, degree):
 
 
 #: whole periods per chunk of the streamed profile Clim; at 128 phase bins a
-#: chunk is 32768 samples, 512 KiB per long-double or complex temporary
+#: chunk is 32768 samples, 512 KiB per complex temporary
 _CHUNK_PERIODS = 256
 
 #: default flatness tolerance of a Clim, the one the lemma table is verified at
@@ -241,18 +240,18 @@ def _clim_profile(
     column z is affine in the period index p, z = z_b -/+ i*(nbin*dt)*p on the
     lower/upper contour, so one Vandermonde in p (scaled by a power of two
     >= nfull), over the first- and last-quarter rows, serves every bin: it is
-    factored once, and each solve fits all columns at once.  The raw samples
-    grow like T^degree, so the O(1) low-order coefficients sit below the
-    double-precision noise floor of one solve; two refinement solves on the
-    residual of the quarter rows, evaluated in long double, restore them
-    (mixed-precision iterative refinement).  A binomial shift around z_b, in
-    long double, turns the p-coefficients of each column into the z-monomial
-    profiles gamma_n(b).
+    factored once, and one solve fits all columns at once.  The raw samples
+    grow like T^degree, and so does their rounding; unweighted, the late rows
+    would bury the O(1) low-order coefficients in their noise.  So each row
+    is weighted by (1 + p)^-degree, and one double-precision solve holds the
+    low-order coefficients to rounding level at any path length.  A binomial
+    shift around z_b turns the p-coefficients of each column into the
+    z-monomial profiles gamma_n(b).
 
     The path is streamed in two passes over chunks of ``_CHUNK_PERIODS``
     whole periods, and every sample read from the source is checked to be
-    finite.  Pass one reads only the quarter rows, keeps them, and forms the
-    refinement residual chunk by chunk.  Pass two walks the whole path: it
+    finite.  Pass one keeps the quarter rows for the fit, so the value does
+    not depend on the chunk length.  Pass two walks the whole path: it
     reuses the kept rows, reads the middle half and the trailing partial
     period, predicts each chunk from the profiles by Horner's rule in z, and
     carries the trapezoid integral of f - prediction across chunks.  Only the
@@ -285,29 +284,16 @@ def _clim_profile(
             out[a:b] = periods(first + a, first + b)
     # real and imaginary parts as separate columns: the Vandermonde is real
     rows = kept.view(float)
-    # Scaling p by a power of two keeps p/scale and its powers exact, so the
-    # long-double residual below rounds only in its products and sums.
+    # the weights go into Q: weighting a copy of the rows would double the
+    # memory of the fit
+    w = ((1.0 + p) ** -degree)[:, None]
     scale = 1 << (nfull - 1).bit_length()
-    Q, R = np.linalg.qr(np.vander(p / scale, degree + 1, increasing=True))
-    coef = np.linalg.solve(R, Q.T @ rows).astype(np.longdouble, order="C")
-    for _ in range(2):
-        qt_resid = np.zeros((degree + 1, rows.shape[1]))
-        for a, b in _chunk_spans(0, 2 * nq):
-            xl = (p[a:b].astype(np.longdouble) / scale)[:, None]
-            # power basis, smallest terms first: the large terms then round once
-            resid = coef[1] * xl
-            resid += coef[0]
-            for j in range(2, degree + 1):
-                resid += coef[j] * xl**j
-            np.subtract(rows[a:b], resid, out=resid)
-            qt_resid += Q[a:b].T @ resid.astype(float)
-        coef += np.linalg.solve(R, qt_resid)
-    span = np.longdouble(dt) * nbin * scale
-    coef = coef.view(np.clongdouble) / span ** np.arange(degree + 1)[:, None]
+    Q, R = np.linalg.qr(np.vander(p / scale, degree + 1, increasing=True) * w)
+    coef = np.linalg.solve(R, (Q * w).T @ rows)
+    coef = coef.view(complex) / (dt * nbin * scale) ** np.arange(degree + 1)[:, None]
     sign = -1j if direction == "lower" else 1j
-    tb = np.longdouble(t0) + np.longdouble(dt) * np.arange(nbin)
-    zb = np.clongdouble(s0 - sigma0) + np.clongdouble(sign) * tb
-    gam = _z_coefficients(coef, 1.0 / sign, zb).astype(complex)
+    zb = (s0 - sigma0) + sign * (t0 + dt * np.arange(nbin))
+    gam = _z_coefficients(coef, 1.0 / sign, zb)
 
     alpha_b = (t0 + dt * np.arange(nbin) - phase) % period
     order = np.argsort(alpha_b)

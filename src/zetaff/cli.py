@@ -267,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-step", type=float, default=0.1)
     p.add_argument(
         "--k", type=int, default=None,
-        help="root-side truncation (default: chosen per factor and mu by the error model)",
+        help="root-side truncation, with C*k >= |Im(s0 - r0)| for every factor "
+        "(default: chosen per factor and mu by the error model)",
     )
     p.add_argument("--terms", type=int, default=20)
     p.add_argument("--tol", type=float, default=1e-6)

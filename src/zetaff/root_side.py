@@ -27,7 +27,6 @@ result is bitwise that of a one-order call.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 import sys
@@ -219,19 +218,27 @@ def _error_model(a, C, mu, k, coefs):
     return truncation, rounding, kept
 
 
+def _reaches(a, C, k) -> bool:
+    """Whether the window |j| <= k reaches the rung nearest s0, C*k >= |Im a|.
+
+    Only then does the error model hold: beyond the window a tail's terms
+    first grow toward that rung, and the first omitted Bernoulli term at k
+    understates the remainder.
+    """
+    return C * k >= abs(a.imag)
+
+
 def _choose_k(a, C, mu, coefs):
     """The candidate truncation with the smallest modelled error, and its model.
 
-    The truncation part falls with k and the rounding part grows, so the
-    modelled error falls and then rises; the scan takes the candidates in
-    increasing order and stops at the first that does no better than the
-    one before.
+    Only the candidates that reach the rung nearest s0 are scanned (the
+    largest if none does).  The truncation part falls with k and the
+    rounding part grows, so the modelled error falls and then rises; the
+    scan takes the candidates in increasing order and stops at the first
+    that does no better than the one before.
     """
     best_k, best = None, None
-    # the model holds only while the window reaches the rung nearest s0
-    # (k >= |Im a|/C): beyond it a tail's terms first grow, and the first
-    # omitted Bernoulli term at k understates the remainder
-    first = min(bisect.bisect_left(_K_CANDIDATES, abs(a.imag) / C), len(_K_CANDIDATES) - 1)
+    first = next((i for i, k in enumerate(_K_CANDIDATES) if _reaches(a, C, k)), -1)
     for k in _K_CANDIDATES[first:]:
         model = _error_model(a, C, mu, k, coefs)
         if best is not None and model[0] + model[1] >= best[0] + best[1]:
@@ -263,6 +270,10 @@ def _em_model(a, C, mu, k, coefs, s0):
             k, (truncation, rounding, kept) = _choose_k(a, C, mu, coefs)
         else:
             k = int(k)
+            if not _reaches(a, C, k):
+                raise InvalidInputError(
+                    f"k = {k} misses the rung nearest s0 = {s0}: C*k < |Im(s0 - r0)|"
+                )
             truncation, rounding, kept = _error_model(a, C, mu, k, coefs)
     except OverflowError:
         raise InvalidInputError(
@@ -353,11 +364,11 @@ def root_side_em(factor: LambdaFactor, q, s0, mu, k=None):
     valid for -5 < mu, mu != 1.  With k None, k is the candidate in
     _K_CANDIDATES with the smallest modelled error, truncation plus rounding
     (see RegularizedSum), among those whose window reaches the rung nearest
-    s0, chosen per order; an explicit k >= 1 is used as given, and its
-    est_error holds only if C*k >= |Im(s0 - r0)|.  mu is one order, giving a RegularizedSum, or a 1-d grid of
-    orders, giving a list with one per order: the grid shares the kernel's
-    ladder geometry across the orders and gives each order's result bit for
-    bit.
+    s0, chosen per order.  An explicit k >= 1 is used as given if it reaches
+    that rung, C*k >= |Im(s0 - r0)|, and raises InvalidInputError if not.
+    mu is one order, giving a RegularizedSum, or a 1-d grid of orders,
+    giving a list with one per order: the grid shares the kernel's ladder
+    geometry across the orders and gives each order's result bit for bit.
     """
     orders, one = _orders(mu)
     sums = _em_sums([factor], q, s0, orders, k)[0]

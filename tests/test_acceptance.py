@@ -131,14 +131,15 @@ def test_criterion_4_lemma_suite():
     elapsed = time.perf_counter() - start
     ok = ok and elapsed <= 60.0
     detail = f"1e4 periods worst {worst:.2e}, {elapsed:.1f}s"
-    # tighter tolerance on the longer paths (untimed)
+    # tighter tolerance on the longer paths (timed, but not gated)
+    start = time.perf_counter()
     worst_long = 0.0
     for symbol in LEMMA_SYMBOLS:
         for d in ("lower", "upper"):
             res = verify_lemma(symbol, params[d], 1e5 * C, C / 128.0, 5e-4)
             ok = ok and res.passed
             worst_long = max(worst_long, res.abs_diff)
-    detail += f"; 1e5 periods worst {worst_long:.2e}"
+    detail += f"; 1e5 periods worst {worst_long:.2e}, {time.perf_counter() - start:.1f}s"
     report("4 lemma suite", ok, detail)
 
 

@@ -310,12 +310,18 @@ def test_lemma_closed_form_conjugate_directions():
         assert hi == pytest.approx(lo.conjugate(), abs=1e-14)
 
 
-@pytest.mark.parametrize("symbol", LEMMA_SYMBOLS)
+@pytest.mark.parametrize(
+    "symbol, periods",
+    [pytest.param(s, 1e3, id=s) for s in LEMMA_SYMBOLS]
+    + [pytest.param(s, 1e4, id=f"{s}-1e4") for s in ("z2_alpha", "k3")],
+)
 @pytest.mark.parametrize("direction", ["lower", "upper"])
-def test_lemma_numeric_verification(symbol, direction):
-    res = verify_lemma(symbol, params(direction), 1e3 * C, DT, 5e-3)
+def test_lemma_numeric_verification(symbol, periods, direction):
+    res = verify_lemma(symbol, params(direction), periods * C, DT, 5e-3)
     assert res.passed, f"{symbol}/{direction}: diff {res.abs_diff}"
-    assert res.abs_diff <= 1e-5  # far inside the stated tolerance
+    # rounding level, far inside the stated tolerance, and it does not grow
+    # with the path: the largest samples of z2_alpha and k3 reach 1e11
+    assert res.abs_diff <= 1e-11
     assert res.report.p_power >= 0
 
 
@@ -429,8 +435,9 @@ def test_streamed_lemma_clim_equals_in_memory_clim(direction, monkeypatch):
         )
         assert streamed.numeric == in_memory.value, symbol
         assert streamed.report == in_memory, symbol
-        # the chunk length changes only the rounding of the refinement sums
-        assert streamed.numeric == pytest.approx(default[symbol], rel=1e-12, abs=1e-12)
+        # the fit reads only the kept quarter rows, so the chunk length
+        # cannot change the value
+        assert streamed.numeric == default[symbol], symbol
 
 
 @pytest.mark.parametrize("direction", ["lower", "upper"])
@@ -444,8 +451,9 @@ def test_streamed_flatness_matches_in_memory_average(direction, monkeypatch):
     phase = TAU0 if direction == "lower" else -TAU0
     with pytest.raises(NoClimError) as exc:
         clim(path, S0, SIGMA0, direction, max_eigen=1, max_p=1, period=C, phase=phase)
-    # in memory: per-bin fits over the quarter periods, the prediction on
-    # every sample, and average_P of the whole residual
+    # in memory: per-bin fits over the quarter periods, each row weighted by
+    # (1 + p)^-degree, the prediction on every sample, and average_P of the
+    # whole residual
     n, nbin = len(f), round(C / DT)
     nfull = (n - 1) // nbin
     idx = np.arange(n)
@@ -456,7 +464,9 @@ def test_streamed_flatness_matches_in_memory_average(direction, monkeypatch):
     predicted = np.empty(n, dtype=complex)
     for b in range(nbin):
         col = idx % nbin == b
-        predicted[col] = np.polyval(np.polyfit(z[quarters & col], f[quarters & col], 1), z[col])
+        m = quarters & col
+        fit = np.polyfit(z[m], f[m], 1, w=(1.0 + per[m]) ** -1.0)
+        predicted[col] = np.polyval(fit, z[col])
     averaged = average_P(SampledPath(path.t0, DT, f - predicted)).samples
     tail = averaged[int(0.9 * n):]
     flat = np.max(np.abs(tail - tail.mean()))

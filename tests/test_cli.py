@@ -105,16 +105,6 @@ def test_scan_mu_default_grid(tmp_path):
     assert all(float(r[6]) <= 1e-6 for r in rows)
 
 
-def test_scan_mu_deterministic_across_thread_counts(tmp_path, monkeypatch):
-    args1, out1 = scan_args(tmp_path, "scan1.csv")
-    monkeypatch.setenv("ZETAFF_THREADS", "1")
-    assert main(args1) == EXIT_OK
-    args4, out4 = scan_args(tmp_path, "scan4.csv")
-    monkeypatch.setenv("ZETAFF_THREADS", "4")
-    assert main(args4) == EXIT_OK
-    assert out1.read_bytes() == out4.read_bytes()
-
-
 def test_scan_mu_repeat_runs_byte_identical(tmp_path):
     args1, out1 = scan_args(tmp_path, "a.csv")
     args2, out2 = scan_args(tmp_path, "b.csv")
@@ -184,6 +174,10 @@ def test_scan_mu_error_exits(tmp_path, capsys):
     # an order so large that the tail bound overflows a double
     args, _ = scan_args(tmp_path, "v.csv", ["--mu-min", "300", "--mu-max", "300"])
     assert main(args) == EXIT_INVALID
+    # an explicit k whose window misses the rung nearest s0
+    args, _ = scan_args(tmp_path, "u.csv", ["--q", "3", "--s0-im", "30", "--k", "4"])
+    assert main(args) == EXIT_INVALID
+    assert "misses the rung" in capsys.readouterr().err
     # unreachable tolerance
     args, _ = scan_args(tmp_path, "w.csv", ["--mu-min", "2.0", "--mu-max", "2.2",
                                             "--mu-step", "0.1", "--tol", "1e-20"])

@@ -279,6 +279,23 @@ def test_default_k_window_reaches_the_rung_nearest_s0(mu):
     assert abs(got.value - expected) <= got.est_error
 
 
+def test_explicit_k_must_reach_the_rung_nearest_s0():
+    # C*4 = 22.9 < Im(s0 - r0) = 29.3: this call was 0.044 off the oracle
+    # while its est_error read 1.05e-4
+    f, q, s0 = LambdaFactor(0.6, 0.7, 1), 3, 3.0 + 30.0j
+    with pytest.raises(InvalidInputError, match="misses the rung"):
+        root_side_em(f, q, s0, 0.5, 4)
+    with pytest.raises(InvalidInputError, match="misses the rung"):
+        root_side_em(f, q, s0, [2.6, 0.5], 5)
+    # the smallest k that reaches the rung is used as given, and its bound holds
+    C = vertical_spacing(q)
+    a = _ladder_offset(f, C, s0)
+    got = root_side_em(f, q, s0, 0.5, 6)
+    assert got.k_used == 6 and 5 * C < abs(a.imag) <= 6 * C
+    expected = cmath.exp(1j * math.pi * 0.5) * ladder_sum_oracle(a, C, 0.5)
+    assert abs(got.value - expected) <= got.est_error
+
+
 _PRIME_POWERS = [2, 3, 4, 9, 25, 49, 125]
 
 
