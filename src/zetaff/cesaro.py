@@ -229,6 +229,18 @@ def _finite(samples):
     return samples
 
 
+def _bin_grid(t0, dt, period, phase):
+    """k_b, alpha_b = divmod(t0 + b*dt - phase, period) over the bins b of one
+    period; dt must divide the period into nbin >= 2 of them."""
+    nbin = int(round(period / dt))
+    if nbin < 2 or abs(nbin * dt - period) > 1e-9 * period:
+        raise InvalidInputError(
+            f"dt = {dt} must divide the period {period} into an integer "
+            "number of samples"
+        )
+    return np.divmod(t0 + dt * np.arange(nbin) - phase, period)
+
+
 def _clim_profile(
     source, n, t0, dt, s0, sigma0, direction, degree, period, phase, flat_tol
 ):
@@ -246,7 +258,8 @@ def _clim_profile(
     is weighted by (1 + p)^-degree, and one double-precision solve holds the
     low-order coefficients to rounding level at any path length.  A binomial
     shift around z_b turns the p-coefficients of each column into the
-    z-monomial profiles gamma_n(b).
+    z-monomial profiles gamma_n(b).  Ladder samples are built on the same bin
+    grid (``_bin_grid``), so down a column they are exactly polynomials in p.
 
     The path is streamed in two passes over chunks of ``_CHUNK_PERIODS``
     whole periods, and every sample read from the source is checked to be
@@ -258,12 +271,8 @@ def _clim_profile(
     last 10% of the averaged residual is kept, with max|f|, for the flatness
     guard, so the memory is the quarter rows plus that tail.
     """
-    nbin = int(round(period / dt))
-    if nbin < 2 or abs(nbin * dt - period) > 1e-9 * period:
-        raise InvalidInputError(
-            f"dt = {dt} must divide the period {period} into an integer "
-            "number of samples"
-        )
+    _, alpha_b = _bin_grid(t0, dt, period, phase)
+    nbin = len(alpha_b)
     nfull = (n - 1) // nbin
     if nfull < 50:
         raise NoClimError(
@@ -295,7 +304,6 @@ def _clim_profile(
     zb = (s0 - sigma0) + sign * (t0 + dt * np.arange(nbin))
     gam = _z_coefficients(coef, 1.0 / sign, zb)
 
-    alpha_b = (t0 + dt * np.arange(nbin) - phase) % period
     order = np.argsort(alpha_b)
     x = alpha_b[order] / period
     fit_deg = min(degree + 2, 8)
@@ -303,19 +311,18 @@ def _clim_profile(
     _, mean0 = _poly_mean(x, gam[0][order], fit_deg)
     value = mean0
     removed = []
-    sgn = 1.0 if direction == "lower" else -1.0
     for nn in range(1, degree + 1):
         coeffs, cn = _poly_mean(x, gam[nn][order], fit_deg)
         removed.append((nn, cn))
         if nn == 2:
             # The zero-mean period-C content q(alpha) multiplying z^2 has
-            # Cesaro value -i*sgn*(s0-sigma0)*mean(W_q), W_q the antiderivative
-            # of q anchored at alpha = 0.
+            # Cesaro value sign*(s0-sigma0)*mean(W_q), sign = -/+i on the
+            # lower/upper contour and W_q the antiderivative of q anchored at 0.
             p2 = coeffs.copy()
             p2[0] -= cn
             m = np.arange(len(p2))
             mean_w = period * np.sum(p2 / ((m + 1) * (m + 2)))
-            value += -1j * sgn * (s0 - sigma0) * mean_w
+            value += sign * (s0 - sigma0) * mean_w
 
     # Pass two: remove all profile content and average once (the trapezoid
     # rule of average_P, carried across chunks); the residual must be flat.
@@ -530,6 +537,11 @@ class LemmaParams:
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise InvalidInputError(f"n must be an integer >= 1, got {self.n!r}")
 
+    @property
+    def phase(self) -> float:
+        """Phase of the ladder: tau0 on the lower contour, -tau0 on the upper."""
+        return self.tau0 if self.direction == "lower" else -self.tau0
+
 
 @dataclass(frozen=True)
 class LemmaVerification:
@@ -558,50 +570,49 @@ _LADDER_EXPR = {
 }
 
 
-def _ladder_length(symbol: str, params: LemmaParams, T_max: float, dt: float) -> int:
-    """Validate a ladder path request and return its number of samples."""
-    if symbol not in _LADDER_EXPR:
-        raise InvalidInputError(f"unknown lemma symbol {symbol!r}")
-    if not (math.isfinite(T_max) and T_max > 0.0):
-        raise InvalidInputError(f"T_max must be finite and positive, got {T_max}")
+def _sample_count(T_max: float, t0: float, dt: float) -> int:
+    """Number of heights t0 + i*dt <= T_max: at least 2, and below 2**53, past
+    which neither the index i nor a ladder index k = p + k_b is an exact double."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise InvalidInputError(f"dt must be finite and positive, got {dt}")
-    n = int(math.floor((T_max - params.t0) / dt)) + 1
-    if n < 2:
+    steps = (T_max - t0) / dt
+    if not 1.0 <= steps < 2**53 - 1:
         raise InvalidInputError(
-            f"T_max = {T_max} leaves fewer than 2 samples after t0 = {params.t0}"
+            f"T_max = {T_max} must give 2 to 2**53 - 1 samples from t0 = {t0} at dt = {dt}"
         )
-    return n
+    return int(math.floor(steps)) + 1
+
+
+def _ladder_length(symbol: str, params: LemmaParams, T_max: float, dt: float):
+    """Validate a ladder path request; return its number of samples and period."""
+    if symbol not in _LADDER_EXPR:
+        raise InvalidInputError(f"unknown lemma symbol {symbol!r}")
+    n = _sample_count(T_max, params.t0, dt)
+    C = vertical_spacing(params.q)
+    _bin_grid(params.t0, dt, C, params.phase)
+    return n, C
 
 
 def _ladder_block(symbol: str, params: LemmaParams, C: float, dt: float, i0: int, i1: int):
     """Samples [i0, i1) of the ladder path of a symbol, C the period.
 
-    Each sample depends on its own index only, so a block is bit-identical
-    to the same slice of ``ladder_path(symbol, params, T_max, dt).samples``.
+    Sample i lies in period p and phase bin b, p, b = divmod(i, nbin): its
+    ladder index is k = p + k_b and its phase alpha = alpha_b (``_bin_grid``),
+    and only z reads its height t0 + dt*i.  A sample depends on its own index
+    only, so a block is bitwise the same slice of ``ladder_path(...).samples``.
     """
-    # Build the path in extended precision: alpha comes from the cancellation
-    # T - C*k - tau0, whose double-precision error grows like eps*T and would
-    # contaminate the large-|z| samples of the degree-2 symbols systematically.
-    T = np.longdouble(params.t0) + np.longdouble(dt) * np.arange(i0, i1)
-    Cl = np.longdouble(C)
-    sign = -1 if params.direction == "lower" else 1
-    # floor as trunc - (frac < 0): exact, and several times faster than
-    # np.floor, which is slow on long double
-    frac, k = np.modf((T + sign * np.longdouble(params.tau0)) / Cl)
-    k -= frac < 0
-    alpha = T - Cl * k + sign * np.longdouble(params.tau0)
+    k_b, alpha_b = _bin_grid(params.t0, dt, C, params.phase)
+    p, b = np.divmod(np.arange(i0, i1), len(k_b))
     z = None
     if symbol.startswith("z"):
-        c = complex(params.s0) - params.sigma0
-        z = np.clongdouble(c) + np.clongdouble(sign * 1j) * T
-    return _LADDER_EXPR[symbol](k, alpha, z, params.n).astype(complex)
+        T = params.t0 + dt * np.arange(i0, i1)
+        z = _geometric_z(T, complex(params.s0), params.sigma0, params.direction)
+    return _LADDER_EXPR[symbol](p + k_b[b], alpha_b[b], z, params.n).astype(complex)
 
 
 def ladder_path(symbol: str, params: LemmaParams, T_max: float, dt: float) -> SampledPath:
-    """Exact sampled path of a ladder symbol on the chosen contour."""
-    n = _ladder_length(symbol, params, T_max, dt)
-    C = vertical_spacing(params.q)
+    """Exact sampled path of a ladder symbol on the chosen contour; dt must divide C."""
+    n, C = _ladder_length(symbol, params, T_max, dt)
     return SampledPath(
         t0=params.t0, dt=dt, samples=_ladder_block(symbol, params, C, dt, 0, n)
     )
@@ -615,25 +626,14 @@ def verify_lemma(
     The value is the profile-mode ``clim`` of the ladder path, computed
     without building the path: the profile extraction streams its samples.
     """
-    C = vertical_spacing(params.q)
-    # Sample at step midpoints so no sample lands exactly on a ladder jump
-    # (where the floating-point floor is ambiguous and would mix k and k-1
-    # values inside one phase bin).
+    # Sample at step midpoints so no sample lands exactly on a ladder jump,
+    # where rounding decides whether a bin's phase reads 0 or C.
     shifted = replace(params, t0=params.t0 + 0.5 * dt)
-    n = _ladder_length(symbol, shifted, T_max, dt)
-    phase = params.tau0 if params.direction == "lower" else -params.tau0
+    n, C = _ladder_length(symbol, shifted, T_max, dt)
     report = _clim_profile(
-        functools.partial(_ladder_block, symbol, shifted, C, dt),
-        n,
-        shifted.t0,
-        dt,
-        complex(params.s0),
-        params.sigma0,
-        params.direction,
-        SYMBOL_DEGREE[symbol],
-        C,
-        phase,
-        _FLAT_TOL,
+        functools.partial(_ladder_block, symbol, shifted, C, dt), n, shifted.t0, dt,
+        complex(params.s0), params.sigma0, params.direction, SYMBOL_DEGREE[symbol],
+        C, params.phase, _FLAT_TOL,
     )
     r0 = complex(params.sigma0, params.tau0)
     cf = lemma_closed_form(
@@ -850,12 +850,7 @@ def counting_path(cf: CountingFunction, kind: str, t_max: float, dt: float) -> S
     """
     if kind not in _COUNTING_EXPR:
         raise InvalidInputError(f"unknown path kind {kind!r}")
-    if not (math.isfinite(t_max) and t_max > 0.0):
-        raise InvalidInputError(f"t_max must be finite and positive, got {t_max}")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise InvalidInputError(f"dt must be finite and positive, got {dt}")
-    n = int(math.floor(t_max / dt)) + 1
-    t = dt * np.arange(n)
+    t = dt * np.arange(_sample_count(t_max, 0.0, dt))
     return SampledPath(t0=0.0, dt=dt, samples=_COUNTING_EXPR[kind](cf, t))
 
 

@@ -28,6 +28,9 @@ EXIT_OK = 0
 EXIT_TOL = 1
 EXIT_INVALID = 2
 
+#: the most orders a scan-mu grid may hold (the default grid has 41)
+_MAX_ORDERS = 10**6
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -118,11 +121,12 @@ def _mu_grid(mu_min: float, mu_max: float, mu_step: float):
         raise ZetaffError(f"mu-step must be positive, got {mu_step}")
     if mu_min > mu_max:
         raise ZetaffError(f"empty mu grid: {mu_min} > {mu_max}")
-    count = int(math.floor((mu_max - mu_min) / mu_step + 1e-9)) + 1
-    mus = [mu_min + i * mu_step for i in range(count)]
-    for mu in mus:
-        if abs(mu - 1.0) <= 1e-9:
-            raise ZetaffError("mu grid contains the singular point mu = 1")
+    steps = (mu_max - mu_min) / mu_step + 1e-9
+    if not steps < _MAX_ORDERS:
+        raise InvalidInputError(f"mu grid would hold more than {_MAX_ORDERS} orders")
+    mus = [mu_min + i * mu_step for i in range(int(math.floor(steps)) + 1)]
+    if any(abs(mu - 1.0) <= 1e-9 for mu in mus):
+        raise ZetaffError("mu grid contains the singular point mu = 1")
     return mus
 
 

@@ -171,6 +171,11 @@ def test_scan_mu_error_exits(tmp_path, capsys):
     # nonpositive step
     args, _ = scan_args(tmp_path, "z.csv", ["--mu-step", "0"])
     assert main(args) == EXIT_INVALID
+    # steps so small that the grid would overflow, or exhaust memory
+    for step in ("5e-324", "1e-300", "3.9e-6"):
+        args, _ = scan_args(tmp_path, "t.csv", ["--mu-step", step])
+        assert main(args) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("invalid input:")
     # an order so large that the tail bound overflows a double
     args, _ = scan_args(tmp_path, "v.csv", ["--mu-min", "300", "--mu-max", "300"])
     assert main(args) == EXIT_INVALID
