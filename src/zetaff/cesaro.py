@@ -15,8 +15,8 @@ Three layers live here:
    integrated exactly, and the zero-mean z^2 profile content is assigned its
    Cesaro value -i*sgn*(s0-sigma0)*mean(W) where W is the antiderivative of
    the profile anchored at alpha = 0.  The extraction streams the path in
-   chunks of whole periods and holds only the quarter rows and the tail of
-   the average, never the whole path.
+   chunks of whole periods and holds only the quarter rows and two floats
+   per period, never the whole path.
 
 2. The closed-form limit table for the ladder symbols alpha^n, k, k*alpha^n,
    z*alpha^n, k^2, k^2*alpha, z^2*alpha, k^3 on both contours, a numeric
@@ -103,6 +103,7 @@ class ClimReport:
     removed_eigen: tuple
     p_power: int
     residual_flatness: float
+    """How far the path is from the model the value is read from (see ``clim``)."""
 
     def __post_init__(self):
         if self.p_power < 0:
@@ -264,12 +265,20 @@ def _clim_profile(
     The path is streamed in two passes over chunks of ``_CHUNK_PERIODS``
     whole periods, and every sample read from the source is checked to be
     finite.  Pass one keeps the quarter rows for the fit, so the value does
-    not depend on the chunk length.  Pass two walks the whole path: it
-    reuses the kept rows, reads the middle half and the trailing partial
-    period, predicts each chunk from the profiles by Horner's rule in z, and
-    carries the trapezoid integral of f - prediction across chunks.  Only the
-    last 10% of the averaged residual is kept, with max|f|, for the flatness
-    guard, so the memory is the quarter rows plus that tail.
+    not depend on the chunk length.  Pass two checks the fit on the whole
+    path: it reuses the kept rows, reads the middle half and the trailing
+    partial period (row p = nfull), and predicts each chunk from the profiles
+    by Horner's rule in z.  With the fit's weights w_p = (1 + p)^-degree, the
+    flatness is max w_p|f - prediction| / max w_p|f| (0 for an all-zero
+    path), and the Clim is rejected unless it is at most ``flat_tol``.  Both
+    are maxima, so neither depends on the chunk length, and the memory is
+    the quarter rows plus two floats per period.
+
+    The guard bounds what the profiles miss relative to the weighted
+    samples.  Content that grows like p^degree but is no polynomial in p is
+    rejected from ``flat_tol`` of the samples upward; smaller content passes
+    and goes into the value.  Ladder samples are exact polynomials in p, so
+    on them the flatness is at rounding level.
     """
     _, alpha_b = _bin_grid(t0, dt, period, phase)
     nbin = len(alpha_b)
@@ -324,50 +333,30 @@ def _clim_profile(
             mean_w = period * np.sum(p2 / ((m + 1) * (m + 2)))
             value += sign * (s0 - sigma0) * mean_w
 
-    # Pass two: remove all profile content and average once (the trapezoid
-    # rule of average_P, carried across chunks); the residual must be flat.
+    # Pass two: predict every sample from the profiles by Horner's rule in z,
+    # and keep each row's largest residual and largest sample.
     def chunks():
-        for lo, hi, stored in (
-            (0, nq, kept[:nq]),
-            (nq, nfull - nq, None),
-            (nfull - nq, nfull, kept[nq:]),
-        ):
-            for a, b in _chunk_spans(lo, hi):
-                if stored is None:
-                    yield a * nbin, periods(a, b)
-                else:
-                    yield a * nbin, stored[a - lo : b - lo]
-        yield nfull * nbin, _finite(source(nfull * nbin, n))[None, :]
+        for a, b in _chunk_spans(0, 2 * nq):
+            yield p[a:b], kept[a:b]
+        for a, b in _chunk_spans(nq, nfull - nq):
+            yield np.arange(a, b), periods(a, b)
+        yield np.array([nfull]), _finite(source(nfull * nbin, n))[None, :]
 
-    itail = int(0.9 * n)
-    tail = np.empty(n - itail, dtype=complex)
-    integral_end, last, fmax = 0j, None, 0.0
-    for i0, f in chunks():
-        i1 = i0 + f.size
-        t = t0 + dt * np.arange(i0, i1)
-        z = _geometric_z(t.reshape(f.shape), s0, sigma0, direction)
+    res, mag = np.empty(nfull + 1), np.empty(nfull + 1)
+    for pc, f in chunks():
         width = f.shape[1]
+        t = t0 + dt * (pc[:, None] * nbin + np.arange(width))
+        z = _geometric_z(t, s0, sigma0, direction)
         predicted = gam[degree, :width]
         for nn in range(degree - 1, -1, -1):
             predicted = predicted * z + gam[nn, :width]
-        r = (f - predicted).ravel()
-        fmax = max(fmax, float(np.max(np.abs(f))))
-        # the first chunk starts the integral at 0; later ones continue it
-        # from the last sample of the chunk before
-        rr = r if last is None else np.concatenate(([last], r))
-        integral = np.cumsum(
-            np.concatenate(([integral_end], 0.5 * (rr[1:] + rr[:-1]) * dt))
-        )[-len(r):]
-        integral_end, last = integral[-1], r[-1]
-        if i1 > itail:
-            j = max(i0, itail)
-            np.divide(integral[j - i0 :], t[j - i0 :], out=tail[j - itail : i1 - itail])
-    _, flat = _tail_stats(tail)
-    # The structural guard must tolerate rounding noise proportional to the
-    # raw path magnitude (which grows like T^degree); genuinely unremoved
-    # content leaves a residual many orders above this floor.  Written so
-    # that a NaN flatness fails it.
-    if not flat <= flat_tol * (1.0 + abs(value)) + 1e-12 * fmax:
+        res[pc] = np.max(np.abs(f - predicted), axis=1)
+        mag[pc] = np.max(np.abs(f), axis=1)
+    # weighted like the fit, so the late rows do not hide the early ones
+    w = (1.0 + np.arange(nfull + 1)) ** -degree
+    peak = np.max(w * mag)
+    flat = float(np.max(w * res) / peak) if peak else 0.0
+    if not flat <= flat_tol:  # False for a NaN flatness
         raise NoClimError(
             f"profile residual not flat: {flat:.3g}", residual_flatness=flat
         )
@@ -394,10 +383,13 @@ def clim(
     """Numeric generalized Cesaro limit of a sampled path.
 
     With ``period`` given (ladder symbols), the period-aware profile method
-    is used with expansion degree max_eigen.  Otherwise coefficients of z^n
-    (n = 1..max_eigen) are fitted and removed, then P is applied up to max_p
-    times until the tail of the path is flat to within
-    flat_tol * (1 + |tail mean|).
+    is used with expansion degree max_eigen, and ``max_p`` is unused.  Its
+    flatness is the largest fit residual relative to the largest sample,
+    both weighted by (1 + p)^-max_eigen, p the period index; it must be at
+    most flat_tol.  Otherwise coefficients of z^n (n = 1..max_eigen) are
+    fitted and removed, then P is applied up to max_p times until the tail
+    of the path is flat: its flatness, the largest deviation of the last 10%
+    from their mean, must be at most flat_tol * (1 + |tail mean|).
     """
     s0 = complex(s0)
     if direction not in ("lower", "upper"):

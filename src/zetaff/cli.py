@@ -7,9 +7,10 @@ Subcommands:
   critical-line  critical-line assembly of r(s0, mu) for mu in {0, -1, -2}
 
 Exit codes: 0 success; 1 tolerance failure (a result outside --tol, or a lemma
-symbol with no classical limit); 2 invalid input: a usage error, or a ZetaffError
-or OSError (an unreadable curve file, an unwritable --out, a closed stdout pipe),
-which main alone reports, as "invalid input: <reason>" and never as a traceback.
+symbol with no classical limit); 2 invalid input: a usage error, or a ZetaffError,
+OSError (an unreadable curve file, an unwritable --out, a closed stdout pipe) or
+MemoryError (a lemma path too long to fit), which main alone reports, as
+"invalid input: <reason>" and never as a traceback.
 """
 
 from __future__ import annotations
@@ -316,11 +317,11 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout pipe raises here, not at exit
         return code
-    except (OSError, ZetaffError) as exc:
+    except (MemoryError, OSError, ZetaffError) as exc:
         if isinstance(exc, BrokenPipeError):
             # the signal module docs' recipe: the flush at exit must not meet the pipe
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"invalid input: {exc}", file=sys.stderr)
+        print(f"invalid input: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INVALID
 
 

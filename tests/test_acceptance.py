@@ -120,27 +120,26 @@ def test_criterion_4_lemma_suite():
         d: LemmaParams(q=Q, sigma0=SIGMA0, tau0=TAU0, s0=S0, direction=d)
         for d in ("lower", "upper")
     }
-    start = time.perf_counter()
-    worst = 0.0
     ok = True
-    for symbol in LEMMA_SYMBOLS:
-        for d in ("lower", "upper"):
-            res = verify_lemma(symbol, params[d], 1e4 * C, C / 128.0, 5e-3)
-            ok = ok and res.passed
-            worst = max(worst, res.abs_diff)
-    elapsed = time.perf_counter() - start
-    ok = ok and elapsed <= 60.0
-    detail = f"1e4 periods worst {worst:.2e}, {elapsed:.1f}s"
-    # tighter tolerance on the longer paths (timed, but not gated)
-    start = time.perf_counter()
-    worst_long = 0.0
-    for symbol in LEMMA_SYMBOLS:
-        for d in ("lower", "upper"):
-            res = verify_lemma(symbol, params[d], 1e5 * C, C / 128.0, 5e-4)
-            ok = ok and res.passed
-            worst_long = max(worst_long, res.abs_diff)
-    detail += f"; 1e5 periods worst {worst_long:.2e}, {time.perf_counter() - start:.1f}s"
-    report("4 lemma suite", ok, detail)
+    details = []
+    # the longer paths get a tighter tolerance; only the shorter ones are timed
+    # against a gate
+    for periods, tol in (("1e4", 5e-3), ("1e5", 5e-4)):
+        start = time.perf_counter()
+        worst, flat = 0.0, 0.0
+        for symbol in LEMMA_SYMBOLS:
+            for d in ("lower", "upper"):
+                res = verify_lemma(symbol, params[d], float(periods) * C, C / 128.0, tol)
+                ok = ok and res.passed
+                worst = max(worst, res.abs_diff)
+                flat = max(flat, res.report.residual_flatness)
+        elapsed = time.perf_counter() - start
+        # the profile fit's residual is at rounding level on exact ladder samples
+        ok = ok and flat <= 1e-12 and (periods == "1e5" or elapsed <= 60.0)
+        details.append(
+            f"{periods} periods worst {worst:.2e}, flatness {flat:.2e}, {elapsed:.1f}s"
+        )
+    report("4 lemma suite", ok, "; ".join(details))
 
 
 def test_criterion_5_per_factor_cesaro_zeros():

@@ -466,7 +466,7 @@ def test_streamed_lemma_clim_equals_in_memory_clim(direction, monkeypatch):
     T_max = 200.5 * C
     p = params(direction)
     phase = TAU0 if direction == "lower" else -TAU0
-    default = {s: verify_lemma(s, p, T_max, DT, 5e-3).numeric for s in LEMMA_SYMBOLS}
+    default = {s: verify_lemma(s, p, T_max, DT, 5e-3).report for s in LEMMA_SYMBOLS}
     monkeypatch.setattr(cesaro, "_CHUNK_PERIODS", 7)
     for symbol in LEMMA_SYMBOLS:
         streamed = verify_lemma(symbol, p, T_max, DT, 5e-3)
@@ -477,25 +477,29 @@ def test_streamed_lemma_clim_equals_in_memory_clim(direction, monkeypatch):
         )
         assert streamed.numeric == in_memory.value, symbol
         assert streamed.report == in_memory, symbol
-        # the fit reads only the kept quarter rows, so the chunk length
-        # cannot change the value
-        assert streamed.numeric == default[symbol], symbol
+        # the fit reads only the kept quarter rows and the flatness is a
+        # ratio of maxima, so the chunk length changes neither
+        assert streamed.report == default[symbol], symbol
 
 
-@pytest.mark.parametrize("direction", ["lower", "upper"])
-def test_streamed_flatness_matches_in_memory_average(direction, monkeypatch):
+@pytest.mark.parametrize(
+    ("direction", "amplitude"),
+    [("lower", 1e-3), ("upper", 1e-3), ("lower", 1e-6), ("upper", 1e-6)],
+    ids=["lower", "upper", "lower-1e-06", "upper-1e-06"],
+)
+def test_streamed_flatness_matches_in_memory_average(direction, amplitude, monkeypatch):
     # e^(i sqrt T) is content no period profile removes, so the guard fails
     # and reports the flatness it measured chunk by chunk
     monkeypatch.setattr(cesaro, "_CHUNK_PERIODS", 7)
     ladder = ladder_path("k", params(direction, t0=0.5 * DT), 200.5 * C, DT)
-    f = ladder.samples + 1e-3 * np.exp(1j * np.sqrt(ladder.times))
+    f = ladder.samples + amplitude * np.exp(1j * np.sqrt(ladder.times))
     path = SampledPath(ladder.t0, DT, f)
     phase = TAU0 if direction == "lower" else -TAU0
     with pytest.raises(NoClimError) as exc:
         clim(path, S0, SIGMA0, direction, max_eigen=1, max_p=1, period=C, phase=phase)
     # in memory: per-bin fits over the quarter periods, each row weighted by
-    # (1 + p)^-degree, the prediction on every sample, and average_P of the
-    # whole residual
+    # (1 + p)^-degree, the prediction on every sample, and the largest
+    # weighted residual over the largest weighted sample
     n, nbin = len(f), round(C / DT)
     nfull = (n - 1) // nbin
     idx = np.arange(n)
@@ -503,16 +507,22 @@ def test_streamed_flatness_matches_in_memory_average(direction, monkeypatch):
     quarters = (per < nfull // 4) | ((per >= nfull - nfull // 4) & (per < nfull))
     sgn = 1.0 if direction == "lower" else -1.0
     z = (S0 - SIGMA0) - sgn * 1j * path.times
+    w = (1.0 + per) ** -1.0
     predicted = np.empty(n, dtype=complex)
     for b in range(nbin):
         col = idx % nbin == b
         m = quarters & col
-        fit = np.polyfit(z[m], f[m], 1, w=(1.0 + per[m]) ** -1.0)
+        fit = np.polyfit(z[m], f[m], 1, w=w[m])
         predicted[col] = np.polyval(fit, z[col])
-    averaged = average_P(SampledPath(path.t0, DT, f - predicted)).samples
-    tail = averaged[int(0.9 * n):]
-    flat = np.max(np.abs(tail - tail.mean()))
+    flat = np.max(w * np.abs(f - predicted)) / np.max(w * np.abs(f))
     assert exc.value.residual_flatness == pytest.approx(flat, rel=1e-6)
+
+
+def test_clim_profile_of_an_all_zero_path():
+    path = SampledPath(0.5 * DT, DT, np.zeros(round(200.5 * 128)))
+    rep = clim(path, S0, SIGMA0, "lower", max_eigen=1, max_p=1, period=C, phase=TAU0)
+    assert rep.value == 0j
+    assert rep.residual_flatness == 0.0
 
 
 @pytest.mark.parametrize("bad", [1000, 100 * 128 + 5, -1])
@@ -531,8 +541,7 @@ def test_streamed_clim_rejects_non_finite_chunk(bad):
 
 def test_streamed_lemma_clim_memory_is_bounded():
     # a path of 1.28e6 samples built in memory peaks near 49 MiB; the
-    # streamed Clim keeps the quarter rows (10 MiB) and the tail of the
-    # average (2 MiB)
+    # streamed Clim keeps the quarter rows (10 MiB)
     tracemalloc.start()
     try:
         res = verify_lemma("k3", params(), 1e4 * C, DT, 5e-3)

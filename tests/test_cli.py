@@ -220,6 +220,17 @@ def test_lemma_invalid_n_exits_before_any_path_work(monkeypatch):
         assert main(["lemma", "--symbol", "alpha_n", "--n", n]) == EXIT_INVALID
 
 
+def test_lemma_out_of_memory_exits_invalid(monkeypatch, capsys):
+    # a path too long for memory ended in a MemoryError traceback
+    def too_long(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cesaro, "verify_lemma", too_long)
+    assert main(["lemma", "--symbol", "k"]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err == "invalid input: out of memory\n"
+
+
 _MU_BOUND = st.one_of(
     st.floats(-6.0, 6.0), st.sampled_from([math.nan, math.inf, -math.inf])
 )
