@@ -102,6 +102,9 @@ class ClimReport:
     value: complex
     removed_eigen: tuple
     p_power: int
+    """The number of Cesaro means taken.  Plain mode applies P that many times.
+    Profile mode reports 1, because its value is the period mean of the
+    fitted profiles, a first Cesaro mean; it applies P no times."""
     residual_flatness: float
     """How far the path is from the model the value is read from (see ``clim``)."""
 
@@ -139,10 +142,17 @@ def _tail_stats(tail: np.ndarray):
     return mean, flat
 
 
-def _geometric_z(times: np.ndarray, s0: complex, sigma0: float, direction: str):
+def _contour_sign(direction: str) -> float:
+    """1.0 on the lower contour, -1.0 on the upper: z = (s0 - sigma0) - sign*iT."""
     if direction == "lower":
-        return (s0 - sigma0) - 1j * times
-    return (s0 - sigma0) + 1j * times
+        return 1.0
+    if direction == "upper":
+        return -1.0
+    raise InvalidInputError(f"direction must be 'lower' or 'upper', got {direction!r}")
+
+
+def _geometric_z(times: np.ndarray, s0: complex, sigma0: float, direction: str):
+    return (s0 - sigma0) - 1j * _contour_sign(direction) * times
 
 
 def _z_coefficients(coef, s, c):
@@ -205,12 +215,6 @@ def _fit_remove(f, Q, R, scale, s, c):
     return f - fitted, pz
 
 
-def _poly_mean(x, y, degree):
-    """Period mean of a profile y(x), x in [0,1], via exact polynomial quadrature."""
-    coeffs = np.polynomial.polynomial.polyfit(x, y, degree)
-    return coeffs, complex(np.sum(coeffs / (np.arange(len(coeffs)) + 1)))
-
-
 #: whole periods per chunk of the streamed profile Clim; at 128 phase bins a
 #: chunk is 32768 samples, 512 KiB per complex temporary
 _CHUNK_PERIODS = 256
@@ -259,16 +263,18 @@ def _clim_profile(
     is weighted by (1 + p)^-degree, and one double-precision solve holds the
     low-order coefficients to rounding level at any path length.  A binomial
     shift around z_b turns the p-coefficients of each column into the
-    z-monomial profiles gamma_n(b).  Ladder samples are built on the same bin
-    grid (``_bin_grid``), so down a column they are exactly polynomials in p.
+    z-monomial profiles gamma_n(b), which feed only the value: their period
+    means.  Ladder samples are built on the same bin grid (``_bin_grid``), so
+    down a column they are exactly polynomials in p.
 
     The path is streamed in two passes over chunks of ``_CHUNK_PERIODS``
     whole periods, and every sample read from the source is checked to be
     finite.  Pass one keeps the quarter rows for the fit, so the value does
     not depend on the chunk length.  Pass two checks the fit on the whole
     path: it reuses the kept rows, reads the middle half and the trailing
-    partial period (row p = nfull), and predicts each chunk from the profiles
-    by Horner's rule in z.  With the fit's weights w_p = (1 + p)^-degree, the
+    partial period (row p = nfull), and predicts each row from the fit
+    itself, by Horner's rule in the scaled period index p/scale, the basis
+    the solve was made in.  With the fit's weights w_p = (1 + p)^-degree, the
     flatness is max w_p|f - prediction| / max w_p|f| (0 for an all-zero
     path), and the Clim is rejected unless it is at most ``flat_tol``.  Both
     are maxima, so neither depends on the chunk length, and the memory is
@@ -302,39 +308,38 @@ def _clim_profile(
             out[a:b] = periods(first + a, first + b)
     # real and imaginary parts as separate columns: the Vandermonde is real
     rows = kept.view(float)
-    # the weights go into Q: weighting a copy of the rows would double the
-    # memory of the fit
-    w = ((1.0 + p) ** -degree)[:, None]
+    # one weight per row; the fit folds its rows' weights into Q, since
+    # weighting a copy of the rows would double the memory of the fit
+    w = (1.0 + np.arange(nfull + 1)) ** -degree
+    wq = w[p][:, None]
     scale = 1 << (nfull - 1).bit_length()
-    Q, R = np.linalg.qr(np.vander(p / scale, degree + 1, increasing=True) * w)
-    coef = np.linalg.solve(R, (Q * w).T @ rows)
-    coef = coef.view(complex) / (dt * nbin * scale) ** np.arange(degree + 1)[:, None]
-    sign = -1j if direction == "lower" else 1j
-    zb = (s0 - sigma0) + sign * (t0 + dt * np.arange(nbin))
+    Q, R = np.linalg.qr(np.vander(p / scale, degree + 1, increasing=True) * wq)
+    fit = np.linalg.solve(R, (Q * wq).T @ rows).view(complex)
+    coef = fit / (dt * nbin * scale) ** np.arange(degree + 1)[:, None]
+    sign = -1j * _contour_sign(direction)
+    zb = _geometric_z(t0 + dt * np.arange(nbin), s0, sigma0, direction)
     gam = _z_coefficients(coef, 1.0 / sign, zb)
 
+    # the period means of the z-monomial profiles, each by exact quadrature
+    # of a polynomial fitted over the phase alpha/period in [0, 1)
     order = np.argsort(alpha_b)
-    x = alpha_b[order] / period
-    fit_deg = min(degree + 2, 8)
+    phases = alpha_b[order] / period
+    fits = [np.polynomial.polynomial.polyfit(phases, g[order], min(degree + 2, 8)) for g in gam]
+    m = np.arange(len(fits[0]))
+    means = [complex(np.sum(c / (m + 1))) for c in fits]
+    value = means[0]
+    if degree >= 2:
+        # The zero-mean period-C content q(alpha) multiplying z^2 has Cesaro
+        # value sign*(s0-sigma0)*mean(W_q), sign = -/+i on the lower/upper
+        # contour and W_q the antiderivative of q anchored at 0.
+        p2 = fits[2].copy()
+        p2[0] -= means[2]
+        mean_w = period * np.sum(p2 / ((m + 1) * (m + 2)))
+        value += sign * (s0 - sigma0) * mean_w
 
-    _, mean0 = _poly_mean(x, gam[0][order], fit_deg)
-    value = mean0
-    removed = []
-    for nn in range(1, degree + 1):
-        coeffs, cn = _poly_mean(x, gam[nn][order], fit_deg)
-        removed.append((nn, cn))
-        if nn == 2:
-            # The zero-mean period-C content q(alpha) multiplying z^2 has
-            # Cesaro value sign*(s0-sigma0)*mean(W_q), sign = -/+i on the
-            # lower/upper contour and W_q the antiderivative of q anchored at 0.
-            p2 = coeffs.copy()
-            p2[0] -= cn
-            m = np.arange(len(p2))
-            mean_w = period * np.sum(p2 / ((m + 1) * (m + 2)))
-            value += sign * (s0 - sigma0) * mean_w
-
-    # Pass two: predict every sample from the profiles by Horner's rule in z,
-    # and keep each row's largest residual and largest sample.
+    # Pass two: predict every row from the fit by Horner's rule in the scaled
+    # period index, the basis it was solved in, and keep each row's largest
+    # residual and largest sample.
     def chunks():
         for a, b in _chunk_spans(0, 2 * nq):
             yield p[a:b], kept[a:b]
@@ -345,15 +350,13 @@ def _clim_profile(
     res, mag = np.empty(nfull + 1), np.empty(nfull + 1)
     for pc, f in chunks():
         width = f.shape[1]
-        t = t0 + dt * (pc[:, None] * nbin + np.arange(width))
-        z = _geometric_z(t, s0, sigma0, direction)
-        predicted = gam[degree, :width]
+        x = (pc / scale)[:, None]
+        predicted = fit[degree, :width]
         for nn in range(degree - 1, -1, -1):
-            predicted = predicted * z + gam[nn, :width]
+            predicted = predicted * x + fit[nn, :width]
         res[pc] = np.max(np.abs(f - predicted), axis=1)
         mag[pc] = np.max(np.abs(f), axis=1)
     # weighted like the fit, so the late rows do not hide the early ones
-    w = (1.0 + np.arange(nfull + 1)) ** -degree
     peak = np.max(w * mag)
     flat = float(np.max(w * res) / peak) if peak else 0.0
     if not flat <= flat_tol:  # False for a NaN flatness
@@ -362,7 +365,7 @@ def _clim_profile(
         )
     return ClimReport(
         value=complex(value),
-        removed_eigen=tuple(removed),
+        removed_eigen=tuple(enumerate(means))[1:],
         p_power=1,
         residual_flatness=flat,
     )
@@ -392,8 +395,7 @@ def clim(
     from their mean, must be at most flat_tol * (1 + |tail mean|).
     """
     s0 = complex(s0)
-    if direction not in ("lower", "upper"):
-        raise InvalidInputError(f"direction must be 'lower' or 'upper', got {direction!r}")
+    sign = _contour_sign(direction)
     if max_eigen < 0:
         raise InvalidInputError("max_eigen must be nonnegative")
     if max_p < 0:
@@ -421,7 +423,7 @@ def clim(
         times = path.times
         Q, R = _vandermonde_qr(times / times[-1], max_eigen)
         scale = times[-1] ** np.arange(max_eigen + 1)
-        s = 1j if direction == "lower" else -1j
+        s = 1j * sign
     flat = math.inf
     for stage in range(max_p + 1):
         if max_eigen > 0:
@@ -457,43 +459,49 @@ def lemma_closed_form(
     """Closed-form generalized Cesaro limit of a ladder symbol.
 
     Lower contour: z = (s0 - sigma0) - iT with T = C*k + tau0 + alpha;
-    upper: z~ = (s0 - sigma0) + iT~ with T~ = C*k~ - tau0 + alpha~.
+    upper: z~ = (s0 - sigma0) + iT~ with T~ = C*k~ - tau0 + alpha~.  The
+    table of the symbols other than alpha_n is built whole, so an input at
+    which any entry overflows a double (k3 grows like |s0 - r0|^3) raises
+    InvalidInputError for each of them; alpha_n raises when C^n overflows.
     """
-    if direction == "lower":
-        sgn = 1.0
-    elif direction == "upper":
-        sgn = -1.0
-    else:
-        raise InvalidInputError(f"direction must be 'lower' or 'upper', got {direction!r}")
+    sgn = _contour_sign(direction)
+    if symbol not in SYMBOL_DEGREE:
+        raise InvalidInputError(f"unknown lemma symbol {symbol!r}")
+    if symbol == "alpha_n" and n < 1:
+        raise InvalidInputError("alpha_n needs n >= 1")
     a = complex(s0) - complex(r0)
     w = -sgn * 1j * a
     tt = sgn * tau0
     c = complex(s0) - sigma0
-    if symbol == "alpha_n":
-        if n < 1:
-            raise InvalidInputError("alpha_n needs n >= 1")
-        return C**n / (n + 1.0)
-    table = {
-        "k": (w - C / 2.0) / C,
-        "k2": (-a * a + sgn * 1j * C * a + C * C / 3.0) / C**2,
-        "k3": (
-            sgn * 1j * C * C * c / 4.0
-            + sgn * 1j * a**3
-            + 1.5 * C * a * a
-            - sgn * 1j * C * C * a
-            - C**3 / 4.0
+    try:
+        if symbol == "alpha_n":
+            value = C**n / (n + 1.0)
+        else:
+            value = {
+                "k": (w - C / 2.0) / C,
+                "k2": (-a * a + sgn * 1j * C * a + C * C / 3.0) / C**2,
+                "k3": (
+                    sgn * 1j * C * C * c / 4.0
+                    + sgn * 1j * a**3
+                    + 1.5 * C * a * a
+                    - sgn * 1j * C * C * a
+                    - C**3 / 4.0
+                )
+                / C**3,
+                "k_alpha": w / 2.0 - C / 3.0,
+                "k_alpha2": C * w / 3.0 - C * C / 4.0,
+                "k2_alpha": -a * a / (2.0 * C) + sgn * 7j * a / 12.0 + C / 4.0 + tt / 12.0,
+                "z_alpha": 0.0 + 0.0j,
+                "z_alpha2": 0.0 + 0.0j,
+                "z2_alpha": sgn * 1j * C * C * c / 12.0,
+            }[symbol]
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise InvalidInputError(
+            f"the closed-form table overflows a double at s0 = {s0}, r0 = {r0}, n = {n}"
         )
-        / C**3,
-        "k_alpha": w / 2.0 - C / 3.0,
-        "k_alpha2": C * w / 3.0 - C * C / 4.0,
-        "k2_alpha": -a * a / (2.0 * C) + sgn * 7j * a / 12.0 + C / 4.0 + tt / 12.0,
-        "z_alpha": 0.0 + 0.0j,
-        "z_alpha2": 0.0 + 0.0j,
-        "z2_alpha": sgn * 1j * C * C * c / 12.0,
-    }
-    if symbol not in table:
-        raise InvalidInputError(f"unknown lemma symbol {symbol!r}")
-    return complex(table[symbol])
+    return value
 
 
 @dataclass(frozen=True)
@@ -510,10 +518,7 @@ class LemmaParams:
 
     def __post_init__(self):
         vertical_spacing(self.q)  # q must be a prime power
-        if self.direction not in ("lower", "upper"):
-            raise InvalidInputError(
-                f"direction must be 'lower' or 'upper', got {self.direction!r}"
-            )
+        _contour_sign(self.direction)  # direction must name a contour
         if not (
             cmath.isfinite(complex(self.s0))
             and math.isfinite(self.sigma0)
@@ -532,7 +537,7 @@ class LemmaParams:
     @property
     def phase(self) -> float:
         """Phase of the ladder: tau0 on the lower contour, -tau0 on the upper."""
-        return self.tau0 if self.direction == "lower" else -self.tau0
+        return _contour_sign(self.direction) * self.tau0
 
 
 @dataclass(frozen=True)
@@ -622,14 +627,15 @@ def verify_lemma(
     # where rounding decides whether a bin's phase reads 0 or C.
     shifted = replace(params, t0=params.t0 + 0.5 * dt)
     n, C = _ladder_length(symbol, shifted, T_max, dt)
+    # before any path work, so a closed form that overflows fails fast
+    r0 = complex(params.sigma0, params.tau0)
+    cf = lemma_closed_form(
+        symbol, params.direction, params.n, params.s0, r0, params.sigma0, params.tau0, C
+    )
     report = _clim_profile(
         functools.partial(_ladder_block, symbol, shifted, C, dt), n, shifted.t0, dt,
         complex(params.s0), params.sigma0, params.direction, SYMBOL_DEGREE[symbol],
         C, params.phase, _FLAT_TOL,
-    )
-    r0 = complex(params.sigma0, params.tau0)
-    cf = lemma_closed_form(
-        symbol, params.direction, params.n, params.s0, r0, params.sigma0, params.tau0, C
     )
     diff = abs(report.value - cf)
     return LemmaVerification(
@@ -656,8 +662,8 @@ def _ladder_partial_limit(mu: int, a: complex, direction: str, sigma0, tau0, C):
         # c = s0 - sigma0 = a + i*tau0, so reconstruct s0 = a + r0
         return lemma_closed_form(sym, direction, 1, a + r0, r0, sigma0, tau0, C)
 
-    count = 1.0 if direction == "lower" else 0.0  # the j = 0 root is in N_+
-    sgn = 1.0 if direction == "lower" else -1.0
+    sgn = _contour_sign(direction)
+    count = 1.0 if sgn > 0 else 0.0  # the j = 0 root is in N_+
     if mu == 0:
         return L("k") + count
     if mu == -1:

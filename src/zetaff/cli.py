@@ -43,12 +43,13 @@ def parse_curve_file(path: str) -> curve_model.CurveZeta:
     Format: a header line ``q <int> genus <int>`` followed by one factor per
     line ``sigma0 tau0 nu``.  The two pole factors (nu = -1) may be listed
     but are appended automatically either way.  Any failure, an unreadable
-    file included, raises InvalidInputError starting "invalid curve: ".
+    file or one that is not UTF-8 included, raises InvalidInputError
+    starting "invalid curve: ".
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return _parse_curve(fh.readlines())
-    except (OSError, ZetaffError) as exc:
+    except (OSError, UnicodeDecodeError, ZetaffError) as exc:
         raise InvalidInputError(f"invalid curve: {exc}") from exc
 
 
@@ -248,6 +249,15 @@ def float_list(text: str) -> list:
     return [float(tok) for tok in text.split(",")]
 
 
+def tolerance(text: str) -> float:
+    """argparse type of a tolerance: a number >= 0, so not NaN, which no
+    comparison with a result can decide."""
+    value = float(text)
+    if not value >= 0.0:
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zetaff",
@@ -276,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: chosen per factor and mu by the error model)",
     )
     p.add_argument("--terms", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=tolerance, default=1e-6)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_scan_mu)
 
@@ -289,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbol", choices=cesaro.LEMMA_SYMBOLS, help="single symbol")
     p.add_argument("--n", type=int, default=1, help="power n for alpha_n")
     p.add_argument("--t-max-periods", type=float, default=1e4)
-    p.add_argument("--tol", type=float, default=5e-3)
+    p.add_argument("--tol", type=tolerance, default=5e-3)
     p.set_defaults(func=cmd_lemma)
 
     p = sub.add_parser("critical-line", help="critical-line r(s0, mu) assembly")
@@ -300,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--s0-re", type=float, default=5.1238)
     p.add_argument("--s0-im", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=tolerance, default=1e-9)
     p.add_argument(
         "--offline",
         type=float,

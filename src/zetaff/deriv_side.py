@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve_model import CurveZeta, LambdaFactor, _factor_lambda
+from .curve_model import CurveZeta, LambdaFactor, _factor_lambda, vertical_spacing
 from .errors import DivergentSeriesError, InvalidInputError, TailBudgetError
 
 
@@ -37,8 +37,9 @@ class SeriesControl:
 
     def __post_init__(self):
         n = self.n_terms
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise InvalidInputError(f"n_terms must be an integer >= 1, got {n!r}")
+        # below 2**53 every term index n is an exact double
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n < 2**53:
+            raise InvalidInputError(f"n_terms must be an integer from 1 to 2**53 - 1, got {n!r}")
         # inf turns the tail check off; NaN would too, silently
         if not self.tail_tol > 0.0:
             raise InvalidInputError(f"tail_tol must be positive, got {self.tail_tol!r}")
@@ -101,7 +102,19 @@ def _series_values(q, factors, s0, orders, ctl, check_zero_orders):
         if zero and not check_zero_orders:
             continue
         if xs is None:
-            xs = [_factor_lambda(f, q) * cmath.exp(-s0 * math.log(q)) for f in factors]
+            vertical_spacing(q)  # q must be a prime power
+            try:
+                qs = cmath.exp(-s0 * math.log(q))
+            except OverflowError:
+                # |q^(-s0)| > 1e308 >= q^-sigma0 for every sigma0 in [0, 1]
+                raise DivergentSeriesError(
+                    f"|q^(-s0)| overflows a double; need Re(s0) > sigma0, got s0 = {s0}"
+                ) from None
+            except ValueError:
+                raise InvalidInputError(
+                    f"the phase of q^(-s0) is not a finite double at s0 = {s0}"
+                ) from None
+            xs = [_factor_lambda(f, q) * qs for f in factors]
         for factor, x in zip(factors, xs):
             rho = abs(x)
             if rho >= 1.0:

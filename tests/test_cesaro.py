@@ -304,6 +304,41 @@ def test_lemma_closed_form_basic_values():
         lemma_closed_form("k", "sideways", 1, S0, 0.6 + 0.7j, SIGMA0, TAU0, C)
 
 
+def test_lemma_closed_form_that_overflows_raises():
+    # k3's a**3 raised OverflowError for every symbol, and k2's a*a is inf
+    # with no error
+    r0 = complex(SIGMA0, TAU0)
+    for symbol, s0 in (("k", 1e300), ("k3", 1e300), ("k2", 1e160), ("z2_alpha", 1e300)):
+        with pytest.raises(InvalidInputError, match="overflows"):
+            lemma_closed_form(symbol, "lower", 1, s0, r0, SIGMA0, TAU0, C)
+    with pytest.raises(InvalidInputError, match="overflows"):
+        lemma_closed_form("alpha_n", "lower", 3000, S0, r0, SIGMA0, TAU0, C)
+    with pytest.raises(InvalidInputError, match="overflows"):
+        r_lambda_cesaro(LambdaFactor(SIGMA0, TAU0, 1), Q, 1e300, -2)
+    assert lemma_closed_form("k", "lower", 3000, S0, r0, SIGMA0, TAU0, C) == (
+        lemma_closed_form("k", "lower", 1, S0, r0, SIGMA0, TAU0, C)
+    )
+
+
+def test_every_direction_is_checked_by_the_contour_sign():
+    # _geometric_z and _ladder_partial_limit took any name but "lower" for
+    # the upper contour
+    message = "direction must be 'lower' or 'upper', got 'sideways'"
+    path = ladder_path("k", params(), 100 * C, DT)
+    a = complex(S0) - complex(SIGMA0, TAU0)
+    for call in (
+        lambda: cesaro._contour_sign("sideways"),
+        lambda: cesaro._geometric_z(np.zeros(2), S0, SIGMA0, "sideways"),
+        lambda: _ladder_partial_limit(0, a, "sideways", SIGMA0, TAU0, C),
+        lambda: lemma_closed_form("k", "sideways", 1, S0, 0.6 + 0.7j, SIGMA0, TAU0, C),
+        lambda: params(direction="sideways"),
+        lambda: clim(path, S0, SIGMA0, "sideways", max_eigen=1, max_p=1, period=C),
+    ):
+        with pytest.raises(InvalidInputError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_lemma_closed_form_conjugate_directions():
     # with tau0 = 0 and real s0 the two contours are complex conjugates
     r0 = complex(SIGMA0, 0.0)

@@ -243,17 +243,25 @@ _MU_BOUND = st.one_of(
     mu_max=st.one_of(st.none(), _MU_BOUND),
     mu_step=st.sampled_from(["0.25", "0.5", "1.0", "nan", "0"]),
     io_fault=st.sampled_from([None, "curve", "out"]),
+    q=st.one_of(st.sampled_from([25, 2, 4, 49]), st.integers(-5, 64)),
+    s0_re=st.one_of(st.just(5.1238), st.floats(-2000.0, 10.0)),
+    # no more than 200 terms, or too many to accept: no example asks for a
+    # large array
+    terms=st.one_of(st.integers(1, 200), st.integers(2**53, 10**20)),
 )
 @settings(max_examples=40, deadline=None)
-def test_scan_mu_exit_code_contract(k, mu_min, span, mu_max, mu_step, io_fault):
+def test_scan_mu_exit_code_contract(k, mu_min, span, mu_max, mu_step, io_fault, q, s0_re,
+                                    terms):
     # scan-mu exits 0, 1 or 2 and never escapes with a traceback, whatever
-    # the truncation, the mu bounds, and whether its files can be opened
+    # the field, s0, the truncations, the mu bounds, and whether its files
+    # can be opened
     if mu_max is None:
         mu_max = mu_min + span
     missing = os.path.join(os.devnull, "missing")  # no file can be below a device
     # "--opt=value", so that argparse reads "-inf" and "-1e-05" as values
     argv = ["scan-mu", f"--mu-min={mu_min!r}", f"--mu-max={mu_max!r}",
-            f"--mu-step={mu_step}", f"--out={missing if io_fault == 'out' else os.devnull}"]
+            f"--mu-step={mu_step}", f"--out={missing if io_fault == 'out' else os.devnull}",
+            f"--q={q}", f"--s0-re={s0_re!r}", f"--terms={terms}"]
     if io_fault == "curve":
         argv.append(f"--curve={missing}")
     if k is not None:
@@ -277,17 +285,43 @@ def test_scan_mu_exit_code_contract(k, mu_min, span, mu_max, mu_step, io_fault):
         ["critical-line", "--q", "1"],
         ["scan-mu", "--terms", "0"],
         ["scan-mu", "--terms", "-3"],
+        ["scan-mu", "--q", "0"],
+        ["scan-mu", "--s0-re=-1000"],
+        ["scan-mu", "--s0-im", "1e308"],
+        ["scan-mu", "--terms", "100000000000000000000"],
+        ["lemma", "--symbol", "k", "--s0-re", "1e300"],
+        ["check-curve", "--curve", "{not_utf8}"],
+        ["scan-mu", "--curve", "{not_utf8}"],
     ],
 )
 def test_every_failure_is_reported_by_main(argv, tmp_path, capsys):
     # scan-mu's missing --curve and --out escaped as FileNotFoundError,
     # check-curve printed "invalid curve: ", and the rest printed "error: "
-    # from outside the per-command handlers
+    # from outside the per-command handlers; q <= 0, an Re(s0) whose q^(-s0)
+    # overflows, 10^20 terms, a lemma closed form that overflows and a curve
+    # file that is not UTF-8 ended in tracebacks
     missing = str(tmp_path / "no" / "such.txt")
-    assert main([arg.format(missing=missing) for arg in argv]) == EXIT_INVALID
+    not_utf8 = tmp_path / "not_utf8.txt"
+    not_utf8.write_bytes(b"\xff\xfe\x00q")
+    argv = [arg.format(missing=missing, not_utf8=not_utf8) for arg in argv]
+    assert main(argv) == EXIT_INVALID
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and err.count("\n") == 1
     assert not os.path.exists(missing)
+
+
+@pytest.mark.parametrize("argv", [["scan-mu"], ["lemma"], ["critical-line", "--random"]])
+@pytest.mark.parametrize("tol", ["nan", "-1e-06"])
+def test_a_nan_or_negative_tol_is_a_usage_error(argv, tol, tmp_path, capsys):
+    # scan-mu --tol nan exited 0 whatever the rows, as worst > nan is False
+    out = tmp_path / "out.csv"
+    if argv[0] == "scan-mu":
+        argv = [*argv, "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--tol={tol}"])
+    assert exc.value.code == EXIT_INVALID
+    assert f"argument --tol: invalid tolerance value: '{tol}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_kappas_that_are_not_numbers_are_a_usage_error(capsys):

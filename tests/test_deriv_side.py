@@ -160,6 +160,19 @@ def test_divergent_series_error():
         deriv_side_factor(25, f, 0.55, 2.6)
     with pytest.raises(DivergentSeriesError):
         deriv_side_factor(25, f, 0.6, 2.6)  # |x| = 1 exactly on the ladder line
+    # q^(-s0) overflows a double: this was an OverflowError from cmath.exp
+    with pytest.raises(DivergentSeriesError):
+        deriv_side_factor(25, f, -1000.0, 2.6)
+    # Im(s0)*ln q overflows, so q^(-s0) has no phase: a ValueError from cmath.exp
+    with pytest.raises(InvalidInputError):
+        deriv_side_factor(25, f, complex(5.1238, 1e308), 2.6)
+
+
+@pytest.mark.parametrize("q", [6, 0, -4, 1])
+def test_factor_rejects_a_q_that_is_no_prime_power(q):
+    # q = 6 returned a number, and q <= 0 raised ValueError from math.log
+    with pytest.raises(InvalidInputError, match="prime power"):
+        deriv_side_factor(q, LambdaFactor(0.6, 0.7, 1), 5.0, 0.5)
 
 
 def test_tail_budget_error_reports_achieved_bound():
@@ -173,9 +186,13 @@ def test_tail_budget_error_reports_achieved_bound():
 def test_series_control_validation():
     # a NaN tail_tol turned the tail check off, and n_terms = 2.5 was accepted
     for bad in (dict(n_terms=0), dict(n_terms=2.5), dict(n_terms=True), dict(n_terms=20.0),
-                dict(tail_tol=0.0), dict(tail_tol=math.nan)):
+                dict(tail_tol=0.0), dict(tail_tol=math.nan),
+                # past 2**53 a term index is no exact double; 10**20 raised
+                # ValueError from np.arange
+                dict(n_terms=2**53), dict(n_terms=10**20)):
         with pytest.raises(InvalidInputError):
             SeriesControl(**bad)
+    assert SeriesControl(n_terms=2**53 - 1).n_terms == 2**53 - 1
     # inf turns the tail check off on purpose: the bitwise grid tests use it
     assert SeriesControl(n_terms=np.int64(5), tail_tol=math.inf).tail_tol == math.inf
 
