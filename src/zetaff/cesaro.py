@@ -135,13 +135,6 @@ def average_P(path: SampledPath) -> SampledPath:
     return SampledPath(t0=path.t0, dt=path.dt, samples=out)
 
 
-def _tail_stats(tail: np.ndarray):
-    """Mean and max absolute deviation of the tail of a path."""
-    mean = complex(tail.mean())
-    flat = float(np.max(np.abs(tail - mean)))
-    return mean, flat
-
-
 def _contour_sign(direction: str) -> float:
     """1.0 on the lower contour, -1.0 on the upper: z = (s0 - sigma0) - sign*iT."""
     if direction == "lower":
@@ -170,57 +163,15 @@ def _z_coefficients(coef, s, c):
     return out
 
 
-def _vandermonde_qr(x, degree):
-    """Thin QR of the Vandermonde [1, x, ..., x^degree] of a long sample grid.
-
-    Gram-Schmidt on the power columns, each orthogonalised twice against the
-    ones before, which keeps Q orthonormal to rounding level for any
-    numerically full-rank Vandermonde ("twice is enough").  It needs a few
-    passes over each column; np.linalg.qr forms the same factors (up to
-    signs) about five times slower on a (128001, 2) Vandermonde.
-    """
-    Q = np.empty((len(x), degree + 1), order="F")
-    R = np.zeros((degree + 1, degree + 1))
-    power = np.ones_like(x)
-    for j in range(degree + 1):
-        if j:
-            power *= x
-        q = Q[:, j]
-        q[:] = power
-        for _ in range(2):
-            for i in range(j):
-                r = Q[:, i] @ q
-                q -= r * Q[:, i]
-                R[i, j] += r
-        R[j, j] = math.sqrt(q @ q)
-        q /= R[j, j]
-    return Q, R
-
-
-def _fit_remove(f, Q, R, scale, s, c):
-    """LSQ-fit constant coefficients of z^n (n <= degree) and remove n >= 1.
-
-    Q, R factor the Vandermonde in the scaled height T/T_max (for
-    conditioning), and the real and imaginary parts of f are fitted as two
-    real columns.  The fit is converted to z-monomial coefficients pz via
-    T = s*(z - c) (``scale`` holds T_max^n).  The fitted polynomial
-    Q Q^T f equals sum_n pz[n] z^n, so removing it and adding back pz[0]
-    removes the n >= 1 terms without forming powers of z.
-    """
-    qt_f = Q.T @ f.view(float).reshape(-1, 2)
-    coef = np.linalg.solve(R, qt_f).view(complex).ravel()
-    pz = _z_coefficients(coef / scale, s, c)
-    fitted = (Q @ qt_f).view(complex).ravel()
-    fitted -= pz[0]
-    return f - fitted, pz
-
-
 #: whole periods per chunk of the streamed profile Clim; at 128 phase bins a
 #: chunk is 32768 samples, 512 KiB per complex temporary
 _CHUNK_PERIODS = 256
 
 #: default flatness tolerance of a Clim, the one the lemma table is verified at
 _FLAT_TOL = 1e-7
+
+#: highest degree of the polynomial in the phase that a profile is fitted with
+_MAX_PHASE_DEGREE = 8
 
 
 def _chunk_spans(lo, hi):
@@ -247,7 +198,8 @@ def _bin_grid(t0, dt, period, phase):
 
 
 def _clim_profile(
-    source, n, t0, dt, s0, sigma0, direction, degree, period, phase, flat_tol
+    source, n, t0, dt, s0, sigma0, direction, degree, period, phase, flat_tol,
+    phase_degree=None,
 ):
     """Period-aware Clim: the profiles gamma_n(alpha) of f as a polynomial in z.
 
@@ -266,6 +218,14 @@ def _clim_profile(
     z-monomial profiles gamma_n(b), which feed only the value: their period
     means.  Ladder samples are built on the same bin grid (``_bin_grid``), so
     down a column they are exactly polynomials in p.
+
+    Each period mean is the exact integral of a polynomial in the phase,
+    fitted over the bins at ``phase_degree`` (by default min(degree + 2, 8),
+    which covers every ladder symbol but alpha_n, whose profile alpha^n
+    needs n).  The fit goes up to degree 8 and needs more distinct bin
+    phases than its degree, or InvalidInputError is raised before the path
+    is read; a large |phase| or t0 rounds the bin phases t0 + b*dt - phase
+    together.
 
     The path is streamed in two passes over chunks of ``_CHUNK_PERIODS``
     whole periods, and every sample read from the source is checked to be
@@ -288,6 +248,22 @@ def _clim_profile(
     """
     _, alpha_b = _bin_grid(t0, dt, period, phase)
     nbin = len(alpha_b)
+    if phase_degree is None:
+        phase_degree = min(degree + 2, _MAX_PHASE_DEGREE)
+    if phase_degree > _MAX_PHASE_DEGREE:
+        raise InvalidInputError(
+            f"the phase fit goes up to degree {_MAX_PHASE_DEGREE}, not {phase_degree} "
+            "(alpha_n needs degree n)"
+        )
+    # the fit reads the bins in phase order
+    order = np.argsort(alpha_b)
+    phases = alpha_b[order] / period
+    distinct = 1 + np.count_nonzero(np.diff(phases))
+    if distinct <= phase_degree:
+        raise InvalidInputError(
+            f"{distinct} distinct phases in {nbin} bins cannot fit a degree-{phase_degree} "
+            "phase profile: take more bins per period, or a smaller tau0 or t0"
+        )
     nfull = (n - 1) // nbin
     if nfull < 50:
         raise NoClimError(
@@ -322,10 +298,8 @@ def _clim_profile(
 
     # the period means of the z-monomial profiles, each by exact quadrature
     # of a polynomial fitted over the phase alpha/period in [0, 1)
-    order = np.argsort(alpha_b)
-    phases = alpha_b[order] / period
-    fits = [np.polynomial.polynomial.polyfit(phases, g[order], min(degree + 2, 8)) for g in gam]
-    m = np.arange(len(fits[0]))
+    fits = [np.polynomial.polynomial.polyfit(phases, g[order], phase_degree) for g in gam]
+    m = np.arange(phase_degree + 1)
     means = [complex(np.sum(c / (m + 1))) for c in fits]
     value = means[0]
     if degree >= 2:
@@ -389,10 +363,15 @@ def clim(
     is used with expansion degree max_eigen, and ``max_p`` is unused.  Its
     flatness is the largest fit residual relative to the largest sample,
     both weighted by (1 + p)^-max_eigen, p the period index; it must be at
-    most flat_tol.  Otherwise coefficients of z^n (n = 1..max_eigen) are
-    fitted and removed, then P is applied up to max_p times until the tail
-    of the path is flat: its flatness, the largest deviation of the last 10%
-    from their mean, must be at most flat_tol * (1 + |tail mean|).
+    most flat_tol.  The phase bins of a period must have more distinct
+    phases than min(max_eigen + 2, 8), the degree of the phase fit.
+
+    Otherwise (plain mode) coefficients of z^n (n = 1..max_eigen) are fitted
+    and removed, then P is applied up to max_p times until the tail of the
+    path is flat: its flatness, the largest deviation of the last 10% from
+    their mean, must be at most flat_tol * (1 + |tail mean|).  The fit is a
+    least-squares polynomial in the centred height (T - T_mid)/T_half, one
+    (max_eigen + 1)-square solve of the normal equations per stage.
     """
     s0 = complex(s0)
     sign = _contour_sign(direction)
@@ -419,17 +398,30 @@ def clim(
     f = np.ascontiguousarray(path.samples)
     removed = np.zeros(max_eigen + 1, dtype=complex)
     if max_eigen > 0:
-        # the Vandermonde is the same at every stage: factor it once
+        # the fit is in the centred height x = (T - T_mid)/T_half, with
+        # T - T_mid = i*sign*(z - c); V is the same at every stage
         times = path.times
-        Q, R = _vandermonde_qr(times / times[-1], max_eigen)
-        scale = times[-1] ** np.arange(max_eigen + 1)
-        s = 1j * sign
+        t_mid, t_half = 0.5 * (times[-1] + times[0]), 0.5 * (times[-1] - times[0])
+        V = np.vander((times - t_mid) / t_half, max_eigen + 1, increasing=True)
+        gram = V.T @ V
+        scale = t_half ** np.arange(max_eigen + 1)
+        c = (s0 - sigma0) - 1j * sign * t_mid
     flat = math.inf
     for stage in range(max_p + 1):
         if max_eigen > 0:
-            f, pz = _fit_remove(f, Q, R, scale, s, s0 - sigma0)
+            # real and imaginary parts as two real columns; the fitted
+            # polynomial is sum_n pz[n] z^n, so removing it and adding back
+            # pz[0] removes the n >= 1 terms without forming powers of z.
+            # The residual is written over the fit, so no copy outlives it.
+            coef = np.linalg.solve(gram, V.T @ f.view(float).reshape(-1, 2))
+            pz = _z_coefficients(coef.view(complex).ravel() / scale, 1j * sign, c)
+            fitted = (V @ coef).view(complex).ravel()
+            fitted -= pz[0]
+            f = np.subtract(f, fitted, out=fitted)
             removed += pz
-        mean, flat = _tail_stats(f[int(0.9 * len(f)):])
+        tail = f[int(0.9 * len(f)):]
+        mean = complex(tail.mean())
+        flat = float(np.max(np.abs(tail - mean)))
         if flat <= flat_tol * (1.0 + abs(mean)):  # False for a NaN flatness
             return ClimReport(
                 value=mean,
@@ -622,6 +614,8 @@ def verify_lemma(
 
     The value is the profile-mode ``clim`` of the ladder path, computed
     without building the path: the profile extraction streams its samples.
+    alpha_n is verified for n = 1 .. 8, the degrees the phase fit reaches;
+    a larger n raises InvalidInputError.
     """
     # Sample at step midpoints so no sample lands exactly on a ladder jump,
     # where rounding decides whether a bin's phase reads 0 or C.
@@ -636,6 +630,9 @@ def verify_lemma(
         functools.partial(_ladder_block, symbol, shifted, C, dt), n, shifted.t0, dt,
         complex(params.s0), params.sigma0, params.direction, SYMBOL_DEGREE[symbol],
         C, params.phase, _FLAT_TOL,
+        # alpha_n's profile is alpha^n; the default phase degree, 3 for a
+        # degree-1 symbol, covers every other profile
+        phase_degree=max(3, params.n) if symbol == "alpha_n" else None,
     )
     diff = abs(report.value - cf)
     return LemmaVerification(

@@ -218,35 +218,6 @@ def _error_model(a, C, mu, k, coefs):
     return truncation, rounding, kept
 
 
-def _reaches(a, C, k) -> bool:
-    """Whether the window |j| <= k reaches the rung nearest s0, C*k >= |Im a|.
-
-    Only then does the error model hold: beyond the window a tail's terms
-    first grow toward that rung, and the first omitted Bernoulli term at k
-    understates the remainder.
-    """
-    return C * k >= abs(a.imag)
-
-
-def _choose_k(a, C, mu, coefs):
-    """The candidate truncation with the smallest modelled error, and its model.
-
-    Only the candidates that reach the rung nearest s0 are scanned (the
-    largest if none does).  The truncation part falls with k and the
-    rounding part grows, so the modelled error falls and then rises; the
-    scan takes the candidates in increasing order and stops at the first
-    that does no better than the one before.
-    """
-    best_k, best = None, None
-    first = next((i for i, k in enumerate(_K_CANDIDATES) if _reaches(a, C, k)), -1)
-    for k in _K_CANDIDATES[first:]:
-        model = _error_model(a, C, mu, k, coefs)
-        if best is not None and model[0] + model[1] >= best[0] + best[1]:
-            break
-        best_k, best = k, model
-    return best_k, best
-
-
 def _check_em_order(s0, mu, k) -> None:
     """Raise for an order, truncation or point root_side_em cannot handle."""
     _require_finite(s0, mu)
@@ -264,22 +235,40 @@ def _check_em_order(s0, mu, k) -> None:
 
 
 def _em_model(a, C, mu, k, coefs, s0):
-    """(k, truncation, rounding, kept): the given k, or the error model's choice."""
+    """(k, truncation, rounding, kept): the given k, or the error model's choice.
+
+    The truncation part falls with k and the rounding part grows, so the
+    modelled error falls and then rises; the scan takes the candidates in
+    increasing order and stops at the first that does no better than the
+    one before.  An explicit k is a scan of that one candidate.
+    """
+    # The error model holds only where the window |j| <= k reaches the rung
+    # nearest s0, C*k >= |Im a|: beyond it a tail's terms first grow toward
+    # that rung, and the first omitted Bernoulli term at k understates the
+    # remainder.  So an explicit k must reach that rung, and the default
+    # scan starts at the first candidate that does (the largest if none does).
+    if k is None:
+        first = next((i for i, c in enumerate(_K_CANDIDATES) if C * c >= abs(a.imag)), -1)
+        candidates = _K_CANDIDATES[first:]
+    else:
+        k = int(k)
+        if not C * k >= abs(a.imag):
+            raise InvalidInputError(
+                f"k = {k} misses the rung nearest s0 = {s0}: C*k < |Im(s0 - r0)|"
+            )
+        candidates = (k,)
+    best = None
     try:
-        if k is None:
-            k, (truncation, rounding, kept) = _choose_k(a, C, mu, coefs)
-        else:
-            k = int(k)
-            if not _reaches(a, C, k):
-                raise InvalidInputError(
-                    f"k = {k} misses the rung nearest s0 = {s0}: C*k < |Im(s0 - r0)|"
-                )
+        for k in candidates:
             truncation, rounding, kept = _error_model(a, C, mu, k, coefs)
+            if best is not None and truncation + rounding >= best[1] + best[2]:
+                break
+            best = k, truncation, rounding, kept
     except OverflowError:
         raise InvalidInputError(
             f"root-side terms overflow a double at mu = {mu}, s0 = {s0}"
         ) from None
-    return k, truncation, rounding, kept
+    return best
 
 
 def _continued(a, C, mu, coefs, pref, S, k, truncation, rounding, kept) -> RegularizedSum:

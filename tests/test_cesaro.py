@@ -385,6 +385,44 @@ def test_lemma_other_configuration():
         assert res.passed, f"{symbol}: diff {res.abs_diff}"
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("direction", ["lower", "upper"])
+def test_lemma_alpha_n_at_high_powers(n, direction):
+    # the profile of alpha_n is alpha^n, so the phase fit must reach degree n
+    res = verify_lemma("alpha_n", replace(params(direction), n=n), 1e3 * C, DT, 5e-3)
+    assert res.abs_diff <= 1e-12, res.abs_diff
+
+
+def test_lemma_alpha_n_beyond_the_phase_fit_is_rejected(capsys):
+    with pytest.raises(InvalidInputError):
+        verify_lemma("alpha_n", replace(params(), n=9), 1e3 * C, DT, 5e-3)
+    argv = ["lemma", "--symbol", "alpha_n", "--n", "10", "--t-max-periods", "1000"]
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("invalid input:")
+
+
+def test_lemma_rejects_too_few_phase_bins():
+    # k is fitted at phase degree 3, so it needs at least four bins
+    for nbin in (2, 3):
+        with pytest.raises(InvalidInputError):
+            verify_lemma("k", params(), 1e3 * C, C / nbin, 5e-3)
+    assert verify_lemma("k", params(), 1e3 * C, C / 4, 5e-3).abs_diff <= 1e-12
+    path = ladder_path("k", params(t0=C / 6), 100 * C, C / 3)
+    with pytest.raises(InvalidInputError):
+        clim(path, S0, SIGMA0, "lower", max_eigen=1, max_p=1, period=C, phase=TAU0)
+
+
+def test_lemma_rejects_colliding_phase_bins(capsys):
+    # at tau0 = 1e16 the bin phases t0 + b*dt - tau0 round to two values
+    assert main(["lemma", "--tau0", "1e16", "--t-max-periods", "100"]) == EXIT_INVALID
+    assert "distinct phases" in capsys.readouterr().err
+    # at tau0 = 1e12 they are still distinct, and the table holds to rounding
+    for symbol in LEMMA_SYMBOLS:
+        for direction in ("lower", "upper"):
+            res = verify_lemma(symbol, params(direction, tau0=1e12), 1e3 * C, DT, 5e-3)
+            assert res.abs_diff <= 1e-12 * (1.0 + abs(res.closed_form)), (symbol, direction)
+
+
 def test_ladder_path_validation(capsys):
     with pytest.raises(InvalidInputError):
         ladder_path("k4", params(), 100 * C, DT)
@@ -876,16 +914,6 @@ def test_counting_clims_numeric():
             max_eigen=1, max_p=2, flat_tol=1e-2,
         )
         assert abs(rep.value - (-1j * b * s1_av(cf))) <= 5e-3
-
-
-@pytest.mark.parametrize("degree", [1, 3, 8])
-def test_vandermonde_qr_is_orthonormal(degree):
-    # one Gram-Schmidt pass loses orthogonality to 7.5e-12 at degree 8
-    x = np.arange(128001) / 128000.0
-    Q, R = cesaro._vandermonde_qr(x, degree)
-    assert np.abs(Q.T @ Q - np.eye(degree + 1)).max() <= 1e-14
-    assert np.allclose(Q @ R, np.vander(x, degree + 1, increasing=True), rtol=0, atol=1e-14)
-    assert np.array_equal(R, np.triu(R)) and np.all(np.diag(R) > 0)
 
 
 def _reference_plain_clim(path, s0, sigma0, direction, max_eigen, max_p, flat_tol):
