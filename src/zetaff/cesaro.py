@@ -399,13 +399,14 @@ def clim(
     removed = np.zeros(max_eigen + 1, dtype=complex)
     if max_eigen > 0:
         # the fit is in the centred height x = (T - T_mid)/T_half, with
-        # T - T_mid = i*sign*(z - c); V is the same at every stage
+        # T - T_mid = i*sign*(z - c) and c = z(T_mid); V is the same at
+        # every stage
         times = path.times
         t_mid, t_half = 0.5 * (times[-1] + times[0]), 0.5 * (times[-1] - times[0])
         V = np.vander((times - t_mid) / t_half, max_eigen + 1, increasing=True)
         gram = V.T @ V
         scale = t_half ** np.arange(max_eigen + 1)
-        c = (s0 - sigma0) - 1j * sign * t_mid
+        c = _geometric_z(t_mid, s0, sigma0, direction)
     flat = math.inf
     for stage in range(max_p + 1):
         if max_eigen > 0:
