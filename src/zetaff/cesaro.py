@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curve_model import vertical_spacing
+from .curve_model import _check_conjugation, vertical_spacing
 from .deriv_side import _require_finite
 from .errors import (
     InvalidInputError,
@@ -48,22 +48,26 @@ from .errors import (
 
 _PAIR_TOL = 1e-12
 
-#: expansion degree in z of each ladder symbol, fixed by the proof chain
-#: k -> k*alpha^n -> z*alpha^n -> k^2 -> k^2*alpha^n -> z^2*alpha^n -> k^3
-SYMBOL_DEGREE = {
-    "alpha_n": 1,
-    "k": 1,
-    "k_alpha": 1,
-    "k_alpha2": 1,
-    "z_alpha": 1,
-    "z_alpha2": 1,
-    "k2": 2,
-    "k2_alpha": 2,
-    "z2_alpha": 2,
-    "k3": 3,
+#: each ladder symbol: its expansion degree in z, fixed by the proof chain
+#: k -> k*alpha^n -> z*alpha^n -> k^2 -> k^2*alpha^n -> z^2*alpha^n -> k^3,
+#: and its samples from k, alpha, z and the power n (z is None for the
+#: symbols that do not use it)
+_LADDER_SYMBOLS = {
+    "alpha_n": (1, lambda k, alpha, z, n: alpha**n),
+    "k": (1, lambda k, alpha, z, n: k),
+    "k_alpha": (1, lambda k, alpha, z, n: k * alpha),
+    "k_alpha2": (1, lambda k, alpha, z, n: k * alpha**2),
+    "z_alpha": (1, lambda k, alpha, z, n: z * alpha),
+    "z_alpha2": (1, lambda k, alpha, z, n: z * alpha**2),
+    "k2": (2, lambda k, alpha, z, n: k**2),
+    "k2_alpha": (2, lambda k, alpha, z, n: k**2 * alpha),
+    "z2_alpha": (2, lambda k, alpha, z, n: z**2 * alpha),
+    "k3": (3, lambda k, alpha, z, n: k * k * k),
 }
 
-LEMMA_SYMBOLS = tuple(SYMBOL_DEGREE)
+SYMBOL_DEGREE = {symbol: degree for symbol, (degree, _) in _LADDER_SYMBOLS.items()}
+
+LEMMA_SYMBOLS = tuple(_LADDER_SYMBOLS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -544,22 +548,6 @@ class LemmaVerification:
     report: ClimReport
 
 
-#: each ladder symbol from k, alpha, z and the power n; z is None for the
-#: symbols that do not use it
-_LADDER_EXPR = {
-    "alpha_n": lambda k, alpha, z, n: alpha**n,
-    "k": lambda k, alpha, z, n: k,
-    "k2": lambda k, alpha, z, n: k**2,
-    "k3": lambda k, alpha, z, n: k * k * k,
-    "k_alpha": lambda k, alpha, z, n: k * alpha,
-    "k_alpha2": lambda k, alpha, z, n: k * alpha**2,
-    "k2_alpha": lambda k, alpha, z, n: k**2 * alpha,
-    "z_alpha": lambda k, alpha, z, n: z * alpha,
-    "z_alpha2": lambda k, alpha, z, n: z * alpha**2,
-    "z2_alpha": lambda k, alpha, z, n: z**2 * alpha,
-}
-
-
 def _sample_count(T_max: float, t0: float, dt: float) -> int:
     """Number of heights t0 + i*dt <= T_max: at least 2, and below 2**53, past
     which neither the index i nor a ladder index k = p + k_b is an exact double."""
@@ -575,7 +563,7 @@ def _sample_count(T_max: float, t0: float, dt: float) -> int:
 
 def _ladder_length(symbol: str, params: LemmaParams, T_max: float, dt: float):
     """Validate a ladder path request; return its number of samples and period."""
-    if symbol not in _LADDER_EXPR:
+    if symbol not in _LADDER_SYMBOLS:
         raise InvalidInputError(f"unknown lemma symbol {symbol!r}")
     n = _sample_count(T_max, params.t0, dt)
     C = vertical_spacing(params.q)
@@ -597,7 +585,8 @@ def _ladder_block(symbol: str, params: LemmaParams, C: float, dt: float, i0: int
     if symbol.startswith("z"):
         T = params.t0 + dt * np.arange(i0, i1)
         z = _geometric_z(T, complex(params.s0), params.sigma0, params.direction)
-    return _LADDER_EXPR[symbol](p + k_b[b], alpha_b[b], z, params.n).astype(complex)
+    expr = _LADDER_SYMBOLS[symbol][1]
+    return expr(p + k_b[b], alpha_b[b], z, params.n).astype(complex)
 
 
 def ladder_path(symbol: str, params: LemmaParams, T_max: float, dt: float) -> SampledPath:
@@ -616,7 +605,9 @@ def verify_lemma(
     The value is the profile-mode ``clim`` of the ladder path, computed
     without building the path: the profile extraction streams its samples.
     alpha_n is verified for n = 1 .. 8, the degrees the phase fit reaches;
-    a larger n raises InvalidInputError.
+    a larger n raises InvalidInputError.  A symbol passes when abs_diff <=
+    tol * (1 + |closed form|): the closed forms of k, k2, k2_alpha and k3
+    grow like tau0, tau0^2 and tau0^3, and the rounding of the value with them.
     """
     # Sample at step midpoints so no sample lands exactly on a ladder jump,
     # where rounding decides whether a bin's phase reads 0 or C.
@@ -642,7 +633,7 @@ def verify_lemma(
         closed_form=cf,
         numeric=report.value,
         abs_diff=diff,
-        passed=diff <= tol,
+        passed=diff <= tol * (1.0 + abs(cf)),
         report=report,
     )
 
@@ -714,7 +705,9 @@ def make_counting(g: int, C: float, kappas) -> CountingFunction:
     """Validate and build a CountingFunction.
 
     kappas are the base-root imaginary parts in (0, C) on the critical line;
-    the multiset must be symmetric under kappa -> C - kappa.
+    the multiset must be symmetric under kappa -> C - kappa, that is the
+    roots 1/2 + i*kappa closed under conjugation, checked as ``make_curve``
+    checks it.
     """
     if g < 1:
         raise InvalidInputError(f"genus must be >= 1, got {g}")
@@ -730,15 +723,7 @@ def make_counting(g: int, C: float, kappas) -> CountingFunction:
     for k in kappas:
         if not _PAIR_TOL < k < C - _PAIR_TOL:
             raise ValidationError(f"kappa = {k} must lie strictly inside (0, {C})")
-    pool = list(kappas)
-    for k in kappas:
-        target = C - k
-        for i, other in enumerate(pool):
-            if abs(other - target) <= _PAIR_TOL:
-                pool.pop(i)
-                break
-        else:
-            raise ValidationError(f"kappa = {k} has no conjugate partner {target}")
+    _check_conjugation([(0.5, k) for k in kappas], C)
     return CountingFunction(C=float(C), g=int(g), kappas=tuple(kappas))
 
 

@@ -266,50 +266,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # options shared between subcommands, each with its one default
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--q", type=int, default=25)
+    point.add_argument("--s0-re", type=float, default=5.1238)
+    point.add_argument("--s0-im", type=float, default=0.0)
+    factor = argparse.ArgumentParser(add_help=False)
+    factor.add_argument("--sigma0", type=float, default=0.6)
+    factor.add_argument("--tau0", type=float, default=3.0 * math.pi / 4.0)
+
     p = sub.add_parser("check-curve", help="validate a curve description file")
     p.add_argument("--curve", required=True, help="curve description file")
     p.set_defaults(func=cmd_check_curve)
 
-    p = sub.add_parser("scan-mu", help="scan the identity residual over a mu grid")
+    p = sub.add_parser("scan-mu", parents=[point, factor],
+                       help="scan the identity residual over a mu grid")
     p.add_argument("--curve", help="curve description file (else inline factor)")
-    p.add_argument("--q", type=int, default=25)
-    p.add_argument("--sigma0", type=float, default=0.6)
-    p.add_argument("--tau0", type=float, default=3.0 * math.pi / 4.0)
-    p.add_argument("--s0-re", type=float, default=5.1238)
-    p.add_argument("--s0-im", type=float, default=0.0)
     p.add_argument("--mu-min", type=float, default=-1.45)
     p.add_argument("--mu-max", type=float, default=2.55)
     p.add_argument("--mu-step", type=float, default=0.1)
     p.add_argument(
         "--k", type=int, default=None,
         help="root-side truncation, with C*k >= |Im(s0 - r0)| for every factor "
-        "(default: chosen per factor and mu by the error model)",
+        "(default: chosen per factor and mu by the error model among the k <= 1000 "
+        "that meet this bound; the scan fails if none does)",
     )
     p.add_argument("--terms", type=int, default=20)
     p.add_argument("--tol", type=tolerance, default=1e-6)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_scan_mu)
 
-    p = sub.add_parser("lemma", help="verify the Cesaro closed-form table")
-    p.add_argument("--q", type=int, default=25)
-    p.add_argument("--sigma0", type=float, default=0.6)
-    p.add_argument("--tau0", type=float, default=3.0 * math.pi / 4.0)
-    p.add_argument("--s0-re", type=float, default=5.1238)
-    p.add_argument("--s0-im", type=float, default=0.0)
+    p = sub.add_parser("lemma", parents=[point, factor],
+                       help="verify the Cesaro closed-form table")
     p.add_argument("--symbol", choices=cesaro.LEMMA_SYMBOLS, help="single symbol")
     p.add_argument("--n", type=int, default=1, help="power n for alpha_n")
     p.add_argument("--t-max-periods", type=float, default=1e4)
-    p.add_argument("--tol", type=tolerance, default=5e-3)
+    p.add_argument(
+        "--tol", type=tolerance, default=5e-3,
+        help="a symbol passes when |numeric - closed form| <= tol * (1 + |closed form|)",
+    )
     p.set_defaults(func=cmd_lemma)
 
-    p = sub.add_parser("critical-line", help="critical-line r(s0, mu) assembly")
-    p.add_argument("--q", type=int, default=25)
+    p = sub.add_parser("critical-line", parents=[point],
+                       help="critical-line r(s0, mu) assembly")
     p.add_argument("--g", type=int, default=1)
     p.add_argument("--kappas", type=float_list, help="comma-separated step positions in (0, C)")
     p.add_argument("--random", action="store_true", help="random symmetric kappas")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--s0-re", type=float, default=5.1238)
-    p.add_argument("--s0-im", type=float, default=0.0)
     p.add_argument("--tol", type=tolerance, default=1e-9)
     p.add_argument(
         "--offline",

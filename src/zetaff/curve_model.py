@@ -117,6 +117,11 @@ def _check_closure(base, C, map_pair, label):
             )
 
 
+def _check_conjugation(base, C):
+    """Check that (sigma0, tau0) pairs are closed under conjugation of lambda."""
+    _check_closure(base, C, lambda s, t: (s, (C - t) % C), "conjugation")
+
+
 def make_curve(q, genus, base_roots) -> CurveZeta:
     """Build and validate a CurveZeta from 2*genus (sigma0, tau0) pairs.
 
@@ -140,7 +145,7 @@ def make_curve(q, genus, base_roots) -> CurveZeta:
         norm.append((float(s), float(t) % C))
 
     _check_closure(norm, C, lambda s, t: (1.0 - s, (C - t) % C), "q/lambda")
-    _check_closure(norm, C, lambda s, t: (s, (C - t) % C), "conjugation")
+    _check_conjugation(norm, C)
 
     factors = tuple(LambdaFactor(s, t, 1) for s, t in norm) + (
         LambdaFactor(0.0, 0.0, -1),

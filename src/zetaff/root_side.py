@@ -171,9 +171,10 @@ def _abs_sum_bound(a, C, mu, k):
     and x + |t_j|.  For p >= 0 the terms (x + |t|)^p form a valley in t, so
     their grid sum is at most the integral over [t_k, t_-k] divided by C
     plus the two end values.  For p < 0 the terms peak at the nearest rung
-    j0; every other rung has |t_j| >= C*(|j - j0| - 1/2), so the rest is at
-    most twice a decreasing sum of max(x, u)^p, bounded by its first term
-    plus an integral.
+    j0, which the window reaches (C*k >= |Im a|, see ``_em_model``); every
+    other rung has |t_j| >= C*(|j - j0| - 1/2), so the rest is at most twice
+    a decreasing sum of max(x, u)^p, bounded by its first term plus an
+    integral.
     """
     p = -mu
     x = abs(a.real)
@@ -184,7 +185,7 @@ def _abs_sum_bound(a, C, mu, k):
 
         span = F(-lo) + F(hi) if lo < 0.0 < hi else abs(F(abs(hi)) - F(abs(lo)))
         return span / C + (x + abs(lo)) ** p + (x + abs(hi)) ** p
-    j0 = min(max(round(a.imag / C), -k), k)
+    j0 = round(a.imag / C)
     rmin = abs(a - 1j * C * j0)
     u0, u1 = C / 2.0, C * (2 * k + 1)
     x0 = max(x, u0)
@@ -245,18 +246,14 @@ def _em_model(a, C, mu, k, coefs, s0):
     # The error model holds only where the window |j| <= k reaches the rung
     # nearest s0, C*k >= |Im a|: beyond it a tail's terms first grow toward
     # that rung, and the first omitted Bernoulli term at k understates the
-    # remainder.  So an explicit k must reach that rung, and the default
-    # scan starts at the first candidate that does (the largest if none does).
-    if k is None:
-        first = next((i for i, c in enumerate(_K_CANDIDATES) if C * c >= abs(a.imag)), -1)
-        candidates = _K_CANDIDATES[first:]
-    else:
-        k = int(k)
-        if not C * k >= abs(a.imag):
-            raise InvalidInputError(
-                f"k = {k} misses the rung nearest s0 = {s0}: C*k < |Im(s0 - r0)|"
-            )
-        candidates = (k,)
+    # remainder.  So only the given k, or the candidates, that reach it are
+    # scanned, and if none does the call raises.
+    given = _K_CANDIDATES if k is None else (int(k),)
+    candidates = [c for c in given if C * c >= abs(a.imag)]
+    if not candidates:
+        raise InvalidInputError(
+            f"k = {given[-1]} misses the rung nearest s0 = {s0}: C*k < |Im(s0 - r0)|"
+        )
     best = None
     try:
         for k in candidates:
@@ -294,6 +291,10 @@ def _continued(a, C, mu, coefs, pref, S, k, truncation, rounding, kept) -> Regul
         corrections.append((label, pref * term))
         em *= sm
         ep *= sp
+    if not cmath.isfinite(rest):
+        # Python raises no OverflowError for w**(-mu) at an integer mu: it
+        # multiplies out w**|mu|, whose overflow leaves a NaN
+        raise InvalidInputError(f"root-side terms overflow a double at mu = {mu}, k = {k}")
     return RegularizedSum(
         value=pref * rest,
         k_used=k,
@@ -350,11 +351,12 @@ def root_side_em(factor: LambdaFactor, q, s0, mu, k=None):
 
     Subtracts the boundary power, the half-term and the Bernoulli terms
     B2 .. B16 (while their bounds shrink) from the symmetric truncation at k;
-    valid for -5 < mu, mu != 1.  With k None, k is the candidate in
-    _K_CANDIDATES with the smallest modelled error, truncation plus rounding
-    (see RegularizedSum), among those whose window reaches the rung nearest
-    s0, chosen per order.  An explicit k >= 1 is used as given if it reaches
-    that rung, C*k >= |Im(s0 - r0)|, and raises InvalidInputError if not.
+    valid for -5 < mu, mu != 1.  The window |j| <= k must reach the rung
+    nearest s0, C*k >= |Im(s0 - r0)|.  An explicit k >= 1 that does is used
+    as given.  With k None, k is the candidate in _K_CANDIDATES that does
+    with the smallest modelled error, truncation plus rounding (see
+    RegularizedSum), chosen per order.  Either way InvalidInputError is
+    raised when no k reaches the rung: for k None, when C*1000 < |Im(s0 - r0)|.
     mu is one order, giving a RegularizedSum, or a 1-d grid of orders,
     giving a list with one per order: the grid shares the kernel's ladder
     geometry across the orders and gives each order's result bit for bit.

@@ -33,6 +33,9 @@ from zetaff.cli import (
 
 C25 = vertical_spacing(25)
 
+#: the package source, put on the PYTHONPATH of every child interpreter
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 VALID_CURVE = """\
 # genus-2 curve over F_25
 q 25 genus 2
@@ -85,6 +88,21 @@ def test_check_curve_invalid_inputs(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing here\n")
     assert main(["check-curve", "--curve", str(empty)]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("q x genus 1\n", 1),  # header fields that are not integers
+    ("q 25 genus 1\n0.5 1\n", 2),  # a factor line with two fields
+    ("q 25 genus 1\n0.5 abc 1\n", 2),  # a factor field that is not a number
+    ("# comment\nq 25 genus 1\n0.5 0.3 2\n", 3),  # nu = 2
+])
+def test_check_curve_reports_the_bad_line(text, lineno, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["check-curve", "--curve", str(path)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: invalid curve: line {lineno}: ")
+    assert err.count("\n") == 1
 
 
 def scan_args(tmp_path, name, extra=()):
@@ -183,6 +201,11 @@ def test_scan_mu_error_exits(tmp_path, capsys):
     args, _ = scan_args(tmp_path, "u.csv", ["--q", "3", "--s0-im", "30", "--k", "4"])
     assert main(args) == EXIT_INVALID
     assert "misses the rung" in capsys.readouterr().err
+    # and the default k, when no candidate's window reaches it: C*1000 < 2000
+    args, out = scan_args(tmp_path, "w.csv", ["--s0-im", "2000"])
+    assert main(args) == EXIT_INVALID
+    assert "misses the rung" in capsys.readouterr().err
+    assert not out.exists()
     # unreachable tolerance
     args, _ = scan_args(tmp_path, "w.csv", ["--mu-min", "2.0", "--mu-max", "2.2",
                                             "--mu-step", "0.1", "--tol", "1e-20"])
@@ -335,13 +358,12 @@ def test_kappas_that_are_not_numbers_are_a_usage_error(capsys):
 def test_closed_stdout_pipe_exits_invalid_without_a_traceback():
     # the read end is closed before the child starts, so its first write to
     # stdout, or the flush main makes, meets a closed pipe every time
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "zetaff", "scan-mu"], stdout=write_end,
                               stderr=subprocess.PIPE, text=True,
-                              env={**os.environ, "PYTHONPATH": src})
+                              env={**os.environ, "PYTHONPATH": SRC})
     finally:
         os.close(write_end)
     assert proc.returncode == EXIT_INVALID
@@ -353,6 +375,15 @@ def test_lemma_single_symbol(capsys):
     assert rc == EXIT_OK
     out = capsys.readouterr().out
     assert "alpha_n" in out and "2/2 within tol" in out
+
+
+def test_lemma_verdict_is_relative_to_the_closed_form(capsys):
+    # at tau0 = 1e6 the k3 closed forms are about 1.3e17, and the numeric
+    # values a few hundred off them: 2e-15 relative, but far outside 5e-3
+    argv = ["lemma", "--symbol", "k3", "--tau0", "1e6", "--t-max-periods", "1000"]
+    assert main(argv) == EXIT_OK
+    assert "2/2 within tol 0.005" in capsys.readouterr().out
+    assert main([*argv, "--tol", "0"]) == EXIT_TOL
 
 
 def test_lemma_short_path_fails_tolerance(capsys):
@@ -399,14 +430,13 @@ def test_critical_line_invalid_inputs(capsys):
 def test_console_entry_point(curve_file):
     proc = subprocess.run(
         [sys.executable, "-m", "zetaff", "check-curve", "--curve", curve_file],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0
     assert "valid curve" in proc.stdout
 
 
 def test_import_loads_only_numpy_and_the_standard_library():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -415,6 +445,6 @@ def test_import_loads_only_numpy_and_the_standard_library():
         "print(sorted(new - set(sys.stdlib_module_names)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['numpy', 'zetaff']\n"

@@ -7,7 +7,7 @@ import sys
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetaff import (
@@ -277,6 +277,10 @@ def test_default_k_window_reaches_the_rung_nearest_s0(mu):
     assert got.k_used * C >= abs(a.imag)
     expected = cmath.exp(1j * math.pi * mu) * ladder_sum_oracle(a, C, mu)
     assert abs(got.value - expected) <= got.est_error
+    # with C*1000 < |Im(s0 - r0)| no candidate reaches the rung; k = 1000
+    # there is 95% off the derivative side at mu = -1.45
+    with pytest.raises(InvalidInputError, match="misses the rung"):
+        root_side_em(LambdaFactor(0.6, 3 * math.pi / 4, 1), 25, S0 + 2000j, mu)
 
 
 def test_explicit_k_must_reach_the_rung_nearest_s0():
@@ -287,6 +291,14 @@ def test_explicit_k_must_reach_the_rung_nearest_s0():
         root_side_em(f, q, s0, 0.5, 4)
     with pytest.raises(InvalidInputError, match="misses the rung"):
         root_side_em(f, q, s0, [2.6, 0.5], 5)
+    # the default k is held to the same rule: when no candidate reaches the
+    # rung it raises what the largest, k = 1000, raises
+    far = LambdaFactor(0.6, 3 * math.pi / 4, 1), 25, S0 + 2000j, -1.45
+    with pytest.raises(InvalidInputError) as default:
+        root_side_em(*far)
+    with pytest.raises(InvalidInputError) as largest:
+        root_side_em(*far, 1000)
+    assert str(default.value) == str(largest.value)
     # the smallest k that reaches the rung is used as given, and its bound holds
     C = vertical_spacing(q)
     a = _ladder_offset(f, C, s0)
@@ -312,6 +324,8 @@ def q_and_factor(draw):
     s0=st.builds(complex, st.floats(-3.0, 8.0), st.floats(-50.0, 50.0)),
     k=st.sampled_from([None, 1, 3, 1000]),
 )
+# w**(-mu) at an integer mu multiplies out w**mu, which overflows to a NaN
+@example(qf=(2, LambdaFactor(0.0, 0.0)), mu=79.0, s0=1 + 0j, k=1000)
 @settings(max_examples=300, deadline=None)
 def test_root_side_domain_edges_give_finite_values_or_raise(qf, mu, s0, k):
     q, f = qf
