@@ -38,12 +38,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curve_model import _check_conjugation, vertical_spacing
-from .deriv_side import _require_finite
 from .errors import (
     InvalidInputError,
     NoClimError,
     UnsupportedMuError,
     ValidationError,
+    _is_int,
+    _is_tol,
+    _require_finite,
 )
 
 _PAIR_TOL = 1e-12
@@ -183,10 +185,10 @@ def _chunk_spans(lo, hi):
     return ((a, min(a + _CHUNK_PERIODS, hi)) for a in range(lo, hi, _CHUNK_PERIODS))
 
 
-def _finite(samples):
-    if not np.isfinite(samples).all():
-        raise InvalidInputError("samples must be finite")
-    return samples
+def _finite(values, name="samples"):
+    if not np.isfinite(values).all():
+        raise InvalidInputError(f"{name} must be finite")
+    return values
 
 
 def _bin_grid(t0, dt, period, phase):
@@ -379,16 +381,15 @@ def clim(
     """
     s0 = complex(s0)
     sign = _contour_sign(direction)
-    if max_eigen < 0:
-        raise InvalidInputError("max_eigen must be nonnegative")
-    if max_p < 0:
-        raise InvalidInputError("max_p must be nonnegative")
+    if not (_is_int(max_eigen) and max_eigen >= 0):
+        raise InvalidInputError(f"max_eigen must be an integer >= 0, got {max_eigen!r}")
+    if not (_is_int(max_p) and max_p >= 0):
+        raise InvalidInputError(f"max_p must be an integer >= 0, got {max_p!r}")
+    if not _is_tol(flat_tol):
+        raise InvalidInputError(f"flat_tol must be a number >= 0, got {flat_tol!r}")
     if period is not None and not (math.isfinite(period) and period > 0.0):
         raise InvalidInputError(f"period must be finite and positive, got {period}")
-    if not (cmath.isfinite(s0) and math.isfinite(sigma0) and math.isfinite(phase)):
-        raise InvalidInputError(
-            f"s0, sigma0 and phase must be finite, got {s0}, {sigma0}, {phase}"
-        )
+    _require_finite(s0=s0, sigma0=sigma0, phase=phase)
 
     if period is not None:
         if max_eigen < 1:
@@ -516,19 +517,11 @@ class LemmaParams:
     def __post_init__(self):
         vertical_spacing(self.q)  # q must be a prime power
         _contour_sign(self.direction)  # direction must name a contour
-        if not (
-            cmath.isfinite(complex(self.s0))
-            and math.isfinite(self.sigma0)
-            and math.isfinite(self.tau0)
-        ):
-            raise InvalidInputError(
-                f"s0, sigma0 and tau0 must be finite, got {self.s0}, "
-                f"{self.sigma0}, {self.tau0}"
-            )
+        _require_finite(s0=self.s0, sigma0=self.sigma0, tau0=self.tau0)
         if not (math.isfinite(self.t0) and self.t0 >= 0.0):
             raise InvalidInputError(f"t0 must be finite and nonnegative, got {self.t0}")
         # the power of alpha_n; checked here so a bad n fails before any path work
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not (_is_int(self.n) and self.n >= 1):
             raise InvalidInputError(f"n must be an integer >= 1, got {self.n!r}")
 
     @property
@@ -609,6 +602,8 @@ def verify_lemma(
     tol * (1 + |closed form|): the closed forms of k, k2, k2_alpha and k3
     grow like tau0, tau0^2 and tau0^3, and the rounding of the value with them.
     """
+    if not _is_tol(tol):
+        raise InvalidInputError(f"tol must be a number >= 0, got {tol!r}")
     # Sample at step midpoints so no sample lands exactly on a ladder jump,
     # where rounding decides whether a bin's phase reads 0 or C.
     shifted = replace(params, t0=params.t0 + 0.5 * dt)
@@ -676,11 +671,9 @@ def r_lambda_cesaro(factor, q, s0, mu: int) -> complex:
     only after they are checked to cancel to 1e-9 * (1 + |N_+|).
     """
     s0 = complex(s0)
-    _require_finite(s0, mu)
+    _require_finite(mu=mu, s0=s0)
     if s0.real <= 1.0:
         raise InvalidInputError(f"Re(s0) must exceed 1, got {s0.real}")
-    if mu not in (0, -1, -2):
-        raise UnsupportedMuError(f"mu must be 0, -1 or -2, got {mu}")
     C = vertical_spacing(q)
     a = s0 - complex(factor.sigma0, factor.tau0)
     n_plus = _ladder_partial_limit(mu, a, "lower", factor.sigma0, factor.tau0, C)
@@ -709,8 +702,8 @@ def make_counting(g: int, C: float, kappas) -> CountingFunction:
     roots 1/2 + i*kappa closed under conjugation, checked as ``make_curve``
     checks it.
     """
-    if g < 1:
-        raise InvalidInputError(f"genus must be >= 1, got {g}")
+    if not (_is_int(g) and g >= 1):
+        raise InvalidInputError(f"genus must be an integer >= 1, got {g!r}")
     if not (math.isfinite(C) and C > 0.0):
         raise InvalidInputError(f"period must be finite and positive, got {C}")
     kappas = sorted(float(k) for k in kappas)
@@ -732,13 +725,14 @@ def _heightwise(fn):
 
     A float in gives a float out.  It is evaluated as a one-element array, so
     it rounds exactly as the same height inside a longer array would (NumPy's
-    scalar powers can round differently from its array powers).
+    scalar powers can round differently from its array powers).  A height
+    that is not finite raises InvalidInputError.
     """
 
     @functools.wraps(fn)
     def evaluator(cf: CountingFunction, T):
         T = np.asarray(T, dtype=float)
-        values = fn(cf, np.atleast_1d(T))
+        values = fn(cf, _finite(np.atleast_1d(T), "heights"))
         return float(values[0]) if T.ndim == 0 else values
 
     return evaluator
@@ -866,7 +860,7 @@ def r_critical_line(cf: CountingFunction, s0, mu: int, epsilons) -> CriticalLine
     ladder (see ``r_lambda_cesaro``).
     """
     s0 = complex(s0)
-    _require_finite(s0, mu)
+    _require_finite(mu=mu, s0=s0)
     if s0.real <= 1.0:
         raise InvalidInputError(f"Re(s0) must exceed 1, got {s0.real}")
     epsilons = [float(e) for e in epsilons]

@@ -24,6 +24,7 @@ import sys
 
 from . import cesaro, curve_model, deriv_side, root_side
 from .errors import InvalidInputError, NoClimError, ValidationError, ZetaffError
+from .errors import _is_tol, _require_finite
 
 EXIT_OK = 0
 EXIT_TOL = 1
@@ -115,10 +116,7 @@ def cmd_check_curve(args) -> int:
 
 
 def _mu_grid(mu_min: float, mu_max: float, mu_step: float):
-    if not all(math.isfinite(v) for v in (mu_min, mu_max, mu_step)):
-        raise ZetaffError(
-            f"mu grid bounds and step must be finite, got {mu_min}, {mu_max}, {mu_step}"
-        )
+    _require_finite(mu_min=mu_min, mu_max=mu_max, mu_step=mu_step)
     if mu_step <= 0.0:
         raise ZetaffError(f"mu-step must be positive, got {mu_step}")
     if mu_min > mu_max:
@@ -126,10 +124,7 @@ def _mu_grid(mu_min: float, mu_max: float, mu_step: float):
     steps = (mu_max - mu_min) / mu_step + 1e-9
     if not steps < _MAX_ORDERS:
         raise InvalidInputError(f"mu grid would hold more than {_MAX_ORDERS} orders")
-    mus = [mu_min + i * mu_step for i in range(int(math.floor(steps)) + 1)]
-    if any(abs(mu - 1.0) <= 1e-9 for mu in mus):
-        raise ZetaffError("mu grid contains the singular point mu = 1")
-    return mus
+    return [mu_min + i * mu_step for i in range(int(math.floor(steps)) + 1)]
 
 
 def cmd_scan_mu(args) -> int:
@@ -253,7 +248,7 @@ def tolerance(text: str) -> float:
     """argparse type of a tolerance: a number >= 0, so not NaN, which no
     comparison with a result can decide."""
     value = float(text)
-    if not value >= 0.0:
+    if not _is_tol(value):
         raise ValueError(text)
     return value
 

@@ -21,13 +21,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, PoleEvaluationError, ValidationError
+from .errors import _is_int, _is_tol, _require_finite
 
 _CLOSURE_TOL = 1e-12
 
 
 def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
     for p in range(2, int(math.isqrt(n)) + 1):
         if n % p == 0:
             while n % p == 0:
@@ -38,10 +37,8 @@ def _is_prime_power(n: int) -> bool:
 
 def vertical_spacing(q) -> float:
     """Return the root spacing C = 2*pi/ln q for a prime power q."""
-    if isinstance(q, bool) or not isinstance(q, int):
-        # Reject floats even when integral: q is a prime power by definition.
-        if isinstance(q, float) and q.is_integer():
-            raise InvalidInputError(f"q must be an integer prime power, got float {q!r}")
+    if not _is_int(q):
+        # a float is rejected even when integral: q is a prime power by definition
         raise InvalidInputError(f"q must be an integer prime power, got {q!r}")
     if q < 2 or not _is_prime_power(q):
         raise InvalidInputError(f"q must be a prime power >= 2, got {q}")
@@ -61,15 +58,12 @@ class LambdaFactor:
     nu: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma0) and math.isfinite(self.tau0)):
-            raise InvalidInputError(
-                f"sigma0 and tau0 must be finite, got {self.sigma0}, {self.tau0}"
-            )
+        _require_finite(sigma0=self.sigma0, tau0=self.tau0)
         if not 0.0 <= self.sigma0 <= 1.0:
             raise InvalidInputError(f"sigma0 must lie in [0, 1], got {self.sigma0}")
         if self.tau0 < 0.0:
             raise InvalidInputError(f"tau0 must be nonnegative, got {self.tau0}")
-        if self.nu not in (-1, 1):
+        if not (_is_int(self.nu) and self.nu in (-1, 1)):
             raise InvalidInputError(f"nu must be +1 or -1, got {self.nu}")
         if self.nu == -1 and not (
             self.tau0 == 0.0 and self.sigma0 in (0.0, 1.0)
@@ -131,8 +125,8 @@ def make_curve(q, genus, base_roots) -> CurveZeta:
     pole factors are appended automatically.
     """
     C = vertical_spacing(q)
-    if genus < 0:
-        raise InvalidInputError(f"genus must be nonnegative, got {genus}")
+    if not (_is_int(genus) and genus >= 0):
+        raise InvalidInputError(f"genus must be an integer >= 0, got {genus!r}")
     base_roots = list(base_roots)
     if len(base_roots) != 2 * genus:
         raise InvalidInputError(
@@ -165,7 +159,8 @@ def _factor_lambda(factor: LambdaFactor, q) -> complex:
 
 
 def eval_zeta(curve: CurveZeta, s) -> complex:
-    """Evaluate the factored zeta at s (raises at poles)."""
+    """Evaluate the factored zeta at a finite s (raises at poles)."""
+    _require_finite(s=s)
     qs = cmath.exp(-complex(s) * math.log(curve.q))
     value = 1.0 + 0.0j
     for f in curve.factors:
@@ -188,6 +183,8 @@ def check_functional_equation(curve: CurveZeta, s, tol):
     be very large, putting the attainable absolute residual far above
     tol * (1 + |zeta(s)|) at double precision.
     """
+    if not _is_tol(tol):
+        raise InvalidInputError(f"tol must be a number >= 0, got {tol!r}")
     s = complex(s)
     left = eval_zeta(curve, 1.0 - s)
     zs = eval_zeta(curve, s)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .curve_model import CurveZeta, LambdaFactor, _factor_lambda, vertical_spacing
 from .errors import DivergentSeriesError, InvalidInputError, TailBudgetError
+from .errors import _is_int, _require_finite
 
 
 @dataclass(frozen=True)
@@ -38,17 +39,11 @@ class SeriesControl:
     def __post_init__(self):
         n = self.n_terms
         # below 2**53 every term index n is an exact double
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n < 2**53:
+        if not (_is_int(n) and 1 <= n < 2**53):
             raise InvalidInputError(f"n_terms must be an integer from 1 to 2**53 - 1, got {n!r}")
         # inf turns the tail check off; NaN would too, silently
         if not self.tail_tol > 0.0:
             raise InvalidInputError(f"tail_tol must be positive, got {self.tail_tol!r}")
-
-
-def _require_finite(s0, mu) -> None:
-    """Raise InvalidInputError unless the order mu and the point s0 are finite."""
-    if not (math.isfinite(mu) and cmath.isfinite(s0)):
-        raise InvalidInputError(f"mu and s0 must be finite, got mu = {mu}, s0 = {s0}")
 
 
 def series_tail_bound(ratio: float, mu: float, n_terms: int) -> float:
@@ -60,8 +55,10 @@ def series_tail_bound(ratio: float, mu: float, n_terms: int) -> float:
     and inf when the denominator is <= 0 or a power overflows a double.  The
     term ratio t_{n+1}/t_n = r * ((n+1)/n)^(mu-1) is at most r for mu <= 1
     and falls with n for mu > 1, so the tail is dominated by a geometric
-    series from t_{N+1} with the ratio at n = N+1.
+    series from t_{N+1} with the ratio at n = N+1.  A ratio or order that is
+    not finite raises InvalidInputError.
     """
+    _require_finite(ratio=ratio, mu=mu)
     n = float(n_terms)
     try:
         denom = 1.0 - ratio * max(1.0, ((n + 2.0) / (n + 1.0)) ** (mu - 1.0))
@@ -97,7 +94,7 @@ def _series_values(q, factors, s0, orders, ctl, check_zero_orders):
     xs = None
     live, prefixes = [], []
     for i, mu in enumerate(orders):
-        _require_finite(s0, mu)
+        _require_finite(mu=mu, s0=s0)
         zero = mu <= 0.0 and mu.is_integer()
         if zero and not check_zero_orders:
             continue

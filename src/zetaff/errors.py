@@ -3,7 +3,11 @@
 All library errors derive from ZetaffError so callers can catch one type.
 Numerical routines raise specific subclasses that carry enough context to
 diagnose the failure (achieved bounds, residual flatness, offending input).
+The argument rules the modules share are stated once here as well.
 """
+
+import cmath
+import numbers
 
 
 class ZetaffError(Exception):
@@ -62,3 +66,22 @@ class NoClimError(ZetaffError):
 
 class UnsupportedMuError(ZetaffError):
     """mu outside the finite set supported by a closed-form routine."""
+
+
+def _require_finite(**named) -> None:
+    """Raise InvalidInputError, naming each argument, unless all are finite."""
+    for value in named.values():
+        if not cmath.isfinite(value):
+            got = ", ".join(f"{name} = {value}" for name, value in named.items())
+            raise InvalidInputError(f"expected finite numbers, got {got}")
+
+
+def _is_int(value) -> bool:
+    """True for an int or a NumPy integer; False for a bool or a float."""
+    # int first: the ABC check alone takes 0.7 us for an int
+    return isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool)
+
+
+def _is_tol(value) -> bool:
+    """True for a real number >= 0, so not NaN, which no comparison can decide."""
+    return isinstance(value, numbers.Real) and value >= 0.0

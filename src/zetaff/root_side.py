@@ -36,12 +36,14 @@ import numpy as np
 
 from ._kernels import power_sum_symmetric
 from .curve_model import CurveZeta, LambdaFactor, base_root, vertical_spacing
-from .deriv_side import _orders, _require_finite
+from .deriv_side import _orders
 from .errors import (
     InvalidInputError,
     OrderInsufficientError,
     RemovableSingularityError,
     WrongRegimeError,
+    _is_int,
+    _require_finite,
 )
 
 #: |B_2m| / (2m)! for m = 1 .. 9, that is B2 .. B18 (DLMF 24.2), from the
@@ -111,15 +113,16 @@ def _ladder_offset(factor: LambdaFactor, C, s0) -> complex:
 def root_side_classical(factor: LambdaFactor, q, s0, mu, k) -> complex:
     """Classically convergent root-side sum, valid for mu > 1.
 
-    Returns e^(i*pi*mu) * nu * sum_{j=-k..k} ((s0 - r0) - i*C*j)^(-mu).
+    Returns e^(i*pi*mu) * nu * sum_{j=-k..k} ((s0 - r0) - i*C*j)^(-mu), for
+    an integer k from 0 to 2**53 - 1.
     """
-    _require_finite(s0, mu)
+    _require_finite(mu=mu, s0=s0)
     if mu <= 1.0:
         raise WrongRegimeError(
             f"classical sum diverges for mu = {mu} <= 1; use root_side_em"
         )
-    if k < 0:
-        raise InvalidInputError(f"k must be nonnegative, got {k}")
+    if not (_is_int(k) and 0 <= k < 2**53):
+        raise InvalidInputError(f"k must be an integer from 0 to 2**53 - 1, got {k!r}")
     C = vertical_spacing(q)
     a = _ladder_offset(factor, C, s0)
     total = power_sum_symmetric(a, C, mu, k)
@@ -221,13 +224,13 @@ def _error_model(a, C, mu, k, coefs):
 
 def _check_em_order(s0, mu, k) -> None:
     """Raise for an order, truncation or point root_side_em cannot handle."""
-    _require_finite(s0, mu)
-    if k is not None and k < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
-    if mu == 1.0:
+    _require_finite(mu=mu, s0=s0)
+    if k is not None and not (_is_int(k) and 1 <= k < 2**53):
+        raise InvalidInputError(f"k must be an integer from 1 to 2**53 - 1, got {k!r}")
+    if abs(mu - 1.0) <= 1e-9:
         raise RemovableSingularityError(
-            "mu = 1 makes the (1-mu)^(-1) boundary term singular; "
-            "this order is not supported"
+            f"mu = {mu} lies within 1e-9 of mu = 1, where the (1-mu)^(-1) boundary "
+            "term is singular; such orders are not supported"
         )
     if mu <= -5.0:
         raise OrderInsufficientError(
@@ -351,11 +354,13 @@ def root_side_em(factor: LambdaFactor, q, s0, mu, k=None):
 
     Subtracts the boundary power, the half-term and the Bernoulli terms
     B2 .. B16 (while their bounds shrink) from the symmetric truncation at k;
-    valid for -5 < mu, mu != 1.  The window |j| <= k must reach the rung
-    nearest s0, C*k >= |Im(s0 - r0)|.  An explicit k >= 1 that does is used
-    as given.  With k None, k is the candidate in _K_CANDIDATES that does
-    with the smallest modelled error, truncation plus rounding (see
-    RegularizedSum), chosen per order.  Either way InvalidInputError is
+    valid for mu > -5 and |mu - 1| > 1e-9.  Within 1e-9 of mu = 1, where the
+    (1-mu)^(-1) boundary term is singular, RemovableSingularityError is
+    raised.  The window |j| <= k must reach the rung nearest s0,
+    C*k >= |Im(s0 - r0)|.  An explicit k, an integer from 1 to 2**53 - 1,
+    that does is used as given.  With k None, k is the candidate in
+    _K_CANDIDATES that does with the smallest modelled error, truncation
+    plus rounding (see RegularizedSum), chosen per order.  Either way InvalidInputError is
     raised when no k reaches the rung: for k None, when C*1000 < |Im(s0 - r0)|.
     mu is one order, giving a RegularizedSum, or a 1-d grid of orders,
     giving a list with one per order: the grid shares the kernel's ladder

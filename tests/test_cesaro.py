@@ -25,11 +25,14 @@ from zetaff import (
     ValidationError,
     ZetaffError,
     average_P,
+    check_functional_equation,
     clim,
     counting_path,
+    eval_zeta,
     ladder_path,
     lemma_closed_form,
     make_counting,
+    make_curve,
     q_av,
     q_eval,
     r_critical_line,
@@ -38,6 +41,7 @@ from zetaff import (
     s1_eval,
     s2_eval,
     s_eval,
+    series_tail_bound,
     verify_lemma,
     vertical_spacing,
     x_epsilon_equispaced,
@@ -144,6 +148,11 @@ def test_sampled_path_rejects_non_finite_grid(t0, dt):
 def test_clim_report_rejects_nan_flatness():
     with pytest.raises(InvalidInputError):
         ClimReport(value=0j, removed_eigen=(), p_power=0, residual_flatness=math.nan)
+
+
+def test_clim_report_rejects_negative_p_power():
+    with pytest.raises(InvalidInputError):
+        ClimReport(value=0j, removed_eigen=(), p_power=-1, residual_flatness=0.0)
 
 
 # -------------------------------------------------------------------- clim
@@ -283,6 +292,25 @@ def test_clim_input_validation():
         clim(path, S0, SIGMA0, "lower", max_eigen=1, max_p=-1)
     with pytest.raises(InvalidInputError):
         clim(path, S0, SIGMA0, "lower", max_eigen=0, max_p=1, period=C)
+    # these escaped as a bare TypeError
+    for max_eigen, max_p in ((1.5, 1), (1, 2.5), (True, 1), (1, 2.0)):
+        with pytest.raises(InvalidInputError):
+            clim(path, S0, SIGMA0, "lower", max_eigen=max_eigen, max_p=max_p)
+
+
+# a tolerance NaN passed or failed everything silently; clim raised NoClimError
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf, "1e-3", None])
+def test_tolerance_must_be_a_number_at_least_zero(tol):
+    path = ladder_path("k", params(), 100 * C, DT)
+    with pytest.raises(InvalidInputError, match="must be a number >= 0"):
+        clim(path, S0, SIGMA0, "lower", max_eigen=1, max_p=1, period=C, phase=TAU0, flat_tol=tol)
+    with pytest.raises(InvalidInputError, match="must be a number >= 0"):
+        clim(path, S0, SIGMA0, "lower", max_eigen=1, max_p=1, flat_tol=tol)
+    with pytest.raises(InvalidInputError, match="must be a number >= 0"):
+        verify_lemma("k", params(), 100 * C, DT, tol)
+    curve = make_curve(Q, 1, [(0.5, 0.3), (0.5, C - 0.3)])
+    with pytest.raises(InvalidInputError, match="must be a number >= 0"):
+        check_functional_equation(curve, 2.0, tol)
 
 
 # ------------------------------------------------------------- lemma table
@@ -684,8 +712,9 @@ def test_r_lambda_cesaro_validation():
 
 
 def test_make_counting_validation():
-    with pytest.raises(InvalidInputError):
-        make_counting(0, C, [])
+    for g in (0, True, 1.0):  # True and 1.0 were accepted
+        with pytest.raises(InvalidInputError):
+            make_counting(g, C, [0.3, C - 0.3])
     with pytest.raises(InvalidInputError):
         make_counting(1, -1.0, [0.3, C - 0.3])
     with pytest.raises(InvalidInputError):
@@ -703,6 +732,31 @@ def test_make_counting_validation():
     # the self-paired limit kappa -> C/2 is allowed
     cf = make_counting(1, C, [C / 2.0, C / 2.0])
     assert cf.kappas == (C / 2.0, C / 2.0)
+
+
+_CF = make_counting(1, C, [0.3, C - 0.3])
+_CURVE = make_curve(Q, 1, [(0.5, 0.3), (0.5, C - 0.3)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("evaluate", [
+    lambda x: s_eval(_CF, x),
+    lambda x: s1_eval(_CF, x),
+    lambda x: q_eval(_CF, x),
+    lambda x: s2_eval(_CF, x),
+    lambda x: _steps_below(_CF, x),
+    lambda x: s_eval(_CF, np.array([0.5, x])),
+    lambda x: eval_zeta(_CURVE, x),
+    lambda x: eval_zeta(_CURVE, complex(2.0, x)),
+    lambda x: check_functional_equation(_CURVE, complex(x, 1.0), 1e-9),
+    lambda x: series_tail_bound(x, 1.0, 10),
+    lambda x: series_tail_bound(0.5, x, 10),
+], ids=["S", "S1", "Q", "S2", "steps", "S-array", "zeta", "zeta-im", "fe", "tail-ratio",
+        "tail-mu"])
+def test_evaluators_reject_non_finite_input(evaluate, bad):
+    # each returned NaN, or a value read from one
+    with pytest.raises(InvalidInputError):
+        evaluate(bad)
 
 
 def test_counting_midpoint_convention():

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import contextlib
 import io
 import math
@@ -178,11 +179,14 @@ def test_scan_mu_csv_matches_one_order_per_row(extra, curve_file, tmp_path):
 
 
 def test_scan_mu_error_exits(tmp_path, capsys):
-    # grid hits the singular order mu = 1
-    args, _ = scan_args(tmp_path, "x.csv", ["--mu-min", "0.5", "--mu-max", "1.5",
-                                            "--mu-step", "0.25"])
-    assert main(args) == EXIT_INVALID
-    assert "mu = 1" in capsys.readouterr().err
+    # grid hits the singular order mu = 1, or an order within 1e-9 of it,
+    # which the root side rejects
+    for lo, hi in (("0.5", "1.5"), ("1.0000000000005", "1.0000000000005")):
+        args, out = scan_args(tmp_path, "x.csv", ["--mu-min", lo, "--mu-max", hi,
+                                                  "--mu-step", "0.25"])
+        assert main(args) == EXIT_INVALID
+        assert "mu = 1" in capsys.readouterr().err
+        assert not out.exists()
     # empty grid
     args, _ = scan_args(tmp_path, "y.csv", ["--mu-min", "2.0", "--mu-max", "1.0"])
     assert main(args) == EXIT_INVALID
@@ -434,6 +438,27 @@ def test_console_entry_point(curve_file):
     )
     assert proc.returncode == 0
     assert "valid curve" in proc.stdout
+
+
+def test_shared_argument_rules_live_in_errors_py():
+    """_require_finite, _is_int and _is_tol are defined in errors.py alone, and
+    no other module tests isinstance(..., bool): it calls _is_int instead."""
+    pkg = os.path.join(SRC, "zetaff")
+    rules = {"_require_finite", "_is_int", "_is_tol"}
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py") or name == "errors.py":
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in rules:
+                found.append(f"{name}: defines {node.name}")
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and len(node.args) == 2
+                    and any(getattr(n, "id", None) == "bool" for n in ast.walk(node.args[1]))):
+                found.append(f"{name}:{node.lineno}: isinstance(..., bool)")
+    assert found == []
 
 
 def test_import_loads_only_numpy_and_the_standard_library():

@@ -5,13 +5,16 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from zetaff import (
     CurveZeta,
     InvalidInputError,
     LambdaFactor,
+    LemmaParams,
     PoleEvaluationError,
+    SeriesControl,
     ValidationError,
     base_root,
     check_functional_equation,
@@ -47,6 +50,15 @@ def test_vertical_spacing_rejects_non_integers(bad):
         vertical_spacing(bad)
 
 
+def test_integer_arguments_accept_numpy_integers():
+    # q = np.int64(25) was rejected, while n_terms and n accepted NumPy integers
+    assert vertical_spacing(np.int64(25)) == C25
+    assert SeriesControl(n_terms=np.int64(20)) == SeriesControl(n_terms=20)
+    assert LemmaParams(np.int64(25), 0.6, 0.7, 5.0, n=np.int64(2)).n == 2
+    assert LambdaFactor(0.6, 0.7, np.int64(1)) == LambdaFactor(0.6, 0.7, 1)
+    assert make_curve(np.int64(25), np.int64(0), []) == make_curve(25, 0, [])
+
+
 def test_lambda_factor_validation():
     with pytest.raises(InvalidInputError):
         LambdaFactor(1.2, 0.0, 1)
@@ -54,8 +66,9 @@ def test_lambda_factor_validation():
         LambdaFactor(-0.1, 0.0, 1)
     with pytest.raises(InvalidInputError):
         LambdaFactor(0.5, -0.3, 1)
-    with pytest.raises(InvalidInputError):
-        LambdaFactor(0.5, 0.0, 2)
+    for nu in (2, True, 1.0):  # True and 1.0 were accepted
+        with pytest.raises(InvalidInputError):
+            LambdaFactor(0.5, 0.0, nu)
     for sigma0, tau0 in ((math.nan, 0.3), (0.5, math.nan), (0.5, math.inf)):
         with pytest.raises(InvalidInputError):
             LambdaFactor(sigma0, tau0, 1)
@@ -107,8 +120,9 @@ def test_make_curve_self_conjugate_cases():
 
 
 def test_make_curve_input_validation():
-    with pytest.raises(InvalidInputError):
-        make_curve(25, -1, [])
+    for genus in (-1, True, 1.0):  # True was accepted as genus 1
+        with pytest.raises(InvalidInputError):
+            make_curve(25, genus, [(0.5, 0.7), (0.5, C25 - 0.7)])
     with pytest.raises(InvalidInputError):
         make_curve(25, 1, [(0.5, 0.7)])  # wrong count
     with pytest.raises(InvalidInputError):

@@ -6,6 +6,7 @@ import random
 import sys
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from zetaff import (
     SeriesControl,
     WrongRegimeError,
     ZetaffError,
+    deriv_side_factor,
     deriv_side_total,
     make_curve,
     root_side_classical,
@@ -101,16 +103,28 @@ def test_classical_rejects_wrong_regime():
         root_side_classical(FACTOR, 25, S0, 1.0, 100)
     with pytest.raises(WrongRegimeError):
         root_side_classical(FACTOR, 25, S0, 0.3, 100)
-    with pytest.raises(InvalidInputError):
-        root_side_classical(FACTOR, 25, S0, 2.6, -1)
+    # k = 2.5 summed at k = 2, and 2**53 escaped as a MemoryError
+    for k in (-1, 2.5, 2.0, True, 2**53):
+        with pytest.raises(InvalidInputError):
+            root_side_classical(FACTOR, 25, S0, 2.6, k)
     for q in (0, 1, 6):  # C = 2*pi/ln q needs a prime power q
         with pytest.raises(InvalidInputError):
             root_side_classical(FACTOR, q, S0, 2.6, 100)
 
 
 def test_em_error_cases():
-    with pytest.raises(RemovableSingularityError):
-        root_side_em(FACTOR, 25, S0, 1.0, 1000)
+    # the orders within 1e-9 of 1: at 1 + 1e-12 the value was 1.1e-4 with
+    # est_error 1.7e-3
+    for mu in (1.0, 1.0 + 1e-12, 1.0 - 0.9e-9, 1.0 + 0.9e-9):
+        for k in (None, 1000):
+            with pytest.raises(RemovableSingularityError, match="mu = 1"):
+                root_side_em(FACTOR, 25, S0, mu, k)
+    assert isinstance(root_side_em(FACTOR, 25, S0, 1.0 + 2e-9), RegularizedSum)
+    # k = 2.5 ran at k = 2 and True at k = 1; 10**20 escaped as a MemoryError
+    for k in (2.5, 2.0, True, 10**20, 2**53):
+        with pytest.raises(InvalidInputError):
+            root_side_em(FACTOR, 25, S0, 0.5, k)
+    assert root_side_em(FACTOR, 25, S0, 0.5, np.int64(10)) == root_side_em(FACTOR, 25, S0, 0.5, 10)
     with pytest.raises(OrderInsufficientError):
         root_side_em(FACTOR, 25, S0, -5.0, 1000)
     with pytest.raises(OrderInsufficientError):
@@ -482,6 +496,24 @@ def test_em_mu0_exact_zero_inside_a_grid():
         for got in (root_side_em(FACTOR, 25, S0, [-0.3, 0.0, 0.4], k)[1].value,
                     root_side_total(make_curve(25, 0, []), S0, [-0.3, 0.0, 0.4], k).tolist()[1]):
             assert got == 0j and repr(got) == "0j", k
+
+
+def test_order_grids_are_one_dimensional_and_may_be_empty():
+    curve = make_curve(25, 0, [])
+    calls = [
+        lambda mu: root_side_em(FACTOR, 25, S0, mu),
+        lambda mu: root_side_total(curve, S0, mu),
+        lambda mu: deriv_side_factor(25, FACTOR, S0, mu),
+        lambda mu: deriv_side_total(curve, S0, mu),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInputError):
+            call([[0.5, 2.6]])
+        assert len(call([])) == 0
+    assert root_side_em(FACTOR, 25, S0, []) == []
+    for call in calls[1:]:
+        got = call([])
+        assert got.dtype == complex and got.shape == (0,)
 
 
 # an order the root side rejects at s0 = 0.61 + 0.7i, and the error it raises
