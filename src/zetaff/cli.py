@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import random
@@ -253,7 +254,9 @@ def tolerance(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The zetaff argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="zetaff",
         description="generalised root identities for zeta functions of curves "

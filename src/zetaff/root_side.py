@@ -111,10 +111,16 @@ def _ladder_offset(factor: LambdaFactor, C, s0) -> complex:
 
 
 def root_side_classical(factor: LambdaFactor, q, s0, mu, k) -> complex:
-    """Classically convergent root-side sum, valid for mu > 1.
+    """Symmetric truncation of the root-side sum at k, with no error bound.
 
     Returns e^(i*pi*mu) * nu * sum_{j=-k..k} ((s0 - r0) - i*C*j)^(-mu), for
-    an integer k from 0 to 2**53 - 1.
+    an integer k from 0 to 2**53 - 1.  The sum converges as k grows for
+    mu > 1.  Its truncation error is of the order of the two tails,
+    E = 2 (C*k)^(1-mu) / ((mu - 1) C): their leading terms add up to
+    |cos(pi*mu/2)| E for large k, so near mu = 1 the error falls very
+    slowly (0.38 at mu = 1.1, k = 10^6, q = 25).  No bound is reported; the
+    k = 10^7 classical oracle of the acceptance suite (mu >= 2.5) is what
+    relies on this sum.
     """
     _require_finite(mu=mu, s0=s0)
     if mu <= 1.0:
@@ -144,44 +150,42 @@ def _bernoulli_coefficients(mu, C):
     return coefs
 
 
-def _bernoulli_bounds(coefs, mu, rm, rp):
-    """Bounds on the Bernoulli terms the continuation keeps, and on the next one.
+def _windows(a, C, k, s0):
+    """(k, w-, w+, |w-|, |w+|) of each window |j| <= k of one factor, in increasing k.
 
-    |B_2m term| <= |coef_m| (rm^(-mu-2m+1) + rp^(-mu-2m+1)), rm = |w-| and
-    rp = |w+|.  Terms are kept while these bounds shrink, up to B16.  Returns
-    the number of kept terms, the sum of their bounds and the bound on the
-    first omitted term, the truncation error.
+    The error model holds only where the window reaches the rung nearest s0,
+    C*k >= |Im a|: beyond it a tail's terms first grow toward that rung, and
+    the first omitted Bernoulli term at k understates the remainder.  So the
+    windows are those of the given k, or of the candidates, that reach it,
+    and if none does the call raises.  The moduli are taken with math.hypot:
+    abs(w) can differ from it in the last bit, which est_error would show.
     """
-    em, ep = rm ** (-mu - 1.0), rp ** (-mu - 1.0)
-    sm, sp = rm**-2.0, rp**-2.0
-    kept, total, prev = 0, 0.0, math.inf
-    for c in coefs[:_EM_TERMS]:
-        bound = abs(c) * (em + ep)
-        if not bound < prev:
-            break
-        kept, total, prev = kept + 1, total + bound, bound
-        em *= sm
-        ep *= sp
-    else:
-        bound = abs(coefs[_EM_TERMS]) * (em + ep)
-    return kept, total, bound
+    given = _K_CANDIDATES if k is None else (int(k),)
+    ends = [(c, a - 1j * C * c, a + 1j * C * c) for c in given if C * c >= abs(a.imag)]
+    if not ends:
+        raise InvalidInputError(
+            f"k = {given[-1]} misses the rung nearest s0 = {s0}: C*k < |Im(s0 - r0)|"
+        )
+    return [(c, wm, wp, math.hypot(wm.real, wm.imag), math.hypot(wp.real, wp.imag))
+            for c, wm, wp in ends]
 
 
-def _abs_sum_bound(a, C, mu, k):
-    """Closed-form bound on sum_{j=-k..k} |a - i*C*j|^(-mu), p = -mu.
+def _abs_sum_bound(a, C, mu, window):
+    """Closed-form bound on sum_{j=-k..k} |a - i*C*j|^(-mu) over a window, p = -mu.
 
     With x = |Re a| and t_j = Im a - C*j, |w_j| lies between max(x, |t_j|)
     and x + |t_j|.  For p >= 0 the terms (x + |t|)^p form a valley in t, so
     their grid sum is at most the integral over [t_k, t_-k] divided by C
     plus the two end values.  For p < 0 the terms peak at the nearest rung
-    j0, which the window reaches (C*k >= |Im a|, see ``_em_model``); every
+    j0, which the window reaches (C*k >= |Im a|, see ``_windows``); every
     other rung has |t_j| >= C*(|j - j0| - 1/2), so the rest is at most twice
     a decreasing sum of max(x, u)^p, bounded by its first term plus an
     integral.
     """
     p = -mu
     x = abs(a.real)
-    lo, hi = a.imag - C * k, a.imag + C * k
+    k, wm, wp, _, _ = window
+    lo, hi = wm.imag, wp.imag
     if p >= 0.0:
         def F(T):  # int_0^T (x + u)^p du
             return ((x + T) ** (p + 1.0) - x ** (p + 1.0)) / (p + 1.0)
@@ -200,28 +204,6 @@ def _abs_sum_bound(a, C, mu, k):
     return rmin**p + 2.0 * (x0**p + tail / C)
 
 
-def _error_model(a, C, mu, k, coefs):
-    """(truncation, rounding, number of kept Bernoulli terms) at k.
-
-    The rounding part is eps times the scale of what is summed, the moduli
-    of the 2k+1 kernel terms plus those of the boundary terms, times the
-    growth of a term's relative error with |mu| log|w|: the kernel and the
-    complex powers form w^(-mu) as exp(-mu*log w).  To that it adds the
-    rounding of y = Im a - C*j, up to eps*C|j| <= eps*(|Im a| + |w|), which
-    the power turns into a relative error |mu| eps |Im a| / |w|: near a
-    ladder, where |w| << |Im a|, it is the larger part.
-    """
-    rm, rp = math.hypot(a.real, a.imag - C * k), math.hypot(a.real, a.imag + C * k)
-    hm, hp = rm**-mu, rp**-mu
-    kept, kept_sum, truncation = _bernoulli_bounds(coefs, mu, rm, rp)
-    boundary = (hm * rm + hp * rp) / (abs(1.0 - mu) * C) + 0.5 * (hm + hp) + kept_sum
-    growth = 2.0 + abs(mu) * (abs(math.log(max(rm, rp))) + math.pi)
-    rounding = _EPS * growth * (_abs_sum_bound(a, C, mu, k) + boundary)
-    if a.imag:
-        rounding += _EPS * abs(mu) * abs(a.imag) * _abs_sum_bound(a, C, mu + 1.0, k)
-    return truncation, rounding, kept
-
-
 def _check_em_order(s0, mu, k) -> None:
     """Raise for an order, truncation or point root_side_em cannot handle."""
     _require_finite(mu=mu, s0=s0)
@@ -238,32 +220,50 @@ def _check_em_order(s0, mu, k) -> None:
         )
 
 
-def _em_model(a, C, mu, k, coefs, s0):
-    """(k, truncation, rounding, kept): the given k, or the error model's choice.
+def _em_model(a, C, mu, coefs, windows, s0):
+    """(window, truncation, rounding, kept): the error model's choice of window.
+
+    At a window, |B_2m term| <= |coef_m| (rm^(-mu-2m+1) + rp^(-mu-2m+1)),
+    rm = |w-| and rp = |w+|.  Bernoulli terms are kept while these bounds
+    shrink, up to B16, and the bound on the first omitted term is the
+    truncation part.  The rounding part is eps times the scale of what is
+    summed, the moduli of the 2k+1 kernel terms plus those of the boundary
+    terms, times the growth of a term's relative error with |mu| log|w|: the
+    kernel and the complex powers form w^(-mu) as exp(-mu*log w).  To that
+    it adds the rounding of y = Im a - C*j, up to eps*C|j| <= eps*(|Im a| +
+    |w|), which the power turns into a relative error |mu| eps |Im a| / |w|:
+    near a ladder, where |w| << |Im a|, it is the larger part.
 
     The truncation part falls with k and the rounding part grows, so the
-    modelled error falls and then rises; the scan takes the candidates in
-    increasing order and stops at the first that does no better than the
-    one before.  An explicit k is a scan of that one candidate.
+    modelled error falls and then rises; the scan takes the windows in
+    increasing k and stops at the first that does no better than the one
+    before.  An explicit k is a scan of its one window.
     """
-    # The error model holds only where the window |j| <= k reaches the rung
-    # nearest s0, C*k >= |Im a|: beyond it a tail's terms first grow toward
-    # that rung, and the first omitted Bernoulli term at k understates the
-    # remainder.  So only the given k, or the candidates, that reach it are
-    # scanned, and if none does the call raises.
-    given = _K_CANDIDATES if k is None else (int(k),)
-    candidates = [c for c in given if C * c >= abs(a.imag)]
-    if not candidates:
-        raise InvalidInputError(
-            f"k = {given[-1]} misses the rung nearest s0 = {s0}: C*k < |Im(s0 - r0)|"
-        )
     best = None
     try:
-        for k in candidates:
-            truncation, rounding, kept = _error_model(a, C, mu, k, coefs)
+        for window in windows:
+            _, _, _, rm, rp = window
+            em, ep = rm ** (-mu - 1.0), rp ** (-mu - 1.0)
+            sm, sp = rm**-2.0, rp**-2.0
+            kept, kept_sum, prev = 0, 0.0, math.inf
+            for c in coefs[:_EM_TERMS]:
+                truncation = abs(c) * (em + ep)
+                if not truncation < prev:
+                    break
+                kept, kept_sum, prev = kept + 1, kept_sum + truncation, truncation
+                em *= sm
+                ep *= sp
+            else:
+                truncation = abs(coefs[_EM_TERMS]) * (em + ep)
+            hm, hp = rm**-mu, rp**-mu
+            boundary = (hm * rm + hp * rp) / (abs(1.0 - mu) * C) + 0.5 * (hm + hp) + kept_sum
+            growth = 2.0 + abs(mu) * (abs(math.log(max(rm, rp))) + math.pi)
+            rounding = _EPS * growth * (_abs_sum_bound(a, C, mu, window) + boundary)
+            if a.imag:
+                rounding += _EPS * abs(mu) * abs(a.imag) * _abs_sum_bound(a, C, mu + 1.0, window)
             if best is not None and truncation + rounding >= best[1] + best[2]:
                 break
-            best = k, truncation, rounding, kept
+            best = window, truncation, rounding, kept
     except OverflowError:
         raise InvalidInputError(
             f"root-side terms overflow a double at mu = {mu}, s0 = {s0}"
@@ -271,13 +271,12 @@ def _em_model(a, C, mu, k, coefs, s0):
     return best
 
 
-def _continued(a, C, mu, coefs, pref, S, k, truncation, rounding, kept) -> RegularizedSum:
-    """Subtract the boundary terms at k from the truncated sum S.
+def _continued(a, C, mu, coefs, pref, S, window, truncation, rounding, kept) -> RegularizedSum:
+    """Subtract the boundary terms at the window's ends from the truncated sum S.
 
     pref is e^(i*pi*mu) * nu, and the model fields are those of _em_model.
     """
-    wm = a - 1j * C * k
-    wp = a + 1j * C * k
+    k, wm, wp, _, _ = window
     pm, pp = wm ** (-mu), wp ** (-mu)
     # i/((1-mu)C) * (w-^(1-mu) - w+^(1-mu)) with w-/+ = a -/+ iCk written out,
     # so that at mu = 0 it is 2k exactly and the continuation cancels exactly
@@ -313,8 +312,10 @@ def _em_sums(factors, q, s0, orders, k):
     """root_side_em of each factor at each order, one list per factor.
 
     The orders are checked one at a time, in order, so a grid raises what a
-    one-order call at its first offending order raises.  The Bernoulli
-    coefficients and e^(i*pi*mu) are computed once per order; the error
+    one-order call at its first offending order raises, except that a
+    window that misses the rung raises with the first order, before any
+    factor's model runs.  Each factor's windows are built once per call,
+    and the Bernoulli coefficients and e^(i*pi*mu) once per order; the error
     model and the boundary terms stay scalar per factor and order.  Each
     factor's kernel runs once per distinct truncation, on all the orders
     that chose it.
@@ -328,15 +329,16 @@ def _em_sums(factors, q, s0, orders, k):
             # q and s0 are checked after the first order, as in a one-order call
             C = vertical_spacing(q)
             offsets = [_ladder_offset(f, C, s0) for f in factors]
+            windows = [_windows(a, C, k, s0) for a in offsets]
         coefs = _bernoulli_coefficients(mu, C)
-        for a, plan in zip(offsets, plans):
-            plan.append((coefs, _em_model(a, C, mu, k, coefs, s0)))
+        for a, wins, plan in zip(offsets, windows, plans):
+            plan.append((coefs, _em_model(a, C, mu, coefs, wins, s0)))
     phases = [cmath.exp(1j * math.pi * mu) for mu in orders]
     results = []
     for factor, a, plan in zip(factors, offsets, plans):
         by_k = {}
-        for i, (_, model) in enumerate(plan):
-            by_k.setdefault(model[0], []).append(i)
+        for i, (_, (window, *_)) in enumerate(plan):
+            by_k.setdefault(window[0], []).append(i)
         S = [0j] * len(orders)
         for k_used, rows in by_k.items():
             sums = power_sum_symmetric(a, C, [orders[i] for i in rows], k_used)

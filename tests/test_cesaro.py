@@ -708,6 +708,20 @@ def test_r_lambda_cesaro_validation():
             r_lambda_cesaro(factor, q, S0, 0)
 
 
+def test_r_lambda_cesaro_rejects_limits_that_do_not_cancel(monkeypatch):
+    # N_- = -N_+ holds for every valid input; a limit that breaks it must
+    # raise, not return the zero
+    exact = cesaro._ladder_partial_limit
+
+    def skewed(mu, a, direction, *rest):
+        value = exact(mu, a, direction, *rest)
+        return value + 1e-3 if direction == "upper" else value
+
+    monkeypatch.setattr(cesaro, "_ladder_partial_limit", skewed)
+    with pytest.raises(ValidationError, match="fail to cancel"):
+        r_lambda_cesaro(LambdaFactor(0.6, 0.7, 1), Q, S0, -1)
+
+
 # ------------------------------------------------------ counting pipeline
 
 

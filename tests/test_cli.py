@@ -16,6 +16,7 @@ from zetaff import (
     LambdaFactor,
     SeriesControl,
     cesaro,
+    curve_model,
     deriv_side_factor,
     deriv_side_total,
     root_side_em,
@@ -71,6 +72,20 @@ def test_check_curve_ok(curve_file, capsys):
     assert main(["check-curve", "--curve", curve_file]) == EXIT_OK
     out = capsys.readouterr().out
     assert "valid curve" in out and "genus=2" in out
+
+
+def test_build_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_check_curve_fails_when_the_functional_equation_fails(curve_file, monkeypatch, capsys):
+    monkeypatch.setattr(curve_model, "check_functional_equation", lambda *args: (False, 0.5))
+    assert main(["check-curve", "--curve", curve_file]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("invalid input: invalid curve: functional equation fails")
 
 
 def test_check_curve_invalid_inputs(tmp_path, capsys):

@@ -28,6 +28,7 @@ from zetaff import (
     root_side_total,
     vertical_spacing,
 )
+from zetaff import root_side
 from zetaff.root_side import _K_CANDIDATES, _ladder_offset
 
 C25 = vertical_spacing(25)
@@ -96,6 +97,17 @@ def test_classical_k0_is_single_term():
     mu = 2.6
     got = root_side_classical(FACTOR, 25, S0, mu, 0)
     assert got == pytest.approx(cmath.exp(1j * math.pi * mu) * A ** (-mu), rel=1e-14)
+
+
+@pytest.mark.parametrize("mu", [1.1, 1.5, 2.6, 4.0])
+def test_classical_error_is_of_the_order_of_the_two_tails(mu):
+    # the classical sum reports no bound; its error against the continued
+    # sum is |cos(pi*mu/2)| E for large k, E = 2 (Ck)^(1-mu) / ((mu-1) C)
+    ref = root_side_em(FACTOR, 25, S0, mu, 1000).value
+    for k in (10, 100, 1000, 10**4):
+        tails = 2.0 * (C25 * k) ** (1.0 - mu) / ((mu - 1.0) * C25)
+        ratio = abs(root_side_classical(FACTOR, 25, S0, mu, k) - ref) / tails
+        assert 0.1 <= ratio <= 1.5, (k, ratio)
 
 
 def test_classical_rejects_wrong_regime():
@@ -279,6 +291,21 @@ def test_default_k_is_chosen_by_the_error_model():
     assert total == sum(root_side_em(f, 25, S0, -1.45).value for f in curve.factors)
 
 
+def test_default_k_and_order_table():
+    # (k_used, order) of the default k at the scan-mu default factor, one row
+    # per s0 and one column per mu in (-4.5, -1.45, 0.05, 0.95, 2.55)
+    table = {
+        5.1238: [(4, 16), (6, 16), (6, 16), (10, 16), (10, 16)],
+        2 + 12j * C25: [(16, 16), (16, 16), (16, 16), (25, 16), (25, 16)],
+        1.2 + 40j * C25: [(40, 14), (64, 16), (64, 16), (64, 16), (64, 16)],
+        3 + 300j * C25: [(400, 16)] * 5,
+    }
+    f = LambdaFactor(0.6, 3 * math.pi / 4)
+    for s0, row in table.items():
+        got = [root_side_em(f, 25, s0, mu) for mu in (-4.5, -1.45, 0.05, 0.95, 2.55)]
+        assert [(r.k_used, r.order) for r in got] == row, s0
+
+
 @pytest.mark.parametrize("mu", [-1.45, 0.5, 2.6])
 def test_default_k_window_reaches_the_rung_nearest_s0(mu):
     # at Im(s0 - r0) = 5.1 C the error model chose k = 4, which leaves the
@@ -320,6 +347,17 @@ def test_explicit_k_must_reach_the_rung_nearest_s0():
     assert got.k_used == 6 and 5 * C < abs(a.imag) <= 6 * C
     expected = cmath.exp(1j * math.pi * 0.5) * ladder_sum_oracle(a, C, 0.5)
     assert abs(got.value - expected) <= got.est_error
+
+
+def test_rung_is_checked_before_any_model_runs():
+    # the first factor's model overflows at mu = -4.5 and the second misses
+    # the rung at k = 1; the rung is checked for every factor first
+    curve = make_curve(25, 2, [(0.6, 0.7), (0.4, C25 - 0.7), (0.6, C25 - 0.7), (0.4, 0.7)])
+    s0 = 1e70 - 1j
+    with pytest.raises(InvalidInputError, match="overflow"):
+        root_side_em(curve.factors[0], 25, s0, -4.5, 1)
+    with pytest.raises(InvalidInputError, match="misses the rung"):
+        root_side_total(curve, s0, -4.5, 1)
 
 
 _PRIME_POWERS = [2, 3, 4, 9, 25, 49, 125]
@@ -489,6 +527,21 @@ def test_total_order_grid_matches_one_order_calls_bitwise():
         assert got.dtype == complex and got.shape == (len(GRID),)
         assert repr(got.tolist()) == repr([root_side_total(curve, S0, mu, k) for mu in GRID])
         assert type(root_side_total(curve, S0, 2.6, k)) is complex
+
+
+def test_grid_builds_each_factors_windows_once(monkeypatch):
+    windows, calls = root_side._windows, []
+
+    def counted(*args):
+        calls.append(args)
+        return windows(*args)
+
+    monkeypatch.setattr(root_side, "_windows", counted)
+    curve = make_curve(25, 2, [(0.6, 0.7), (0.4, C25 - 0.7), (0.6, C25 - 0.7), (0.4, 0.7)])
+    for k in (None, 10):
+        calls.clear()
+        assert len(root_side_total(curve, S0, GRID[:41], k)) == 41
+        assert len(calls) == len(curve.factors) == 6
 
 
 def test_em_mu0_exact_zero_inside_a_grid():
