@@ -15,8 +15,12 @@ Three layers live here:
    integrated exactly, and the zero-mean z^2 profile content is assigned its
    Cesaro value -i*sgn*(s0-sigma0)*mean(W) where W is the antiderivative of
    the profile anchored at alpha = 0.  The extraction streams the path in
-   chunks of whole periods and holds only the quarter rows and two floats
-   per period, never the whole path.
+   chunks of whole periods and holds only the quarter rows, one chunk
+   buffer and two floats per period, never the whole path.  It works in
+   the samples' own dtype: the ladder symbols that do not read z come as
+   real samples and are checked in real arithmetic, while the quarter rows
+   are stored as complex whatever the dtype, so the solve reads the same
+   matrix for real samples as for their complex copies.
 
 2. The closed-form limit table for the ladder symbols alpha^n, k, k*alpha^n,
    z*alpha^n, k^2, k^2*alpha, z^2*alpha, k^3 on both contours, a numeric
@@ -244,7 +248,21 @@ def _clim_profile(
     flatness is max w_p|f - prediction| / max w_p|f| (0 for an all-zero
     path), and the Clim is rejected unless it is at most ``flat_tol``.  Both
     are maxima, so neither depends on the chunk length, and the memory is
-    the quarter rows plus two floats per period.
+    the quarter rows, one chunk buffer (Horner's rule, the residual and the
+    moduli are written into it in place) and two floats per period.
+
+    The source returns float64 or complex128 samples, one dtype for the
+    whole path; ``clim`` on a ``SampledPath`` is always complex.  The quarter
+    rows are stored as complex either way, real samples filling the real
+    parts.  So the solve reads, bit for bit, the matrix it reads for the
+    samples' complex copies: a real-only matrix of half the columns could
+    round differently, since a BLAS may pick its kernel by matrix size
+    (OpenBLAS does, at 2100 to 7000 periods of 128 bins).  The storage also
+    has one byte size whatever the dtype, so Clims of real and of complex
+    samples in turn ask the allocator for blocks of one size.  Pass two
+    works in the samples' dtype: real rows are predicted from the real part
+    of the fit, whose imaginary part is the fit of zero columns, and so read
+    the same residuals and the same flatness as their complex copies.
 
     The guard bounds what the profiles miss relative to the weighted
     samples.  Content that grows like p^degree but is no polynomial in p is
@@ -281,22 +299,24 @@ def _clim_profile(
     def periods(p0, p1):
         return _finite(source(p0 * nbin, p1 * nbin)).reshape(-1, nbin)
 
-    # Pass one: the first- and last-quarter rows, the only ones the fit reads.
+    # Pass one: the first- and last-quarter rows, the only ones the fit reads,
+    # stored as complex; ``rows`` views them in the samples' own dtype.
     nq = nfull // 4
     p = np.r_[0:nq, nfull - nq : nfull]
     kept = np.empty((2 * nq, nbin), dtype=complex)
     for first, out in ((0, kept[:nq]), (nfull - nq, kept[nq:])):
         for a, b in _chunk_spans(0, nq):
-            out[a:b] = periods(first + a, first + b)
-    # real and imaginary parts as separate columns: the Vandermonde is real
-    rows = kept.view(float)
+            f = periods(first + a, first + b)
+            out[a:b] = f
+    rows = kept if np.iscomplexobj(f) else kept.real
     # one weight per row; the fit folds its rows' weights into Q, since
     # weighting a copy of the rows would double the memory of the fit
     w = (1.0 + np.arange(nfull + 1)) ** -degree
     wq = w[p][:, None]
     scale = 1 << (nfull - 1).bit_length()
     Q, R = np.linalg.qr(np.vander(p / scale, degree + 1, increasing=True) * wq)
-    fit = np.linalg.solve(R, (Q * wq).T @ rows).view(complex)
+    # real and imaginary parts as separate columns: the Vandermonde is real
+    fit = np.linalg.solve(R, (Q * wq).T @ kept.view(float)).view(complex)
     coef = fit / (dt * nbin * scale) ** np.arange(degree + 1)[:, None]
     sign = -1j * _contour_sign(direction)
     zb = _geometric_z(t0 + dt * np.arange(nbin), s0, sigma0, direction)
@@ -322,20 +342,32 @@ def _clim_profile(
     # residual and largest sample.
     def chunks():
         for a, b in _chunk_spans(0, 2 * nq):
-            yield p[a:b], kept[a:b]
+            yield p[a:b], rows[a:b]
         for a, b in _chunk_spans(nq, nfull - nq):
             yield np.arange(a, b), periods(a, b)
         yield np.array([nfull]), _finite(source(nfull * nbin, n))[None, :]
 
+    # real rows are predicted from the real part of the fit and take their
+    # moduli in place; complex rows need a float buffer for theirs
+    work = np.empty((_CHUNK_PERIODS, nbin), dtype=rows.dtype)
+    if rows.dtype == float:
+        fit, moduli = fit.real, work
+    else:
+        moduli = np.empty(work.shape)
     res, mag = np.empty(nfull + 1), np.empty(nfull + 1)
     for pc, f in chunks():
-        width = f.shape[1]
+        height, width = f.shape
         x = (pc / scale)[:, None]
-        predicted = fit[degree, :width]
-        for nn in range(degree - 1, -1, -1):
-            predicted = predicted * x + fit[nn, :width]
-        res[pc] = np.max(np.abs(f - predicted), axis=1)
-        mag[pc] = np.max(np.abs(f), axis=1)
+        predicted = work[:height, :width]
+        np.multiply(fit[degree, :width], x, out=predicted)
+        for nn in range(degree - 1, 0, -1):
+            predicted += fit[nn, :width]
+            predicted *= x
+        predicted += fit[0, :width]
+        residual = np.subtract(f, predicted, out=predicted)
+        out = moduli[:height, :width]
+        res[pc] = np.max(np.abs(residual, out=out), axis=1)
+        mag[pc] = np.max(np.abs(f, out=out), axis=1)
     # weighted like the fit, so the late rows do not hide the early ones
     peak = np.max(w * mag)
     flat = float(np.max(w * res) / peak) if peak else 0.0
@@ -567,19 +599,28 @@ def _ladder_length(symbol: str, params: LemmaParams, T_max: float, dt: float):
 def _ladder_block(symbol: str, params: LemmaParams, C: float, dt: float, i0: int, i1: int):
     """Samples [i0, i1) of the ladder path of a symbol, C the period.
 
-    Sample i lies in period p and phase bin b, p, b = divmod(i, nbin): its
-    ladder index is k = p + k_b and its phase alpha = alpha_b (``_bin_grid``),
-    and only z reads its height t0 + dt*i.  A sample depends on its own index
-    only, so a block is bitwise the same slice of ``ladder_path(...).samples``.
+    Sample i = p*nbin + b lies in period p and phase bin b: its ladder index
+    is k = p + k_b and its phase alpha = alpha_b (``_bin_grid``), and only z
+    reads its height t0 + dt*i.  The block is built as whole periods, one row
+    per period, by broadcasting the bin table against the period indices, and
+    then cut to [i0, i1).  A sample depends on its own index only, so a block
+    is bitwise the same slice of ``ladder_path(...).samples``.  The symbols
+    that do not read z are real and come back as float64; z_alpha, z_alpha2
+    and z2_alpha come back as complex128.
     """
     k_b, alpha_b = _bin_grid(params.t0, dt, C, params.phase)
-    p, b = np.divmod(np.arange(i0, i1), len(k_b))
+    nbin = len(k_b)
+    p0, p1 = i0 // nbin, -(-i1 // nbin)
+    p = np.arange(p0, p1)[:, None]
     z = None
     if symbol.startswith("z"):
-        T = params.t0 + dt * np.arange(i0, i1)
+        T = params.t0 + dt * (p * nbin + np.arange(nbin))
         z = _geometric_z(T, complex(params.s0), params.sigma0, params.direction)
     expr = _LADDER_SYMBOLS[symbol][1]
-    return expr(p + k_b[b], alpha_b[b], z, params.n).astype(complex)
+    rows = expr(p + k_b, alpha_b, z, params.n)
+    if rows.ndim == 1:  # alpha_n reads only the phase: one row for every period
+        rows = np.broadcast_to(rows, (p1 - p0, nbin))
+    return rows.reshape(-1)[i0 - p0 * nbin : i1 - p0 * nbin]
 
 
 def ladder_path(symbol: str, params: LemmaParams, T_max: float, dt: float) -> SampledPath:

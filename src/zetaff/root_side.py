@@ -102,6 +102,22 @@ class RegularizedSum:
                 raise InvalidInputError(f"unknown correction label {label!r}")
 
 
+#: the budget of a root-side truncation: k is at most this, so one order
+#: sums at most 2k + 1 = 2*10^8 + 1 kernel terms, in 191 blocks of 2^20
+#: terms: 12.7 s and 85 MiB RSS on a 2-CPU Linux container, where the
+#: k = 10^7 classical oracle takes 0.83 s
+_MAX_K = 10**8
+
+
+def _check_k(k, smallest) -> None:
+    """Raise unless k is an integer from ``smallest`` to the budget ``_MAX_K``."""
+    if not (_is_int(k) and smallest <= k <= _MAX_K):
+        raise InvalidInputError(
+            f"k must be an integer from {smallest} to {_MAX_K:_} (the root-side "
+            f"budget), got {k!r}"
+        )
+
+
 def _ladder_offset(factor: LambdaFactor, C, s0) -> complex:
     """a = s0 - r0, checked not to be i*C*j: s0 on the ladder is a root."""
     a = complex(s0) - base_root(factor)
@@ -114,8 +130,9 @@ def root_side_classical(factor: LambdaFactor, q, s0, mu, k) -> complex:
     """Symmetric truncation of the root-side sum at k, with no error bound.
 
     Returns e^(i*pi*mu) * nu * sum_{j=-k..k} ((s0 - r0) - i*C*j)^(-mu), for
-    an integer k from 0 to 2**53 - 1.  The sum converges as k grows for
-    mu > 1.  Its truncation error is of the order of the two tails,
+    an integer k from 0 to ``_MAX_K`` = 10^8; a larger k raises
+    InvalidInputError before any term is summed.  The sum converges as k
+    grows for mu > 1.  Its truncation error is of the order of the two tails,
     E = 2 (C*k)^(1-mu) / ((mu - 1) C): their leading terms add up to
     |cos(pi*mu/2)| E for large k, so near mu = 1 the error falls very
     slowly (0.38 at mu = 1.1, k = 10^6, q = 25).  No bound is reported; the
@@ -127,8 +144,7 @@ def root_side_classical(factor: LambdaFactor, q, s0, mu, k) -> complex:
         raise WrongRegimeError(
             f"classical sum diverges for mu = {mu} <= 1; use root_side_em"
         )
-    if not (_is_int(k) and 0 <= k < 2**53):
-        raise InvalidInputError(f"k must be an integer from 0 to 2**53 - 1, got {k!r}")
+    _check_k(k, 0)
     C = vertical_spacing(q)
     a = _ladder_offset(factor, C, s0)
     total = power_sum_symmetric(a, C, mu, k)
@@ -207,8 +223,8 @@ def _abs_sum_bound(a, C, mu, window):
 def _check_em_order(s0, mu, k) -> None:
     """Raise for an order, truncation or point root_side_em cannot handle."""
     _require_finite(mu=mu, s0=s0)
-    if k is not None and not (_is_int(k) and 1 <= k < 2**53):
-        raise InvalidInputError(f"k must be an integer from 1 to 2**53 - 1, got {k!r}")
+    if k is not None:
+        _check_k(k, 1)
     if abs(mu - 1.0) <= 1e-9:
         raise RemovableSingularityError(
             f"mu = {mu} lies within 1e-9 of mu = 1, where the (1-mu)^(-1) boundary "
@@ -359,8 +375,8 @@ def root_side_em(factor: LambdaFactor, q, s0, mu, k=None):
     valid for mu > -5 and |mu - 1| > 1e-9.  Within 1e-9 of mu = 1, where the
     (1-mu)^(-1) boundary term is singular, RemovableSingularityError is
     raised.  The window |j| <= k must reach the rung nearest s0,
-    C*k >= |Im(s0 - r0)|.  An explicit k, an integer from 1 to 2**53 - 1,
-    that does is used as given.  With k None, k is the candidate in
+    C*k >= |Im(s0 - r0)|.  An explicit k, an integer from 1 to ``_MAX_K`` =
+    10^8, that does is used as given.  With k None, k is the candidate in
     _K_CANDIDATES that does with the smallest modelled error, truncation
     plus rounding (see RegularizedSum), chosen per order.  Either way InvalidInputError is
     raised when no k reaches the rung: for k None, when C*1000 < |Im(s0 - r0)|.

@@ -6,6 +6,7 @@ sampled ladder paths; the counting pipeline is validated against trapezoid
 quadrature and the analytic period means.
 """
 
+import functools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -525,13 +526,17 @@ def test_ladder_path_matches_reference(direction):
 
 @pytest.mark.parametrize("direction", ["lower", "upper"])
 def test_ladder_block_matches_path_slices_bitwise(direction):
+    # a block is real unless its symbol reads z; made complex, it is the
+    # path's slice bit for bit
     p = LemmaParams(q=Q, sigma0=SIGMA0, tau0=TAU0, s0=S0 + 0.3j, direction=direction, n=2, t0=0.1)
     for symbol in LEMMA_SYMBOLS:
         path = ladder_path(symbol, p, 50 * C, DT).samples
         n = len(path)
+        dtype = np.complex128 if symbol.startswith("z") else np.float64
         for i0, i1 in ((0, 1), (3, 130), (1000, 2345), (n - 77, n)):
             got = _ladder_block(symbol, p, C, DT, i0, i1)
-            assert got.tobytes() == path[i0:i1].tobytes(), (symbol, i0, i1)
+            assert got.dtype == dtype, (symbol, got.dtype)
+            assert got.astype(complex).tobytes() == path[i0:i1].tobytes(), (symbol, i0, i1)
 
 
 @pytest.mark.parametrize("direction", ["lower", "upper"])
@@ -560,27 +565,62 @@ def test_lemma_values_do_not_depend_on_long_double(monkeypatch):
     assert plain == native
 
 
-@pytest.mark.parametrize("direction", ["lower", "upper"])
-def test_streamed_lemma_clim_equals_in_memory_clim(direction, monkeypatch):
+@pytest.mark.parametrize(
+    ("direction", "q"),
+    [("lower", Q), ("upper", Q), ("lower", 9), ("upper", 9)],
+    ids=["lower", "upper", "lower-q9", "upper-q9"],
+)
+def test_streamed_lemma_clim_equals_in_memory_clim(direction, q, monkeypatch):
     # 200.5 periods: 50 quarter periods, 100 middle ones and a trailing half
-    # period, none of them a multiple of the 7-period chunks
-    T_max = 200.5 * C
-    p = params(direction)
+    # period, none of them a multiple of the 7-period chunks.  The streamed
+    # Clim reads the z-free symbols as real samples, the in-memory one as
+    # complex; alpha_n at n = 5 and 8 takes the highest phase degrees.
+    period = vertical_spacing(q)
+    dt = period / 128.0
+    T_max = 200.5 * period
+    p = LemmaParams(q=q, sigma0=SIGMA0, tau0=TAU0, s0=S0, direction=direction)
     phase = TAU0 if direction == "lower" else -TAU0
-    default = {s: verify_lemma(s, p, T_max, DT, 5e-3).report for s in LEMMA_SYMBOLS}
+    cases = [(s, 1) for s in LEMMA_SYMBOLS] + [("alpha_n", 5), ("alpha_n", 8)]
+    default = {case: verify_lemma(case[0], replace(p, n=case[1]), T_max, dt, 5e-3).report
+               for case in cases}
     monkeypatch.setattr(cesaro, "_CHUNK_PERIODS", 7)
-    for symbol in LEMMA_SYMBOLS:
-        streamed = verify_lemma(symbol, p, T_max, DT, 5e-3)
-        path = ladder_path(symbol, replace(p, t0=0.5 * DT), T_max, DT)
-        in_memory = clim(
-            path, S0, SIGMA0, direction, max_eigen=SYMBOL_DEGREE[symbol], max_p=1,
-            period=C, phase=phase,
-        )
-        assert streamed.numeric == in_memory.value, symbol
-        assert streamed.report == in_memory, symbol
+    for symbol, n in cases:
+        pn = replace(p, n=n)
+        streamed = verify_lemma(symbol, pn, T_max, dt, 5e-3)
+        path = ladder_path(symbol, replace(pn, t0=0.5 * dt), T_max, dt)
+        if symbol == "alpha_n":
+            # clim fits the phase at degree 3; alpha_n needs max(3, n)
+            in_memory = cesaro._clim_profile(
+                lambda i0, i1: path.samples[i0:i1], len(path.samples), path.t0, dt,
+                complex(S0), SIGMA0, direction, 1, period, phase, cesaro._FLAT_TOL,
+                phase_degree=max(3, n),
+            )
+        else:
+            in_memory = clim(
+                path, S0, SIGMA0, direction, max_eigen=SYMBOL_DEGREE[symbol], max_p=1,
+                period=period, phase=phase,
+            )
+        assert streamed.numeric == in_memory.value, (symbol, n)
+        assert streamed.report == in_memory, (symbol, n)
         # the fit reads only the kept quarter rows and the flatness is a
         # ratio of maxima, so the chunk length changes neither
-        assert streamed.report == default[symbol], symbol
+        assert streamed.report == default[(symbol, n)], (symbol, n)
+
+
+@pytest.mark.parametrize("periods", [2100.5, 4100.5])
+def test_real_lemma_samples_fit_like_their_complex_copies(periods):
+    # the solve reads real samples as complex columns with zero imaginary
+    # parts, the matrix it reads for their complex copies, so a BLAS that
+    # picks its kernel by matrix size cannot round the two apart
+    p = params(t0=0.5 * DT)
+    for symbol in ("k", "k2", "k3"):
+        path = ladder_path(symbol, p, periods * C, DT)
+        real = cesaro._clim_profile(
+            functools.partial(_ladder_block, symbol, p, C, DT), len(path.samples), p.t0, DT,
+            complex(S0), SIGMA0, "lower", SYMBOL_DEGREE[symbol], C, TAU0, 1e-7,
+        )
+        assert real == clim(path, S0, SIGMA0, "lower", max_eigen=SYMBOL_DEGREE[symbol],
+                            max_p=1, period=C, phase=TAU0), symbol
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from zetaff import (
     root_side_total,
     vertical_spacing,
 )
-from zetaff import root_side
+from zetaff import _kernels, root_side
 from zetaff.root_side import _K_CANDIDATES, _ladder_offset
 
 C25 = vertical_spacing(25)
@@ -122,6 +122,27 @@ def test_classical_rejects_wrong_regime():
     for q in (0, 1, 6):  # C = 2*pi/ln q needs a prime power q
         with pytest.raises(InvalidInputError):
             root_side_classical(FACTOR, q, S0, 2.6, 100)
+
+
+def test_k_past_the_budget_raises_before_the_kernel(monkeypatch):
+    # k = 2**52 asked the kernel for a 64 GiB table of block sums and
+    # escaped as a bare MemoryError; a k near 10**13 got a table that fits
+    # and then about 10**7 blocks of 2**20 terms to sum
+    def unreachable(*args):
+        raise AssertionError("the kernel was called")
+
+    monkeypatch.setattr(root_side, "power_sum_symmetric", unreachable)
+    monkeypatch.setattr(_kernels, "power_sum_symmetric", unreachable)
+    curve = make_curve(25, 1, [(0.5, 0.4), (0.5, C25 - 0.4)])
+    for k in (root_side._MAX_K + 1, 10**13, 2**52):
+        with pytest.raises(InvalidInputError, match="budget"):
+            root_side_classical(FACTOR, 25, S0, 2.6, k)
+        with pytest.raises(InvalidInputError, match="budget"):
+            root_side_em(FACTOR, 25, S0, [0.5, -1.45], k)
+        with pytest.raises(InvalidInputError, match="budget"):
+            root_side_total(curve, S0, -1.45, k)
+    # the k = 10**7 classical oracle is inside the budget
+    assert root_side._MAX_K >= 10**7
 
 
 def test_em_error_cases():
