@@ -3,24 +3,25 @@
 Three layers live here:
 
 1. The averaging operator P and the numeric generalized Cesaro limit
-   (``average_P``, ``clim``).  Clim removes geometric eigenfunctions z^n
-   (z = (s0 - sigma0) -/+ iT along the lower/upper contour) and averages the
-   residual until a classical limit appears.  When the path is known to be
-   driven by a period-C phase (the root-ladder symbols), a period-aware
-   profile extraction is used instead of repeated averaging.  Inside a phase
-   bin z is affine in the period index, so one Vandermonde in the scaled
-   period index serves all bins: a single weighted least-squares solve over
-   the first- and last-quarter periods recovers the coefficient profiles
-   gamma_n(alpha) of f as a polynomial in z.  The constant content is
-   integrated exactly, and the zero-mean z^2 profile content is assigned its
-   Cesaro value -i*sgn*(s0-sigma0)*mean(W) where W is the antiderivative of
-   the profile anchored at alpha = 0.  The extraction streams the path in
-   chunks of whole periods and holds only the quarter rows, one chunk
-   buffer and two floats per period, never the whole path.  It works in
-   the samples' own dtype: the ladder symbols that do not read z come as
-   real samples and are checked in real arithmetic, while the quarter rows
-   are stored as complex whatever the dtype, so the solve reads the same
-   matrix for real samples as for their complex copies.
+   (``average_P``, ``clim``).  A ``SampledPath`` holds real samples as
+   float64 and complex ones as complex128, and each step works in that
+   dtype, except the plain-mode z-fit, which reads a complex copy.  Clim
+   removes geometric eigenfunctions z^n (z = (s0 - sigma0) -/+ iT along the
+   lower/upper contour) and averages the residual until a classical limit
+   appears.  When the path is known to be driven by a period-C phase (the
+   root-ladder symbols), a period-aware profile extraction is used instead
+   of repeated averaging.  Inside a phase bin z is affine in the period
+   index, so one Vandermonde in the scaled period index serves all bins: a
+   single weighted least-squares solve over the first- and last-quarter
+   periods recovers the coefficient profiles gamma_n(alpha) of f as a
+   polynomial in z.  The constant content is integrated exactly, and the
+   zero-mean z^2 profile content is assigned its Cesaro value
+   -i*sgn*(s0-sigma0)*mean(W) where W is the antiderivative of the profile
+   anchored at alpha = 0.  The extraction streams the path in chunks of whole
+   periods and holds only the quarter rows, one chunk buffer and two floats
+   per period, never the whole path.  Its quarter rows are stored as complex
+   whatever the dtype, so the solve reads the same matrix for real samples
+   as for their complex copies.
 
 2. The closed-form limit table for the ladder symbols alpha^n, k, k*alpha^n,
    z*alpha^n, k^2, k^2*alpha, z^2*alpha, k^3 on both contours, a numeric
@@ -78,9 +79,9 @@ LEMMA_SYMBOLS = tuple(_LADDER_SYMBOLS)
 
 @dataclass(frozen=True, eq=False)
 class SampledPath:
-    """Uniform samples of a complex-valued function of the height T.
+    """Uniform samples of a real- or complex-valued function of the height T.
 
-    samples[n] = f(t0 + n*dt).
+    samples[n] = f(t0 + n*dt), as float64 if real and complex128 if complex.
     """
 
     t0: float
@@ -92,13 +93,13 @@ class SampledPath:
             raise InvalidInputError(f"t0 must be finite and nonnegative, got {self.t0}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise InvalidInputError(f"dt must be finite and positive, got {self.dt}")
-        object.__setattr__(
-            self, "samples", np.asarray(self.samples, dtype=complex)
-        )
-        if self.samples.ndim != 1 or len(self.samples) < 2:
+        samples = np.asarray(self.samples)
+        if samples.dtype.kind not in "biufc":
+            raise InvalidInputError("samples must be real or complex numbers")
+        samples = samples.astype(complex if samples.dtype.kind == "c" else float, copy=False)
+        if samples.ndim != 1 or len(samples) < 2:
             raise InvalidInputError("samples must be a 1-d sequence of length >= 2")
-        if not np.isfinite(self.samples).all():
-            raise InvalidInputError("samples must be finite")
+        object.__setattr__(self, "samples", _finite(samples))
 
     @property
     def times(self) -> np.ndarray:
@@ -132,15 +133,14 @@ def average_P(path: SampledPath) -> SampledPath:
 
     The integral is a cumulative trapezoid on the sample grid; f is treated
     as 0 on [0, t0) when t0 > 0.  At T = 0 the average is f(0) (the limit).
+    The result has the path's dtype, so a real path stays real.
     """
     f = path.samples
     t = path.times
-    integral = np.empty(len(f), dtype=complex)
-    integral[0] = 0.0
-    np.cumsum(0.5 * (f[1:] + f[:-1]) * path.dt, out=integral[1:])
+    out = np.empty_like(f)
+    np.cumsum(0.5 * (f[1:] + f[:-1]) * path.dt, out=out[1:])
     # t0 >= 0 and dt > 0, so only t[0] can be zero
-    out = np.empty_like(integral)
-    np.divide(integral[1:], t[1:], out=out[1:])
+    out[1:] /= t[1:]
     out[0] = f[0] if t[0] == 0.0 else 0.0
     return SampledPath(t0=path.t0, dt=path.dt, samples=out)
 
@@ -252,9 +252,9 @@ def _clim_profile(
     moduli are written into it in place) and two floats per period.
 
     The source returns float64 or complex128 samples, one dtype for the
-    whole path; ``clim`` on a ``SampledPath`` is always complex.  The quarter
-    rows are stored as complex either way, real samples filling the real
-    parts.  So the solve reads, bit for bit, the matrix it reads for the
+    whole path, as a ``SampledPath`` holds them.  The quarter rows are
+    stored as complex either way, real samples filling the real parts.  So
+    the solve reads, bit for bit, the matrix it reads for the
     samples' complex copies: a real-only matrix of half the columns could
     round differently, since a BLAS may pick its kernel by matrix size
     (OpenBLAS does, at 2100 to 7000 periods of 128 bins).  The storage also
@@ -409,7 +409,8 @@ def clim(
     path is flat: its flatness, the largest deviation of the last 10% from
     their mean, must be at most flat_tol * (1 + |tail mean|).  The fit is a
     least-squares polynomial in the centred height (T - T_mid)/T_half, one
-    (max_eigen + 1)-square solve of the normal equations per stage.
+    (max_eigen + 1)-square solve of the normal equations per stage, on a
+    complex copy of the samples; at max_eigen = 0 a real path stays real.
     """
     s0 = complex(s0)
     sign = _contour_sign(direction)
@@ -426,13 +427,12 @@ def clim(
     if period is not None:
         if max_eigen < 1:
             raise InvalidInputError("profile mode needs max_eigen >= 1")
-        samples = path.samples
         return _clim_profile(
-            lambda i0, i1: samples[i0:i1], len(samples), path.t0, path.dt,
+            lambda i0, i1: path.samples[i0:i1], len(path.samples), path.t0, path.dt,
             s0, sigma0, direction, max_eigen, period, phase, flat_tol,
         )
 
-    f = np.ascontiguousarray(path.samples)
+    f = np.ascontiguousarray(path.samples, dtype=complex if max_eigen > 0 else None)
     removed = np.zeros(max_eigen + 1, dtype=complex)
     if max_eigen > 0:
         # the fit is in the centred height x = (T - T_mid)/T_half, with

@@ -209,14 +209,11 @@ def cmd_lemma(args) -> int:
 def cmd_critical_line(args) -> int:
     s0 = complex(args.s0_re, args.s0_im)
     C = curve_model.vertical_spacing(args.q)
+    kappas = args.kappas
     if args.random:
         rng = random.Random(args.seed)
         half = [rng.uniform(0.05 * C, 0.45 * C) for _ in range(args.g)]
         kappas = half + [C - k for k in half]
-    elif args.kappas:
-        kappas = args.kappas
-    else:
-        raise ZetaffError("provide --kappas or --random")
     cf = cesaro.make_counting(args.g, C, kappas)
     epsilons = [0.0] * (2 * args.g)
     results = [cesaro.r_critical_line(cf, s0, mu, epsilons) for mu in (0, -1, -2)]
@@ -308,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("critical-line", parents=[point],
                        help="critical-line r(s0, mu) assembly")
     p.add_argument("--g", type=int, default=1)
-    p.add_argument("--kappas", type=float_list, help="comma-separated step positions in (0, C)")
-    p.add_argument("--random", action="store_true", help="random symmetric kappas")
+    steps = p.add_mutually_exclusive_group(required=True)
+    steps.add_argument("--kappas", type=float_list, help="comma-separated step positions in (0, C)")
+    steps.add_argument("--random", action="store_true", help="random symmetric kappas")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=tolerance, default=1e-9)
     p.add_argument(

@@ -26,7 +26,7 @@ import numpy as np
 
 from .curve_model import CurveZeta, LambdaFactor, _factor_lambda, vertical_spacing
 from .errors import DivergentSeriesError, InvalidInputError, TailBudgetError
-from .errors import _is_int, _require_finite
+from .errors import _is_int, _orders, _require_finite
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,6 @@ def series_tail_bound(ratio: float, mu: float, n_terms: int) -> float:
         return (n + 1.0) ** (mu - 1.0) * ratio ** (n_terms + 1) / denom
     except OverflowError:
         return math.inf
-
-
-def _orders(mu):
-    """mu as a list of float orders, and whether it was one order or a grid."""
-    orders = np.asarray(mu, dtype=np.float64)
-    if orders.ndim > 1:
-        raise InvalidInputError(f"mu must be one order or a 1-d grid, got shape {orders.shape}")
-    return orders.reshape(-1).tolist(), orders.ndim == 0
 
 
 def _series_values(q, factors, s0, orders, ctl, check_zero_orders):

@@ -9,6 +9,8 @@ The argument rules the modules share are stated once here as well.
 import cmath
 import numbers
 
+import numpy as np
+
 
 class ZetaffError(Exception):
     """Base class for all zetaff errors."""
@@ -85,3 +87,11 @@ def _is_int(value) -> bool:
 def _is_tol(value) -> bool:
     """True for a real number >= 0, so not NaN, which no comparison can decide."""
     return isinstance(value, numbers.Real) and value >= 0.0
+
+
+def _orders(mu):
+    """mu as a list of float orders, and whether it was one order or a grid."""
+    orders = np.asarray(mu, dtype=np.float64)
+    if orders.ndim > 1:
+        raise InvalidInputError(f"mu must be one order or a 1-d grid, got shape {orders.shape}")
+    return orders.reshape(-1).tolist(), orders.ndim == 0

@@ -36,13 +36,13 @@ import numpy as np
 
 from ._kernels import power_sum_symmetric
 from .curve_model import CurveZeta, LambdaFactor, base_root, vertical_spacing
-from .deriv_side import _orders
 from .errors import (
     InvalidInputError,
     OrderInsufficientError,
     RemovableSingularityError,
     WrongRegimeError,
     _is_int,
+    _orders,
     _require_finite,
 )
 

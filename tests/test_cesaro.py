@@ -138,6 +138,11 @@ def test_sampled_path_validation():
         SampledPath(0.0, 0.0, np.zeros(10))
     with pytest.raises(InvalidInputError):
         SampledPath(0.0, 0.1, np.zeros(1))
+    # "a" escaped as a bare ValueError from the cast to complex
+    for samples in (["a", "b"], np.array(["1", "2"]), [None, 1], [1.0, "2"],
+                    np.array([1, 2], dtype=object)):
+        with pytest.raises(InvalidInputError, match="samples must be real or complex numbers"):
+            SampledPath(0.0, 0.1, samples)
 
 
 @pytest.mark.parametrize("t0, dt", [(math.nan, 0.1), (math.inf, 0.1), (0.0, math.inf), (0.0, math.nan)])
@@ -513,7 +518,7 @@ def test_ladder_path_matches_reference(direction):
     # t0 < tau0, so the lower contour starts at k = -1
     p = LemmaParams(q=Q, sigma0=SIGMA0, tau0=TAU0, s0=S0 + 0.3j, direction=direction, n=2, t0=0.1)
     for symbol in LEMMA_SYMBOLS:
-        got = ladder_path(symbol, p, 50 * C, DT).samples
+        got = ladder_path(symbol, p, 50 * C, DT).samples.astype(complex)
         want = _reference_ladder_samples(symbol, p, 50 * C, DT)
         if symbol in ("k", "k2", "k3"):
             assert got.tobytes() == want.tobytes(), symbol
@@ -526,8 +531,8 @@ def test_ladder_path_matches_reference(direction):
 
 @pytest.mark.parametrize("direction", ["lower", "upper"])
 def test_ladder_block_matches_path_slices_bitwise(direction):
-    # a block is real unless its symbol reads z; made complex, it is the
-    # path's slice bit for bit
+    # a block is real unless its symbol reads z, and it is the path's slice
+    # bit for bit, dtype included
     p = LemmaParams(q=Q, sigma0=SIGMA0, tau0=TAU0, s0=S0 + 0.3j, direction=direction, n=2, t0=0.1)
     for symbol in LEMMA_SYMBOLS:
         path = ladder_path(symbol, p, 50 * C, DT).samples
@@ -536,7 +541,7 @@ def test_ladder_block_matches_path_slices_bitwise(direction):
         for i0, i1 in ((0, 1), (3, 130), (1000, 2345), (n - 77, n)):
             got = _ladder_block(symbol, p, C, DT, i0, i1)
             assert got.dtype == dtype, (symbol, got.dtype)
-            assert got.astype(complex).tobytes() == path[i0:i1].tobytes(), (symbol, i0, i1)
+            assert got.tobytes() == path[i0:i1].tobytes(), (symbol, i0, i1)
 
 
 @pytest.mark.parametrize("direction", ["lower", "upper"])
@@ -573,8 +578,8 @@ def test_lemma_values_do_not_depend_on_long_double(monkeypatch):
 def test_streamed_lemma_clim_equals_in_memory_clim(direction, q, monkeypatch):
     # 200.5 periods: 50 quarter periods, 100 middle ones and a trailing half
     # period, none of them a multiple of the 7-period chunks.  The streamed
-    # Clim reads the z-free symbols as real samples, the in-memory one as
-    # complex; alpha_n at n = 5 and 8 takes the highest phase degrees.
+    # Clim reads the z-free symbols as real samples, the in-memory one their
+    # complex copies; alpha_n at n = 5 and 8 takes the highest phase degrees.
     period = vertical_spacing(q)
     dt = period / 128.0
     T_max = 200.5 * period
@@ -588,6 +593,7 @@ def test_streamed_lemma_clim_equals_in_memory_clim(direction, q, monkeypatch):
         pn = replace(p, n=n)
         streamed = verify_lemma(symbol, pn, T_max, dt, 5e-3)
         path = ladder_path(symbol, replace(pn, t0=0.5 * dt), T_max, dt)
+        path = SampledPath(path.t0, dt, path.samples.astype(complex))
         if symbol == "alpha_n":
             # clim fits the phase at degree 3; alpha_n needs max(3, n)
             in_memory = cesaro._clim_profile(
@@ -619,7 +625,8 @@ def test_real_lemma_samples_fit_like_their_complex_copies(periods):
             functools.partial(_ladder_block, symbol, p, C, DT), len(path.samples), p.t0, DT,
             complex(S0), SIGMA0, "lower", SYMBOL_DEGREE[symbol], C, TAU0, 1e-7,
         )
-        assert real == clim(path, S0, SIGMA0, "lower", max_eigen=SYMBOL_DEGREE[symbol],
+        copy = SampledPath(path.t0, DT, path.samples.astype(complex))
+        assert real == clim(copy, S0, SIGMA0, "lower", max_eigen=SYMBOL_DEGREE[symbol],
                             max_p=1, period=C, phase=TAU0), symbol
 
 
@@ -1026,8 +1033,9 @@ def test_counting_clims_numeric():
 
 def _reference_plain_clim(path, s0, sigma0, direction, max_eigen, max_p, flat_tol):
     """Plain-mode clim with a complex lstsq at every stage and the fitted
-    z^n terms (n >= 1) removed as explicit powers of z."""
-    f = path.samples
+    z^n terms (n >= 1) removed as explicit powers of z, on a complex copy
+    of the samples."""
+    f = path.samples.astype(complex)
     times = path.times
     z = (s0 - sigma0) - 1j * times if direction == "lower" else (s0 - sigma0) + 1j * times
     s = 1j if direction == "lower" else -1j
@@ -1076,6 +1084,43 @@ def test_plain_clim_matches_per_stage_lstsq_reference(g):
                 outcomes.add(p_power)
     # the cases flatten after one and after two averagings, and some never do
     assert {1, 2, "none"} <= outcomes
+
+
+def test_sampled_paths_keep_their_samples_dtype():
+    # real samples stay real through counting_path, ladder_path, average_P
+    # and a plain clim; only the z-fit reads a complex copy
+    for samples, dtype in (([1, 2], np.float64), ([True, False], np.float64),
+                           (np.ones(3, np.float32), np.float64), ([1, 2j], np.complex128),
+                           (np.ones(3, np.complex64), np.complex128)):
+        assert SampledPath(0.0, 0.1, samples).samples.dtype == dtype, samples
+    cf = make_counting(2, C, [37 * DT, C - 37 * DT, 55 * DT, C - 55 * DT])
+    for kind in ("S", "tS", "t2S", "S1", "tS1", "S2"):
+        assert counting_path(cf, kind, 10 * C, DT).samples.dtype == np.float64, kind
+    for symbol in LEMMA_SYMBOLS:
+        dtype = np.complex128 if symbol in ("z_alpha", "z_alpha2", "z2_alpha") else np.float64
+        assert ladder_path(symbol, params(), 10 * C, DT).samples.dtype == dtype, symbol
+    for path in (counting_path(cf, "S1", 10 * C, DT), ladder_path("z_alpha", params(), 10 * C, DT)):
+        assert average_P(path).samples.dtype == path.samples.dtype
+    cases = 0
+    for kind in ("S", "S1", "tS1", "S2"):
+        real = counting_path(cf, kind, 200 * C, DT)
+        copy = SampledPath(real.t0, DT, real.samples.astype(complex))
+        for max_eigen in range(3):
+            args = (S0, 0.5, "lower", max_eigen, 2)
+            try:
+                want = clim(copy, *args, flat_tol=1e-2)
+            except NoClimError:
+                with pytest.raises(NoClimError):
+                    clim(real, *args, flat_tol=1e-2)
+                continue
+            got = clim(real, *args, flat_tol=1e-2)
+            assert (got.p_power, got.removed_eigen) == (want.p_power, want.removed_eigen)
+            if max_eigen >= 1:
+                assert got == want, (kind, max_eigen)
+            else:
+                assert abs(got.value - want.value) <= 1e-16 * (1.0 + abs(want.value)), kind
+            cases += 1
+    assert cases == 10
 
 
 def test_r_critical_line_exact_zeros():

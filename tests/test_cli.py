@@ -323,8 +323,8 @@ def test_scan_mu_exit_code_contract(k, mu_min, span, mu_max, mu_step, io_fault, 
         ["check-curve", "--curve", "{missing}"],
         ["lemma", "--q", "6"],
         ["lemma", "--sigma0", "nan"],
-        ["critical-line", "--q", "6"],
-        ["critical-line", "--q", "1"],
+        ["critical-line", "--random", "--q", "6"],
+        ["critical-line", "--random", "--q", "1"],
         ["scan-mu", "--terms", "0"],
         ["scan-mu", "--terms", "-3"],
         ["scan-mu", "--q", "0"],
@@ -437,13 +437,29 @@ def test_critical_line_random_and_offline(capsys):
 
 def test_critical_line_invalid_inputs(capsys):
     assert main(["critical-line", "--g", "1", "--kappas", "0.3,0.4"]) == EXIT_INVALID
-    assert main(["critical-line", "--g", "1"]) == EXIT_INVALID
     assert main(["critical-line", "--g", "1", "--kappas", "0.3"]) == EXIT_INVALID
     capsys.readouterr()
     # an off-line root family must lie in the critical strip 0 <= sigma0 <= 1
     for offline in ("5", "-0.1"):
         assert main(["critical-line", "--random", "--offline", offline]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith("invalid input: ")
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["--g", "2", "--kappas", "0.3", "--random"], "not allowed with argument"),
+        (["--g", "1"], "one of the arguments --kappas --random is required"),
+    ],
+    ids=["both", "neither"],
+)
+def test_critical_line_takes_kappas_or_random(argv, message, capsys):
+    # --random silently dropped --kappas, so a kappa list that cannot serve
+    # genus 2 went unreported; giving neither raised a ZetaffError
+    with pytest.raises(SystemExit) as exc:
+        main(["critical-line", *argv])
+    assert exc.value.code == EXIT_INVALID
+    assert message in capsys.readouterr().err
 
 
 def test_console_entry_point(curve_file):
@@ -456,10 +472,10 @@ def test_console_entry_point(curve_file):
 
 
 def test_shared_argument_rules_live_in_errors_py():
-    """_require_finite, _is_int and _is_tol are defined in errors.py alone, and
+    """_require_finite, _is_int, _is_tol and _orders are defined in errors.py alone, and
     no other module tests isinstance(..., bool): it calls _is_int instead."""
     pkg = os.path.join(SRC, "zetaff")
-    rules = {"_require_finite", "_is_int", "_is_tol"}
+    rules = {"_require_finite", "_is_int", "_is_tol", "_orders"}
     found = []
     for name in sorted(os.listdir(pkg)):
         if not name.endswith(".py") or name == "errors.py":
