@@ -476,6 +476,33 @@ def clim(
     )
 
 
+def _closed_form_table(direction: str, a: complex, c: complex, tau0, C) -> dict:
+    """Closed forms of the symbols but alpha_n on one contour, a = s0 - r0, c = s0 - sigma0."""
+    sgn = _contour_sign(direction)
+    w = -sgn * 1j * a
+    try:
+        table = {
+            "k": (w - C / 2.0) / C,
+            "k2": (-a * a + sgn * 1j * C * a + C * C / 3.0) / C**2,
+            "k3": (sgn * 1j * C * C * c / 4.0 + sgn * 1j * a**3 + 1.5 * C * a * a
+                   - sgn * 1j * C * C * a - C**3 / 4.0) / C**3,
+            "k_alpha": w / 2.0 - C / 3.0,
+            "k_alpha2": C * w / 3.0 - C * C / 4.0,
+            "k2_alpha": -a * a / (2.0 * C) + sgn * 7j * a / 12.0 + C / 4.0 + sgn * tau0 / 12.0,
+            "z_alpha": 0.0 + 0.0j,
+            "z_alpha2": 0.0 + 0.0j,
+            "z2_alpha": sgn * 1j * C * C * c / 12.0,
+        }
+        finite = all(map(cmath.isfinite, table.values()))
+    except OverflowError:  # k3's a**3
+        finite = False
+    if not finite:
+        raise InvalidInputError(
+            f"the closed-form table overflows a double at s0 - r0 = {a}, s0 - sigma0 = {c}"
+        )
+    return table
+
+
 def lemma_closed_form(
     symbol: str,
     direction: str,
@@ -490,47 +517,24 @@ def lemma_closed_form(
 
     Lower contour: z = (s0 - sigma0) - iT with T = C*k + tau0 + alpha;
     upper: z~ = (s0 - sigma0) + iT~ with T~ = C*k~ - tau0 + alpha~.  The
-    table of the symbols other than alpha_n is built whole, so an input at
-    which any entry overflows a double (k3 grows like |s0 - r0|^3) raises
-    InvalidInputError for each of them; alpha_n raises when C^n overflows.
+    table of the symbols other than alpha_n is built and checked whole, so an
+    input at which any entry is not a finite double (k3 grows like |s0 - r0|^3)
+    raises InvalidInputError for each of them; alpha_n raises when C^n overflows.
     """
-    sgn = _contour_sign(direction)
+    _contour_sign(direction)
     if symbol not in SYMBOL_DEGREE:
         raise InvalidInputError(f"unknown lemma symbol {symbol!r}")
-    if symbol == "alpha_n" and n < 1:
+    if symbol != "alpha_n":
+        s0 = complex(s0)
+        return _closed_form_table(direction, s0 - complex(r0), s0 - sigma0, tau0, C)[symbol]
+    if n < 1:
         raise InvalidInputError("alpha_n needs n >= 1")
-    a = complex(s0) - complex(r0)
-    w = -sgn * 1j * a
-    tt = sgn * tau0
-    c = complex(s0) - sigma0
     try:
-        if symbol == "alpha_n":
-            value = C**n / (n + 1.0)
-        else:
-            value = {
-                "k": (w - C / 2.0) / C,
-                "k2": (-a * a + sgn * 1j * C * a + C * C / 3.0) / C**2,
-                "k3": (
-                    sgn * 1j * C * C * c / 4.0
-                    + sgn * 1j * a**3
-                    + 1.5 * C * a * a
-                    - sgn * 1j * C * C * a
-                    - C**3 / 4.0
-                )
-                / C**3,
-                "k_alpha": w / 2.0 - C / 3.0,
-                "k_alpha2": C * w / 3.0 - C * C / 4.0,
-                "k2_alpha": -a * a / (2.0 * C) + sgn * 7j * a / 12.0 + C / 4.0 + tt / 12.0,
-                "z_alpha": 0.0 + 0.0j,
-                "z_alpha2": 0.0 + 0.0j,
-                "z2_alpha": sgn * 1j * C * C * c / 12.0,
-            }[symbol]
+        value = C**n / (n + 1.0)
     except OverflowError:
         value = math.inf
-    if not cmath.isfinite(value):
-        raise InvalidInputError(
-            f"the closed-form table overflows a double at s0 = {s0}, r0 = {r0}, n = {n}"
-        )
+    if not math.isfinite(value):
+        raise InvalidInputError(f"alpha_n overflows a double at C = {C}, n = {n}")
     return value
 
 
@@ -587,17 +591,16 @@ def _sample_count(T_max: float, t0: float, dt: float) -> int:
 
 
 def _ladder_length(symbol: str, params: LemmaParams, T_max: float, dt: float):
-    """Validate a ladder path request; return its number of samples and period."""
+    """Validate a ladder path request; return its sample count, period and bin table."""
     if symbol not in _LADDER_SYMBOLS:
         raise InvalidInputError(f"unknown lemma symbol {symbol!r}")
     n = _sample_count(T_max, params.t0, dt)
     C = vertical_spacing(params.q)
-    _bin_grid(params.t0, dt, C, params.phase)
-    return n, C
+    return n, C, _bin_grid(params.t0, dt, C, params.phase)
 
 
-def _ladder_block(symbol: str, params: LemmaParams, C: float, dt: float, i0: int, i1: int):
-    """Samples [i0, i1) of the ladder path of a symbol, C the period.
+def _ladder_block(symbol: str, params: LemmaParams, bins, dt: float, i0: int, i1: int):
+    """Samples [i0, i1) of the ladder path of a symbol, bins its bin table.
 
     Sample i = p*nbin + b lies in period p and phase bin b: its ladder index
     is k = p + k_b and its phase alpha = alpha_b (``_bin_grid``), and only z
@@ -608,7 +611,7 @@ def _ladder_block(symbol: str, params: LemmaParams, C: float, dt: float, i0: int
     that do not read z are real and come back as float64; z_alpha, z_alpha2
     and z2_alpha come back as complex128.
     """
-    k_b, alpha_b = _bin_grid(params.t0, dt, C, params.phase)
+    k_b, alpha_b = bins
     nbin = len(k_b)
     p0, p1 = i0 // nbin, -(-i1 // nbin)
     p = np.arange(p0, p1)[:, None]
@@ -625,10 +628,8 @@ def _ladder_block(symbol: str, params: LemmaParams, C: float, dt: float, i0: int
 
 def ladder_path(symbol: str, params: LemmaParams, T_max: float, dt: float) -> SampledPath:
     """Exact sampled path of a ladder symbol on the chosen contour; dt must divide C."""
-    n, C = _ladder_length(symbol, params, T_max, dt)
-    return SampledPath(
-        t0=params.t0, dt=dt, samples=_ladder_block(symbol, params, C, dt, 0, n)
-    )
+    n, _, bins = _ladder_length(symbol, params, T_max, dt)
+    return SampledPath(params.t0, dt, _ladder_block(symbol, params, bins, dt, 0, n))
 
 
 def verify_lemma(
@@ -648,14 +649,14 @@ def verify_lemma(
     # Sample at step midpoints so no sample lands exactly on a ladder jump,
     # where rounding decides whether a bin's phase reads 0 or C.
     shifted = replace(params, t0=params.t0 + 0.5 * dt)
-    n, C = _ladder_length(symbol, shifted, T_max, dt)
+    n, C, bins = _ladder_length(symbol, shifted, T_max, dt)
     # before any path work, so a closed form that overflows fails fast
     r0 = complex(params.sigma0, params.tau0)
     cf = lemma_closed_form(
         symbol, params.direction, params.n, params.s0, r0, params.sigma0, params.tau0, C
     )
     report = _clim_profile(
-        functools.partial(_ladder_block, symbol, shifted, C, dt), n, shifted.t0, dt,
+        functools.partial(_ladder_block, symbol, shifted, bins, dt), n, shifted.t0, dt,
         complex(params.s0), params.sigma0, params.direction, SYMBOL_DEGREE[symbol],
         C, params.phase, _FLAT_TOL,
         # alpha_n's profile is alpha^n; the default phase degree, 3 for a
@@ -674,32 +675,31 @@ def verify_lemma(
     )
 
 
-def _ladder_partial_limit(mu: int, a: complex, direction: str, sigma0, tau0, C):
+def _check_mu(mu) -> None:
+    if mu not in (0, -1, -2):
+        raise UnsupportedMuError(f"mu must be 0, -1 or -2, got {mu}")
+
+
+def _ladder_partial_limit(mu: int, a: complex, direction: str, tau0, C):
     """Clim of the one-sided partial-sum polynomial N_{+,mu} or N_{-,mu}.
 
     Lower direction gives N_+ (roots with imaginary part in [0, T), so k+1
     terms); upper gives N_- (imaginary parts in (-T, 0), k~ terms).
     """
-    r0 = complex(sigma0, tau0)
-
-    def L(sym):
-        # the closed forms depend on s0 only through a = s0 - r0 and
-        # c = s0 - sigma0 = a + i*tau0, so reconstruct s0 = a + r0
-        return lemma_closed_form(sym, direction, 1, a + r0, r0, sigma0, tau0, C)
-
     sgn = _contour_sign(direction)
+    _check_mu(mu)
+    # the closed forms depend on s0 only through a and c = s0 - sigma0 = a + i*tau0
+    L = _closed_form_table(direction, a, a + 1j * tau0, tau0, C)
     count = 1.0 if sgn > 0 else 0.0  # the j = 0 root is in N_+
     if mu == 0:
-        return L("k") + count
+        return L["k"] + count
     if mu == -1:
-        return a * (L("k") + count) - sgn * 1j * (C / 2.0) * (L("k2") + L("k"))
-    if mu == -2:
-        return (
-            a * a * (L("k") + count)
-            - sgn * 1j * C * a * (L("k2") + L("k"))
-            - C * C * (L("k3") / 3.0 + L("k2") / 2.0 + L("k") / 6.0)
-        )
-    raise UnsupportedMuError(f"mu must be 0, -1 or -2, got {mu}")
+        return a * (L["k"] + count) - sgn * 1j * (C / 2.0) * (L["k2"] + L["k"])
+    return (
+        a * a * (L["k"] + count)
+        - sgn * 1j * C * a * (L["k2"] + L["k"])
+        - C * C * (L["k3"] / 3.0 + L["k2"] / 2.0 + L["k"] / 6.0)
+    )
 
 
 def r_lambda_cesaro(factor, q, s0, mu: int) -> complex:
@@ -717,8 +717,8 @@ def r_lambda_cesaro(factor, q, s0, mu: int) -> complex:
         raise InvalidInputError(f"Re(s0) must exceed 1, got {s0.real}")
     C = vertical_spacing(q)
     a = s0 - complex(factor.sigma0, factor.tau0)
-    n_plus = _ladder_partial_limit(mu, a, "lower", factor.sigma0, factor.tau0, C)
-    n_minus = _ladder_partial_limit(mu, a, "upper", factor.sigma0, factor.tau0, C)
+    n_plus = _ladder_partial_limit(mu, a, "lower", factor.tau0, C)
+    n_minus = _ladder_partial_limit(mu, a, "upper", factor.tau0, C)
     if abs(n_plus + n_minus) > 1e-9 * (1.0 + abs(n_plus)):
         raise ValidationError(
             f"one-sided limits fail to cancel: N+ = {n_plus}, N- = {n_minus}"
@@ -911,8 +911,7 @@ def r_critical_line(cf: CountingFunction, s0, mu: int, epsilons) -> CriticalLine
         )
     if not all(math.isfinite(e) for e in epsilons):
         raise InvalidInputError(f"epsilons must be finite, got {epsilons}")
-    if mu not in (0, -1, -2):
-        raise UnsupportedMuError(f"mu must be 0, -1 or -2, got {mu}")
+    _check_mu(mu)
     return CriticalLineResult(
         mu=mu,
         value=0j,

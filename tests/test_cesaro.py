@@ -6,6 +6,7 @@ sampled ladder paths; the counting pipeline is validated against trapezoid
 quadrature and the analytic period means.
 """
 
+import collections
 import functools
 import math
 import tracemalloc
@@ -363,7 +364,7 @@ def test_every_direction_is_checked_by_the_contour_sign():
     for call in (
         lambda: cesaro._contour_sign("sideways"),
         lambda: cesaro._geometric_z(np.zeros(2), S0, SIGMA0, "sideways"),
-        lambda: _ladder_partial_limit(0, a, "sideways", SIGMA0, TAU0, C),
+        lambda: _ladder_partial_limit(0, a, "sideways", TAU0, C),
         lambda: lemma_closed_form("k", "sideways", 1, S0, 0.6 + 0.7j, SIGMA0, TAU0, C),
         lambda: params(direction="sideways"),
         lambda: clim(path, S0, SIGMA0, "sideways", max_eigen=1, max_p=1, period=C),
@@ -534,12 +535,13 @@ def test_ladder_block_matches_path_slices_bitwise(direction):
     # a block is real unless its symbol reads z, and it is the path's slice
     # bit for bit, dtype included
     p = LemmaParams(q=Q, sigma0=SIGMA0, tau0=TAU0, s0=S0 + 0.3j, direction=direction, n=2, t0=0.1)
+    bins = cesaro._bin_grid(p.t0, DT, C, p.phase)
     for symbol in LEMMA_SYMBOLS:
         path = ladder_path(symbol, p, 50 * C, DT).samples
         n = len(path)
         dtype = np.complex128 if symbol.startswith("z") else np.float64
         for i0, i1 in ((0, 1), (3, 130), (1000, 2345), (n - 77, n)):
-            got = _ladder_block(symbol, p, C, DT, i0, i1)
+            got = _ladder_block(symbol, p, bins, DT, i0, i1)
             assert got.dtype == dtype, (symbol, got.dtype)
             assert got.tobytes() == path[i0:i1].tobytes(), (symbol, i0, i1)
 
@@ -551,12 +553,14 @@ def test_ladder_block_is_periodic_in_the_phase(direction):
     p = params(direction, t0=0.5 * DT)
     nbin = round(C / DT)
     i0, i1 = 3, 3 + 2 * nbin + 5
-    alpha = _ladder_block("alpha_n", p, C, DT, i0, i1)
-    k = _ladder_block("k", p, C, DT, i0, i1)
+    bins = cesaro._bin_grid(p.t0, DT, C, p.phase)
+    alpha = _ladder_block("alpha_n", p, bins, DT, i0, i1)
+    k = _ladder_block("k", p, bins, DT, i0, i1)
     for m in (1, 10**4, 10**5):
-        shifted = _ladder_block("alpha_n", p, C, DT, i0 + m * nbin, i1 + m * nbin)
+        shifted = _ladder_block("alpha_n", p, bins, DT, i0 + m * nbin, i1 + m * nbin)
         assert shifted.tobytes() == alpha.tobytes(), m
-        assert np.array_equal(_ladder_block("k", p, C, DT, i0 + m * nbin, i1 + m * nbin), k + m), m
+        shifted = _ladder_block("k", p, bins, DT, i0 + m * nbin, i1 + m * nbin)
+        assert np.array_equal(shifted, k + m), m
 
 
 def test_lemma_values_do_not_depend_on_long_double(monkeypatch):
@@ -619,10 +623,11 @@ def test_real_lemma_samples_fit_like_their_complex_copies(periods):
     # parts, the matrix it reads for their complex copies, so a BLAS that
     # picks its kernel by matrix size cannot round the two apart
     p = params(t0=0.5 * DT)
+    bins = cesaro._bin_grid(p.t0, DT, C, p.phase)
     for symbol in ("k", "k2", "k3"):
         path = ladder_path(symbol, p, periods * C, DT)
         real = cesaro._clim_profile(
-            functools.partial(_ladder_block, symbol, p, C, DT), len(path.samples), p.t0, DT,
+            functools.partial(_ladder_block, symbol, p, bins, DT), len(path.samples), p.t0, DT,
             complex(S0), SIGMA0, "lower", SYMBOL_DEGREE[symbol], C, TAU0, 1e-7,
         )
         copy = SampledPath(path.t0, DT, path.samples.astype(complex))
@@ -717,16 +722,44 @@ def test_partial_limit_mu_minus1_matches_numeric_clim(direction):
     path = SampledPath(kp.t0, DT, samples)
     phase = TAU0 if direction == "lower" else -TAU0
     rep = clim(path, S0, SIGMA0, direction, max_eigen=2, max_p=1, period=C, phase=phase)
-    exact = _ladder_partial_limit(-1, a, direction, SIGMA0, TAU0, C)
+    exact = _ladder_partial_limit(-1, a, direction, TAU0, C)
     assert abs(rep.value - exact) <= 1e-6
 
 
 def test_partial_limits_cancel():
     a = complex(S0) - complex(SIGMA0, TAU0)
     for mu in (0, -1, -2):
-        lo = _ladder_partial_limit(mu, a, "lower", SIGMA0, TAU0, C)
-        hi = _ladder_partial_limit(mu, a, "upper", SIGMA0, TAU0, C)
+        lo = _ladder_partial_limit(mu, a, "lower", TAU0, C)
+        hi = _ladder_partial_limit(mu, a, "upper", TAU0, C)
         assert abs(lo + hi) <= 1e-12 * (1.0 + abs(lo))
+
+
+def test_each_cesaro_table_is_built_once_per_call(monkeypatch):
+    calls = collections.Counter()
+
+    def count(name):
+        original = getattr(cesaro, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cesaro, name, counted)
+
+    count("_bin_grid")
+    count("_closed_form_table")
+    # one bin table for the path and one for the profile fit, not one per
+    # chunk of 256 periods
+    verify_lemma("k", params(), 1e4 * C, DT, 5e-3)
+    assert calls["_bin_grid"] <= 2
+    calls.clear()
+    ladder_path("k", params(), 100 * C, DT)
+    assert calls == {"_bin_grid": 1}
+    # one closed-form table per contour, whichever entries mu reads
+    for mu in (0, -1, -2):
+        calls.clear()
+        assert r_lambda_cesaro(LambdaFactor(SIGMA0, TAU0, 1), Q, S0, mu) == 0j
+        assert calls == {"_closed_form_table": 2}, mu
 
 
 def test_r_lambda_cesaro_exact_zero():
