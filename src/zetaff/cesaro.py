@@ -48,6 +48,9 @@ from .errors import (
     NoClimError,
     UnsupportedMuError,
     ValidationError,
+    _complex,
+    _floats,
+    _is_finite,
     _is_int,
     _is_tol,
     _require_finite,
@@ -89,9 +92,9 @@ class SampledPath:
     samples: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.t0) and self.t0 >= 0.0):
+        if not (_is_finite(self.t0, real=True) and self.t0 >= 0.0):
             raise InvalidInputError(f"t0 must be finite and nonnegative, got {self.t0}")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
+        if not (_is_finite(self.dt, real=True) and self.dt > 0.0):
             raise InvalidInputError(f"dt must be finite and positive, got {self.dt}")
         samples = np.asarray(self.samples)
         if samples.dtype.kind not in "biufc":
@@ -187,6 +190,13 @@ _MAX_PHASE_DEGREE = 8
 def _chunk_spans(lo, hi):
     """Consecutive [a, b) of at most ``_CHUNK_PERIODS`` periods covering [lo, hi)."""
     return ((a, min(a + _CHUNK_PERIODS, hi)) for a in range(lo, hi, _CHUNK_PERIODS))
+
+
+def _entry(table: dict, key, what: str):
+    """table[key], or InvalidInputError when key names no entry (a list included)."""
+    if isinstance(key, str) and key in table:
+        return table[key]
+    raise InvalidInputError(f"unknown {what} {key!r}")
 
 
 def _finite(values, name="samples"):
@@ -412,7 +422,7 @@ def clim(
     (max_eigen + 1)-square solve of the normal equations per stage, on a
     complex copy of the samples; at max_eigen = 0 a real path stays real.
     """
-    s0 = complex(s0)
+    s0 = _complex(s0, "s0")
     sign = _contour_sign(direction)
     if not (_is_int(max_eigen) and max_eigen >= 0):
         raise InvalidInputError(f"max_eigen must be an integer >= 0, got {max_eigen!r}")
@@ -420,7 +430,7 @@ def clim(
         raise InvalidInputError(f"max_p must be an integer >= 0, got {max_p!r}")
     if not _is_tol(flat_tol):
         raise InvalidInputError(f"flat_tol must be a number >= 0, got {flat_tol!r}")
-    if period is not None and not (math.isfinite(period) and period > 0.0):
+    if period is not None and not (_is_finite(period, real=True) and period > 0.0):
         raise InvalidInputError(f"period must be finite and positive, got {period}")
     _require_finite(s0=s0, sigma0=sigma0, phase=phase)
 
@@ -516,19 +526,26 @@ def lemma_closed_form(
     """Closed-form generalized Cesaro limit of a ladder symbol.
 
     Lower contour: z = (s0 - sigma0) - iT with T = C*k + tau0 + alpha;
-    upper: z~ = (s0 - sigma0) + iT~ with T~ = C*k~ - tau0 + alpha~.  The
-    table of the symbols other than alpha_n is built and checked whole, so an
-    input at which any entry is not a finite double (k3 grows like |s0 - r0|^3)
-    raises InvalidInputError for each of them; alpha_n raises when C^n overflows.
+    upper: z~ = (s0 - sigma0) + iT~ with T~ = C*k~ - tau0 + alpha~.
+
+    s0, r0, sigma0 and tau0 must be finite numbers, C finite and positive,
+    and alpha_n's power n an integer >= 1; any other input, NaN included,
+    raises InvalidInputError naming the argument before the table is built.
+    The table of the symbols other than alpha_n is built whole and checked
+    whole, so an input at which any entry overflows a double (k3 grows like
+    |s0 - r0|^3) raises InvalidInputError for each of them; alpha_n raises
+    when C^n overflows.
     """
     _contour_sign(direction)
-    if symbol not in SYMBOL_DEGREE:
-        raise InvalidInputError(f"unknown lemma symbol {symbol!r}")
+    _entry(SYMBOL_DEGREE, symbol, "lemma symbol")
+    if not (_is_finite(C, real=True) and C > 0.0):
+        raise InvalidInputError(f"period must be finite and positive, got {C}")
+    _require_finite(s0=s0, r0=r0, sigma0=sigma0, tau0=tau0)
     if symbol != "alpha_n":
         s0 = complex(s0)
         return _closed_form_table(direction, s0 - complex(r0), s0 - sigma0, tau0, C)[symbol]
-    if n < 1:
-        raise InvalidInputError("alpha_n needs n >= 1")
+    if not (_is_int(n) and n >= 1):
+        raise InvalidInputError(f"alpha_n needs an integer n >= 1, got {n!r}")
     try:
         value = C**n / (n + 1.0)
     except OverflowError:
@@ -554,7 +571,7 @@ class LemmaParams:
         vertical_spacing(self.q)  # q must be a prime power
         _contour_sign(self.direction)  # direction must name a contour
         _require_finite(s0=self.s0, sigma0=self.sigma0, tau0=self.tau0)
-        if not (math.isfinite(self.t0) and self.t0 >= 0.0):
+        if not (_is_finite(self.t0, real=True) and self.t0 >= 0.0):
             raise InvalidInputError(f"t0 must be finite and nonnegative, got {self.t0}")
         # the power of alpha_n; checked here so a bad n fails before any path work
         if not (_is_int(self.n) and self.n >= 1):
@@ -580,9 +597,9 @@ class LemmaVerification:
 def _sample_count(T_max: float, t0: float, dt: float) -> int:
     """Number of heights t0 + i*dt <= T_max: at least 2, and below 2**53, past
     which neither the index i nor a ladder index k = p + k_b is an exact double."""
-    if not (math.isfinite(dt) and dt > 0.0):
+    if not (_is_finite(dt, real=True) and dt > 0.0):
         raise InvalidInputError(f"dt must be finite and positive, got {dt}")
-    steps = (T_max - t0) / dt
+    steps = (T_max - t0) / dt if _is_finite(T_max, real=True) else math.nan
     if not 1.0 <= steps < 2**53 - 1:
         raise InvalidInputError(
             f"T_max = {T_max} must give 2 to 2**53 - 1 samples from t0 = {t0} at dt = {dt}"
@@ -592,8 +609,7 @@ def _sample_count(T_max: float, t0: float, dt: float) -> int:
 
 def _ladder_length(symbol: str, params: LemmaParams, T_max: float, dt: float):
     """Validate a ladder path request; return its sample count, period and bin table."""
-    if symbol not in _LADDER_SYMBOLS:
-        raise InvalidInputError(f"unknown lemma symbol {symbol!r}")
+    _entry(_LADDER_SYMBOLS, symbol, "lemma symbol")
     n = _sample_count(T_max, params.t0, dt)
     C = vertical_spacing(params.q)
     return n, C, _bin_grid(params.t0, dt, C, params.phase)
@@ -684,7 +700,10 @@ def _ladder_partial_limit(mu: int, a: complex, direction: str, tau0, C):
     """Clim of the one-sided partial-sum polynomial N_{+,mu} or N_{-,mu}.
 
     Lower direction gives N_+ (roots with imaginary part in [0, T), so k+1
-    terms); upper gives N_- (imaginary parts in (-T, 0), k~ terms).
+    terms); upper gives N_- (imaginary parts in (-T, 0), k~ terms).  The
+    Clims of k, k^2 and k^3 are read from one closed-form table per contour,
+    built once per call.  That table is the seam where numeric Clims of the
+    ladder paths, each with its flatness, could stand in for the closed forms.
     """
     sgn = _contour_sign(direction)
     _check_mu(mu)
@@ -711,7 +730,7 @@ def r_lambda_cesaro(factor, q, s0, mu: int) -> complex:
     Both limits are still evaluated independently, and the zero is returned
     only after they are checked to cancel to 1e-9 * (1 + |N_+|).
     """
-    s0 = complex(s0)
+    s0 = _complex(s0, "s0")
     _require_finite(mu=mu, s0=s0)
     if s0.real <= 1.0:
         raise InvalidInputError(f"Re(s0) must exceed 1, got {s0.real}")
@@ -745,9 +764,9 @@ def make_counting(g: int, C: float, kappas) -> CountingFunction:
     """
     if not (_is_int(g) and g >= 1):
         raise InvalidInputError(f"genus must be an integer >= 1, got {g!r}")
-    if not (math.isfinite(C) and C > 0.0):
+    if not (_is_finite(C, real=True) and C > 0.0):
         raise InvalidInputError(f"period must be finite and positive, got {C}")
-    kappas = sorted(float(k) for k in kappas)
+    kappas = sorted(_floats(kappas, "kappas"))
     if len(kappas) != 2 * g:
         raise InvalidInputError(
             f"expected {2 * g} kappas for genus {g}, got {len(kappas)}"
@@ -864,10 +883,9 @@ def counting_path(cf: CountingFunction, kind: str, t_max: float, dt: float) -> S
     kind is one of S, tS, t2S, S1, tS1, S2.  Step functions are sampled with
     the midpoint convention of ``s_eval``.
     """
-    if kind not in _COUNTING_EXPR:
-        raise InvalidInputError(f"unknown path kind {kind!r}")
+    expr = _entry(_COUNTING_EXPR, kind, "path kind")
     t = dt * np.arange(_sample_count(t_max, 0.0, dt))
-    return SampledPath(t0=0.0, dt=dt, samples=_COUNTING_EXPR[kind](cf, t))
+    return SampledPath(t0=0.0, dt=dt, samples=expr(cf, t))
 
 
 @dataclass(frozen=True)
@@ -900,11 +918,11 @@ def r_critical_line(cf: CountingFunction, s0, mu: int, epsilons) -> CriticalLine
     root count, which is zero because its one-sided limits cancel per root
     ladder (see ``r_lambda_cesaro``).
     """
-    s0 = complex(s0)
+    s0 = _complex(s0, "s0")
     _require_finite(mu=mu, s0=s0)
     if s0.real <= 1.0:
         raise InvalidInputError(f"Re(s0) must exceed 1, got {s0.real}")
-    epsilons = [float(e) for e in epsilons]
+    epsilons = _floats(epsilons, "epsilons")
     if len(epsilons) != 2 * cf.g:
         raise InvalidInputError(
             f"expected {2 * cf.g} epsilons, got {len(epsilons)}"
@@ -928,6 +946,6 @@ def x_epsilon_equispaced(sigma0: float) -> complex:
     are exact negatives.  The roots of a curve zeta function lie in the
     strip 0 <= Re(s) <= 1, so sigma0 must lie in [0, 1].
     """
-    if not 0.0 <= sigma0 <= 1.0:
+    if not (_is_finite(sigma0, real=True) and 0.0 <= sigma0 <= 1.0):
         raise InvalidInputError(f"sigma0 must lie in [0, 1], got {sigma0}")
     return 0j

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, PoleEvaluationError, ValidationError
-from .errors import _is_int, _is_tol, _require_finite
+from .errors import _complex, _floats, _is_int, _is_tol, _require_finite
 
 _CLOSURE_TOL = 1e-12
 
@@ -127,7 +127,7 @@ def make_curve(q, genus, base_roots) -> CurveZeta:
     C = vertical_spacing(q)
     if not (_is_int(genus) and genus >= 0):
         raise InvalidInputError(f"genus must be an integer >= 0, got {genus!r}")
-    base_roots = list(base_roots)
+    base_roots = _floats(base_roots, "base roots", width=2)
     if len(base_roots) != 2 * genus:
         raise InvalidInputError(
             f"expected {2 * genus} base roots for genus {genus}, got {len(base_roots)}"
@@ -136,7 +136,8 @@ def make_curve(q, genus, base_roots) -> CurveZeta:
     for s, t in base_roots:
         if not 0.0 <= s <= 1.0:
             raise InvalidInputError(f"sigma0 must lie in [0, 1], got {s}")
-        norm.append((float(s), float(t) % C))
+        _require_finite(tau0=t)  # a NaN tau0 would fail closure as a missing partner
+        norm.append((s, t % C))
 
     _check_closure(norm, C, lambda s, t: (1.0 - s, (C - t) % C), "q/lambda")
     _check_conjugation(norm, C)
@@ -185,7 +186,7 @@ def check_functional_equation(curve: CurveZeta, s, tol):
     """
     if not _is_tol(tol):
         raise InvalidInputError(f"tol must be a number >= 0, got {tol!r}")
-    s = complex(s)
+    s = _complex(s, "s")
     left = eval_zeta(curve, 1.0 - s)
     zs = eval_zeta(curve, s)
     scale = cmath.exp((1 - curve.genus) * (1 - 2 * s) * math.log(curve.q))

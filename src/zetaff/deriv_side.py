@@ -26,7 +26,7 @@ import numpy as np
 
 from .curve_model import CurveZeta, LambdaFactor, _factor_lambda, vertical_spacing
 from .errors import DivergentSeriesError, InvalidInputError, TailBudgetError
-from .errors import _is_int, _orders, _require_finite
+from .errors import _complex, _is_int, _is_tol, _orders, _require_finite
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class SeriesControl:
         if not (_is_int(n) and 1 <= n < 2**53):
             raise InvalidInputError(f"n_terms must be an integer from 1 to 2**53 - 1, got {n!r}")
         # inf turns the tail check off; NaN would too, silently
-        if not self.tail_tol > 0.0:
+        if not (_is_tol(self.tail_tol) and self.tail_tol > 0.0):
             raise InvalidInputError(f"tail_tol must be positive, got {self.tail_tol!r}")
 
 
@@ -55,12 +55,17 @@ def series_tail_bound(ratio: float, mu: float, n_terms: int) -> float:
     and inf when the denominator is <= 0 or a power overflows a double.  The
     term ratio t_{n+1}/t_n = r * ((n+1)/n)^(mu-1) is at most r for mu <= 1
     and falls with n for mu > 1, so the tail is dominated by a geometric
-    series from t_{N+1} with the ratio at n = N+1.  A ratio or order that is
-    not finite raises InvalidInputError.
+    series from t_{N+1} with the ratio at n = N+1.  The ratio must be a
+    finite real >= 0, the order finite and n_terms an integer >= 0, or
+    InvalidInputError is raised.
     """
     _require_finite(ratio=ratio, mu=mu)
-    n = float(n_terms)
+    if not _is_tol(ratio):
+        raise InvalidInputError(f"ratio must be a real number >= 0, got {ratio!r}")
+    if not (_is_int(n_terms) and n_terms >= 0):
+        raise InvalidInputError(f"n_terms must be an integer >= 0, got {n_terms!r}")
     try:
+        n = float(n_terms)
         denom = 1.0 - ratio * max(1.0, ((n + 2.0) / (n + 1.0)) ** (mu - 1.0))
         if denom <= 0.0:
             return math.inf
@@ -156,7 +161,7 @@ def deriv_side_factor(q, factor: LambdaFactor, s0, mu, ctl: SeriesControl = Seri
     meet ctl.tail_tol, at the first order that does.
     """
     orders, one = _orders(mu)
-    values = _series_values(q, [factor], complex(s0), orders, ctl, check_zero_orders=True)[0]
+    values = _series_values(q, [factor], _complex(s0, "s0"), orders, ctl, check_zero_orders=True)[0]
     return values[0] if one else np.array(values, dtype=np.complex128)
 
 
@@ -167,7 +172,7 @@ def deriv_side_total(curve: CurveZeta, s0, mu, ctl: SeriesControl = SeriesContro
     complex ndarray.  At nonpositive integer mu every factor vanishes, and
     the sum is 0j exactly.
     """
-    s0 = complex(s0)
+    s0 = _complex(s0, "s0")
     orders, one = _orders(mu)
     if s0.real <= 1.0:
         raise InvalidInputError(f"Re(s0) must exceed 1, got {s0.real}")

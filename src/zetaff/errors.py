@@ -7,6 +7,7 @@ The argument rules the modules share are stated once here as well.
 """
 
 import cmath
+import math
 import numbers
 
 import numpy as np
@@ -70,10 +71,21 @@ class UnsupportedMuError(ZetaffError):
     """mu outside the finite set supported by a closed-form routine."""
 
 
+def _is_finite(value, real=False) -> bool:
+    """True for a finite number, with ``real`` a finite real one, a NumPy
+    scalar included; False for NaN, inf and anything that is not a number,
+    such as a string, None or a list."""
+    try:
+        return math.isfinite(value) if real else cmath.isfinite(value)
+    except (TypeError, OverflowError):  # OverflowError: an int past the doubles
+        return False
+
+
 def _require_finite(**named) -> None:
-    """Raise InvalidInputError, naming each argument, unless all are finite."""
+    """Raise InvalidInputError, naming each argument, unless all are finite
+    numbers (see ``_is_finite``)."""
     for value in named.values():
-        if not cmath.isfinite(value):
+        if not _is_finite(value):
             got = ", ".join(f"{name} = {value}" for name, value in named.items())
             raise InvalidInputError(f"expected finite numbers, got {got}")
 
@@ -89,9 +101,42 @@ def _is_tol(value) -> bool:
     return isinstance(value, numbers.Real) and value >= 0.0
 
 
+def _complex(value, name) -> complex:
+    """value as a complex, or InvalidInputError naming the argument when it
+    is not a number (a string included, which complex() would parse)."""
+    if not isinstance(value, str):
+        try:
+            return complex(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InvalidInputError(f"{name} must be a number, got {value!r}")
+
+
+def _floats(values, name, width=None) -> list:
+    """values, a sequence of real numbers, as a list of floats; with a width,
+    a sequence of width-tuples of them, as a list of tuples of floats.
+    Anything else, a string included, raises InvalidInputError naming the
+    argument."""
+    rows = None
+    if not isinstance(values, str):
+        try:
+            rows = [float(v) if width is None else tuple(map(float, v)) for v in values]
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if rows is None or (width is not None and any(len(row) != width for row in rows)):
+        what = "real numbers" if width is None else f"{width}-tuples of real numbers"
+        raise InvalidInputError(f"{name} must be a sequence of {what}, got {values!r}")
+    return rows
+
+
 def _orders(mu):
     """mu as a list of float orders, and whether it was one order or a grid."""
-    orders = np.asarray(mu, dtype=np.float64)
+    try:
+        orders = np.asarray(mu, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(
+            f"mu must be a real order or a 1-d grid of them, got {mu!r}"
+        ) from None
     if orders.ndim > 1:
         raise InvalidInputError(f"mu must be one order or a 1-d grid, got shape {orders.shape}")
     return orders.reshape(-1).tolist(), orders.ndim == 0

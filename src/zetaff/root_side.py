@@ -41,6 +41,7 @@ from .errors import (
     OrderInsufficientError,
     RemovableSingularityError,
     WrongRegimeError,
+    _complex,
     _is_int,
     _orders,
     _require_finite,
@@ -396,7 +397,7 @@ def root_side_total(curve: CurveZeta, s0, mu, k=None):
     error model choose it.  mu is one order, giving a complex, or a 1-d grid
     of orders, giving a complex ndarray.
     """
-    s0 = complex(s0)
+    s0 = _complex(s0, "s0")
     orders, one = _orders(mu)
     if s0.real <= 1.0:
         raise InvalidInputError(f"Re(s0) must exceed 1, got {s0.real}")

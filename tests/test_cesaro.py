@@ -23,6 +23,7 @@ from zetaff import (
     LemmaParams,
     NoClimError,
     SampledPath,
+    SeriesControl,
     UnsupportedMuError,
     ValidationError,
     ZetaffError,
@@ -30,6 +31,8 @@ from zetaff import (
     check_functional_equation,
     clim,
     counting_path,
+    deriv_side_factor,
+    deriv_side_total,
     eval_zeta,
     ladder_path,
     lemma_closed_form,
@@ -39,6 +42,8 @@ from zetaff import (
     q_eval,
     r_critical_line,
     r_lambda_cesaro,
+    root_side_em,
+    root_side_total,
     s1_av,
     s1_eval,
     s2_eval,
@@ -353,6 +358,29 @@ def test_lemma_closed_form_that_overflows_raises():
     assert lemma_closed_form("k", "lower", 3000, S0, r0, SIGMA0, TAU0, C) == (
         lemma_closed_form("k", "lower", 1, S0, r0, SIGMA0, TAU0, C)
     )
+
+
+def test_lemma_closed_form_rejects_bad_input_before_the_table(monkeypatch):
+    # C = 0 escaped as a ZeroDivisionError and C = -1 gave a value; alpha_n
+    # took n = 1.5 and True, which LemmaParams rejects; a NaN s0 was reported
+    # as an overflow and a string one escaped as a ValueError
+    monkeypatch.setattr(cesaro, "_closed_form_table", None)  # not to be reached
+    r0 = complex(SIGMA0, TAU0)
+    good = dict(symbol="k", direction="lower", n=1, s0=S0, r0=r0, sigma0=SIGMA0, tau0=TAU0, C=C)
+    bad = [dict(C=period) for period in (0.0, -1.0, math.nan, math.inf, "x", None)]
+    bad += [dict(symbol="alpha_n", n=n) for n in (0, 1.5, True, None)]
+    bad += [dict(symbol=symbol, **{name: value})
+            for symbol in ("k", "alpha_n")
+            for name in ("s0", "r0", "sigma0", "tau0")
+            for value in (math.nan, math.inf, "x", None)]
+    for change in bad:
+        args = {**good, **change}
+        # a bad point is named in the finiteness message
+        message = None if "C" in change or "n" in change else "expected finite numbers"
+        with pytest.raises(InvalidInputError, match=message):
+            lemma_closed_form(*args.values())
+    # the eight-argument call stays valid
+    assert lemma_closed_form("alpha_n", "lower", 3, S0, r0, SIGMA0, TAU0, C) == C**3 / 4.0
 
 
 def test_every_direction_is_checked_by_the_contour_sign():
@@ -1210,6 +1238,45 @@ def test_x_epsilon_equispaced():
     for sigma0 in (math.nan, math.inf, -math.inf, 5.0, -0.1, 1.0 + 1e-9):
         with pytest.raises(InvalidInputError):
             x_epsilon_equispaced(sigma0)
+
+
+# each of these escaped as a bare TypeError or ValueError, and the last as a
+# ValidationError, though a NaN is bad input, not a broken structure
+_MALFORMED = {
+    "LambdaFactor-sigma0-str": lambda: LambdaFactor("a", 0.1),
+    "LemmaParams-s0-str": lambda: LemmaParams(q=Q, sigma0=0.5, tau0=0.1, s0="x"),
+    "root_side_em-s0-str": lambda: root_side_em(LambdaFactor(0.6, 0.7), Q, "x", 0.5),
+    "root_side_em-mu-str": lambda: root_side_em(LambdaFactor(0.6, 0.7), Q, 5.0, "x"),
+    "eval_zeta-s-str": lambda: eval_zeta(_CURVE, "x"),
+    "SampledPath-t0-str": lambda: SampledPath("x", 0.1, [1.0, 2.0]),
+    "SampledPath-dt-None": lambda: SampledPath(0.0, None, [1.0, 2.0]),
+    "SeriesControl-tail_tol-str": lambda: SeriesControl(20, "x"),
+    "deriv_side_factor-mu-str": lambda: deriv_side_factor(Q, LambdaFactor(0.6, 0.7), 5.0, ["x"]),
+    "r_lambda_cesaro-s0-str": lambda: r_lambda_cesaro(LambdaFactor(0.6, 0.7), Q, "x", 0),
+    "r_critical_line-s0-str": lambda: r_critical_line(_CF, "x", 0, [0, 0]),
+    "root_side_total-s0-str": lambda: root_side_total(_CURVE, "x", 0.5),
+    "deriv_side_total-s0-str": lambda: deriv_side_total(_CURVE, "x", 0.5),
+    "clim-s0-str": lambda: clim(SampledPath(0.0, 0.1, [1.0, 2.0]), "x", 0.5, "lower", 0, 1),
+    "check_functional_equation-s-str": lambda: check_functional_equation(_CURVE, "x", 1e-9),
+    "make_counting-kappas-str": lambda: make_counting(1, C, ["a", "b"]),
+    "make_counting-kappas-None": lambda: make_counting(1, C, None),
+    "make_counting-kappas-complex": lambda: make_counting(1, C, [0.3j, 1.0]),
+    "make_counting-period-str": lambda: make_counting(1, "x", [0.3, C - 0.3]),
+    "r_critical_line-epsilons-str": lambda: r_critical_line(_CF, 5.0, 0, ["a", "b"]),
+    "make_curve-short-pair": lambda: make_curve(Q, 1, [(0.5,), (0.5, 1.0)]),
+    "make_curve-sigma0-str": lambda: make_curve(Q, 1, [("a", 1.0), ("a", C - 1.0)]),
+    "make_curve-None": lambda: make_curve(Q, 1, None),
+    "x_epsilon_equispaced-str": lambda: x_epsilon_equispaced("x"),
+    "ladder_path-symbol-list": lambda: ladder_path(["k"], params(), 100 * C, DT),
+    "counting_path-kind-list": lambda: counting_path(_CF, ["S"], 10 * C, DT),
+    "make_curve-tau0-nan": lambda: make_curve(Q, 1, [(0.5, math.nan), (0.5, math.nan)]),
+}
+
+
+@pytest.mark.parametrize("call", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_malformed_arguments_raise_invalid_input(call):
+    with pytest.raises(InvalidInputError):
+        call()
 
 
 def test_symbol_degree_table():

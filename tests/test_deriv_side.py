@@ -135,6 +135,14 @@ def test_series_tail_bound_behaviour():
     ratio, n = 0.25, 12
     true_tail = sum(ratio**j for j in range(n + 1, 400))
     assert series_tail_bound(ratio, 1.0, n) >= true_tail
+    # no terms kept: the whole series sum_{n >= 1} 2^-n = 1, exactly
+    assert series_tail_bound(0.5, 1.0, 0) == 1.0
+    # a negative ratio gave a negative "bound", n_terms = -1 a bare
+    # ZeroDivisionError, and n_terms = 2.5 or True a value
+    for ratio, mu, n in ((-0.5, 1.0, 10), (-0.5, 2.5, 10), (0.5, 1.0, -1), (0.5, 1.0, 2.5),
+                         (0.5, 1.0, True), (0.5j, 1.0, 10), ("x", 1.0, 10), (math.nan, 1.0, 10)):
+        with pytest.raises(InvalidInputError):
+            series_tail_bound(ratio, mu, n)
 
 
 def test_series_tail_bound_holds_for_all_mu():
