@@ -1,10 +1,11 @@
-"""Two SHA-256 digests, of CLI output and of lemma values, to check two trees bit for bit.
+"""Three SHA-256 digests, of CLI output, lemma values and closed forms, to check two trees
+bit for bit.
 
     python tools/digest.py SRC
 
 imports zetaff from the directory SRC (the one holding the ``zetaff``
 package, e.g. ``src`` of a checkout) and the perfbench workloads from
-``perfbench/workloads.py`` next to this file, and prints two lines:
+``perfbench/workloads.py`` next to this file, and prints three lines:
 
 - CLI: ``zetaff.cli.main`` runs in-process on 1,926 argument lists: six
   fixed runs of scan-mu, lemma and critical-line, then check-curve and
@@ -18,9 +19,13 @@ package, e.g. ``src`` of a checkout) and the perfbench workloads from
   lemma``.  The line gives the number of verifications and one digest over
   the ``repr`` of each one's (numeric, residual_flatness, removed_eigen).
   ``repr`` keeps every bit of a float, the sign of a zero included.
+- Closed forms: ``cesaro.lemma_closed_form`` at the (q, sigma0, tau0, s0) of
+  the same 40 specs of each seed, for every symbol on both contours, alpha_n
+  at n = 1 .. 8.  The line gives the number of values and one digest over
+  the ``repr`` of each.
 
-Two trees whose CLI output is byte-identical and whose lemma values agree
-bit for bit print the same two lines.
+Two trees whose CLI output is byte-identical and whose lemma values and
+closed forms agree bit for bit print the same three lines.
 """
 
 from __future__ import annotations
@@ -99,6 +104,22 @@ def lemma_line(workloads, cesaro, vertical_spacing) -> str:
     return f"{len(runs)} verifications sha256 {digest.hexdigest()}"
 
 
+def closed_form_line(workloads, cesaro, vertical_spacing) -> str:
+    digest, count = hashlib.sha256(), 0
+    for seed in SEEDS:
+        for spec in workloads.generate("lemma-table", seed)[:SPECS_PER_SEED]:
+            C = vertical_spacing(spec["q"])
+            point = (spec["s0"], complex(spec["sigma0"], spec["tau0"]), spec["sigma0"],
+                     spec["tau0"], C)
+            for direction in ("lower", "upper"):
+                for symbol in cesaro.LEMMA_SYMBOLS:
+                    for n in range(1, 9) if symbol == "alpha_n" else (1,):
+                        value = cesaro.lemma_closed_form(symbol, direction, n, *point)
+                        digest.update(repr(value).encode())
+                        count += 1
+    return f"Closed forms: {count} values sha256 {digest.hexdigest()}"
+
+
 def main() -> None:
     if len(sys.argv) != 2:
         sys.exit(f"usage: {sys.argv[0]} SRC")
@@ -110,6 +131,7 @@ def main() -> None:
 
     print(cli_line(workloads, cli))
     print(lemma_line(workloads, cesaro, vertical_spacing))
+    print(closed_form_line(workloads, cesaro, vertical_spacing))
 
 
 if __name__ == "__main__":
