@@ -48,12 +48,13 @@ from .errors import (
     NoClimError,
     UnsupportedMuError,
     ValidationError,
-    _complex,
     _floats,
-    _is_finite,
-    _is_int,
-    _is_tol,
+    _point,
+    _reals,
     _require_finite,
+    _require_int,
+    _require_range,
+    _require_tol,
 )
 
 _PAIR_TOL = 1e-12
@@ -92,10 +93,8 @@ class SampledPath:
     samples: np.ndarray
 
     def __post_init__(self):
-        if not (_is_finite(self.t0, real=True) and self.t0 >= 0.0):
-            raise InvalidInputError(f"t0 must be finite and nonnegative, got {self.t0}")
-        if not (_is_finite(self.dt, real=True) and self.dt > 0.0):
-            raise InvalidInputError(f"dt must be finite and positive, got {self.dt}")
+        _require_range(self.t0, "t0", 0.0)
+        _require_range(self.dt, "dt", 0.0, lo_open=True)
         samples = np.asarray(self.samples)
         if samples.dtype.kind not in "biufc":
             raise InvalidInputError("samples must be real or complex numbers")
@@ -123,12 +122,8 @@ class ClimReport:
     """How far the path is from the model the value is read from (see ``clim``)."""
 
     def __post_init__(self):
-        if self.p_power < 0:
-            raise InvalidInputError("p_power must be nonnegative")
-        if not self.residual_flatness >= 0.0:
-            raise InvalidInputError(
-                f"residual_flatness must be nonnegative, got {self.residual_flatness}"
-            )
+        _require_int(self.p_power, "p_power", 0)
+        _require_tol(self.residual_flatness, "residual_flatness")
 
 
 def average_P(path: SampledPath) -> SampledPath:
@@ -422,26 +417,21 @@ def clim(
     (max_eigen + 1)-square solve of the normal equations per stage, on a
     complex copy of the samples; at max_eigen = 0 a real path stays real.
     """
-    s0 = _complex(s0, "s0")
+    s0 = _point(s0)
     sign = _contour_sign(direction)
-    if not (_is_int(max_eigen) and max_eigen >= 0):
-        raise InvalidInputError(f"max_eigen must be an integer >= 0, got {max_eigen!r}")
-    if not (_is_int(max_p) and max_p >= 0):
-        raise InvalidInputError(f"max_p must be an integer >= 0, got {max_p!r}")
-    if not _is_tol(flat_tol):
-        raise InvalidInputError(f"flat_tol must be a number >= 0, got {flat_tol!r}")
-    if period is not None and not (_is_finite(period, real=True) and period > 0.0):
-        raise InvalidInputError(f"period must be finite and positive, got {period}")
-    _require_finite(s0=s0, sigma0=sigma0, phase=phase)
+    _require_int(max_p, "max_p", 0)
+    _require_tol(flat_tol, "flat_tol")
+    _require_finite(sigma0=sigma0, phase=phase)
 
     if period is not None:
-        if max_eigen < 1:
-            raise InvalidInputError("profile mode needs max_eigen >= 1")
+        _require_range(period, "period", 0.0, lo_open=True)
+        _require_int(max_eigen, "max_eigen", 1)
         return _clim_profile(
             lambda i0, i1: path.samples[i0:i1], len(path.samples), path.t0, path.dt,
             s0, sigma0, direction, max_eigen, period, phase, flat_tol,
         )
 
+    _require_int(max_eigen, "max_eigen", 0)
     f = np.ascontiguousarray(path.samples, dtype=complex if max_eigen > 0 else None)
     removed = np.zeros(max_eigen + 1, dtype=complex)
     if max_eigen > 0:
@@ -538,14 +528,12 @@ def lemma_closed_form(
     """
     _contour_sign(direction)
     _entry(SYMBOL_DEGREE, symbol, "lemma symbol")
-    if not (_is_finite(C, real=True) and C > 0.0):
-        raise InvalidInputError(f"period must be finite and positive, got {C}")
-    _require_finite(s0=s0, r0=r0, sigma0=sigma0, tau0=tau0)
+    _require_range(C, "C", 0.0, lo_open=True)
+    s0, r0 = _point(s0), _point(r0, "r0")
+    _require_finite(sigma0=sigma0, tau0=tau0)
     if symbol != "alpha_n":
-        s0 = complex(s0)
-        return _closed_form_table(direction, s0 - complex(r0), s0 - sigma0, tau0, C)[symbol]
-    if not (_is_int(n) and n >= 1):
-        raise InvalidInputError(f"alpha_n needs an integer n >= 1, got {n!r}")
+        return _closed_form_table(direction, s0 - r0, s0 - sigma0, tau0, C)[symbol]
+    _require_int(n, "n", 1)
     try:
         value = C**n / (n + 1.0)
     except OverflowError:
@@ -570,12 +558,11 @@ class LemmaParams:
     def __post_init__(self):
         vertical_spacing(self.q)  # q must be a prime power
         _contour_sign(self.direction)  # direction must name a contour
-        _require_finite(s0=self.s0, sigma0=self.sigma0, tau0=self.tau0)
-        if not (_is_finite(self.t0, real=True) and self.t0 >= 0.0):
-            raise InvalidInputError(f"t0 must be finite and nonnegative, got {self.t0}")
+        _point(self.s0)
+        _require_finite(sigma0=self.sigma0, tau0=self.tau0)
+        _require_range(self.t0, "t0", 0.0)
         # the power of alpha_n; checked here so a bad n fails before any path work
-        if not (_is_int(self.n) and self.n >= 1):
-            raise InvalidInputError(f"n must be an integer >= 1, got {self.n!r}")
+        _require_int(self.n, "n", 1)
 
     @property
     def phase(self) -> float:
@@ -594,25 +581,32 @@ class LemmaVerification:
     report: ClimReport
 
 
-def _sample_count(T_max: float, t0: float, dt: float) -> int:
-    """Number of heights t0 + i*dt <= T_max: at least 2, and below 2**53, past
-    which neither the index i nor a ladder index k = p + k_b is an exact double."""
-    if not (_is_finite(dt, real=True) and dt > 0.0):
-        raise InvalidInputError(f"dt must be finite and positive, got {dt}")
-    steps = (T_max - t0) / dt if _is_finite(T_max, real=True) else math.nan
+def _sample_count(T_max: float, t0: float, dt: float, shift=0.0):
+    """Number of heights t0 + (shift + i)*dt <= T_max, and the first of them:
+    at least 2, and below 2**53, past which neither the index i nor a ladder
+    index k = p + k_b is an exact double.  dt is checked before the shift."""
+    _require_range(dt, "dt", 0.0, lo_open=True)
+    _require_finite(T_max=T_max)
+    if shift:
+        t0 = t0 + shift * dt
+    steps = (T_max - t0) / dt
     if not 1.0 <= steps < 2**53 - 1:
         raise InvalidInputError(
             f"T_max = {T_max} must give 2 to 2**53 - 1 samples from t0 = {t0} at dt = {dt}"
         )
-    return int(math.floor(steps)) + 1
+    return int(math.floor(steps)) + 1, t0
 
 
-def _ladder_length(symbol: str, params: LemmaParams, T_max: float, dt: float):
-    """Validate a ladder path request; return its sample count, period and bin table."""
+def _ladder_length(symbol: str, params: LemmaParams, T_max: float, dt: float, shift=0.0):
+    """Validate a ladder path request whose samples start shift*dt past
+    params.t0; return the params of that start, the sample count, the period
+    and the bin table."""
     _entry(_LADDER_SYMBOLS, symbol, "lemma symbol")
-    n = _sample_count(T_max, params.t0, dt)
+    n, t0 = _sample_count(T_max, params.t0, dt, shift)
+    if shift:
+        params = replace(params, t0=t0)
     C = vertical_spacing(params.q)
-    return n, C, _bin_grid(params.t0, dt, C, params.phase)
+    return params, n, C, _bin_grid(params.t0, dt, C, params.phase)
 
 
 def _ladder_block(symbol: str, params: LemmaParams, bins, dt: float, i0: int, i1: int):
@@ -644,7 +638,7 @@ def _ladder_block(symbol: str, params: LemmaParams, bins, dt: float, i0: int, i1
 
 def ladder_path(symbol: str, params: LemmaParams, T_max: float, dt: float) -> SampledPath:
     """Exact sampled path of a ladder symbol on the chosen contour; dt must divide C."""
-    n, _, bins = _ladder_length(symbol, params, T_max, dt)
+    _, n, _, bins = _ladder_length(symbol, params, T_max, dt)
     return SampledPath(params.t0, dt, _ladder_block(symbol, params, bins, dt, 0, n))
 
 
@@ -660,12 +654,10 @@ def verify_lemma(
     tol * (1 + |closed form|): the closed forms of k, k2, k2_alpha and k3
     grow like tau0, tau0^2 and tau0^3, and the rounding of the value with them.
     """
-    if not _is_tol(tol):
-        raise InvalidInputError(f"tol must be a number >= 0, got {tol!r}")
+    _require_tol(tol, "tol")
     # Sample at step midpoints so no sample lands exactly on a ladder jump,
     # where rounding decides whether a bin's phase reads 0 or C.
-    shifted = replace(params, t0=params.t0 + 0.5 * dt)
-    n, C, bins = _ladder_length(symbol, shifted, T_max, dt)
+    shifted, n, C, bins = _ladder_length(symbol, params, T_max, dt, shift=0.5)
     # before any path work, so a closed form that overflows fails fast
     r0 = complex(params.sigma0, params.tau0)
     cf = lemma_closed_form(
@@ -730,10 +722,8 @@ def r_lambda_cesaro(factor, q, s0, mu: int) -> complex:
     Both limits are still evaluated independently, and the zero is returned
     only after they are checked to cancel to 1e-9 * (1 + |N_+|).
     """
-    s0 = _complex(s0, "s0")
-    _require_finite(mu=mu, s0=s0)
-    if s0.real <= 1.0:
-        raise InvalidInputError(f"Re(s0) must exceed 1, got {s0.real}")
+    s0 = _point(s0, min_re=1.0)
+    _require_finite(mu=mu)
     C = vertical_spacing(q)
     a = s0 - complex(factor.sigma0, factor.tau0)
     n_plus = _ladder_partial_limit(mu, a, "lower", factor.tau0, C)
@@ -762,17 +752,9 @@ def make_counting(g: int, C: float, kappas) -> CountingFunction:
     roots 1/2 + i*kappa closed under conjugation, checked as ``make_curve``
     checks it.
     """
-    if not (_is_int(g) and g >= 1):
-        raise InvalidInputError(f"genus must be an integer >= 1, got {g!r}")
-    if not (_is_finite(C, real=True) and C > 0.0):
-        raise InvalidInputError(f"period must be finite and positive, got {C}")
-    kappas = sorted(_floats(kappas, "kappas"))
-    if len(kappas) != 2 * g:
-        raise InvalidInputError(
-            f"expected {2 * g} kappas for genus {g}, got {len(kappas)}"
-        )
-    if not all(math.isfinite(k) for k in kappas):
-        raise InvalidInputError(f"kappas must be finite, got {kappas}")
+    _require_int(g, "genus", 1)
+    _require_range(C, "C", 0.0, lo_open=True)
+    kappas = sorted(_floats(kappas, "kappas", count=2 * g))
     for k in kappas:
         if not _PAIR_TOL < k < C - _PAIR_TOL:
             raise ValidationError(f"kappa = {k} must lie strictly inside (0, {C})")
@@ -786,12 +768,12 @@ def _heightwise(fn):
     A float in gives a float out.  It is evaluated as a one-element array, so
     it rounds exactly as the same height inside a longer array would (NumPy's
     scalar powers can round differently from its array powers).  A height
-    that is not finite raises InvalidInputError.
+    that is not a finite real number raises InvalidInputError.
     """
 
     @functools.wraps(fn)
     def evaluator(cf: CountingFunction, T):
-        T = np.asarray(T, dtype=float)
+        T = _reals(T, "heights")
         values = fn(cf, _finite(np.atleast_1d(T), "heights"))
         return float(values[0]) if T.ndim == 0 else values
 
@@ -884,7 +866,7 @@ def counting_path(cf: CountingFunction, kind: str, t_max: float, dt: float) -> S
     the midpoint convention of ``s_eval``.
     """
     expr = _entry(_COUNTING_EXPR, kind, "path kind")
-    t = dt * np.arange(_sample_count(t_max, 0.0, dt))
+    t = dt * np.arange(_sample_count(t_max, 0.0, dt)[0])
     return SampledPath(t0=0.0, dt=dt, samples=expr(cf, t))
 
 
@@ -918,17 +900,9 @@ def r_critical_line(cf: CountingFunction, s0, mu: int, epsilons) -> CriticalLine
     root count, which is zero because its one-sided limits cancel per root
     ladder (see ``r_lambda_cesaro``).
     """
-    s0 = _complex(s0, "s0")
-    _require_finite(mu=mu, s0=s0)
-    if s0.real <= 1.0:
-        raise InvalidInputError(f"Re(s0) must exceed 1, got {s0.real}")
-    epsilons = _floats(epsilons, "epsilons")
-    if len(epsilons) != 2 * cf.g:
-        raise InvalidInputError(
-            f"expected {2 * cf.g} epsilons, got {len(epsilons)}"
-        )
-    if not all(math.isfinite(e) for e in epsilons):
-        raise InvalidInputError(f"epsilons must be finite, got {epsilons}")
+    _point(s0, min_re=1.0)
+    _require_finite(mu=mu)
+    _floats(epsilons, "epsilons", count=2 * cf.g)
     _check_mu(mu)
     return CriticalLineResult(
         mu=mu,
@@ -946,6 +920,5 @@ def x_epsilon_equispaced(sigma0: float) -> complex:
     are exact negatives.  The roots of a curve zeta function lie in the
     strip 0 <= Re(s) <= 1, so sigma0 must lie in [0, 1].
     """
-    if not (_is_finite(sigma0, real=True) and 0.0 <= sigma0 <= 1.0):
-        raise InvalidInputError(f"sigma0 must lie in [0, 1], got {sigma0}")
+    _require_range(sigma0, "sigma0", 0.0, 1.0)
     return 0j

@@ -25,7 +25,7 @@ import sys
 
 from . import cesaro, curve_model, deriv_side, root_side
 from .errors import InvalidInputError, NoClimError, ValidationError, ZetaffError
-from .errors import _is_tol, _require_finite
+from .errors import _is_tol, _require_finite, _require_range
 
 EXIT_OK = 0
 EXIT_TOL = 1
@@ -117,9 +117,8 @@ def cmd_check_curve(args) -> int:
 
 
 def _mu_grid(mu_min: float, mu_max: float, mu_step: float):
-    _require_finite(mu_min=mu_min, mu_max=mu_max, mu_step=mu_step)
-    if mu_step <= 0.0:
-        raise ZetaffError(f"mu-step must be positive, got {mu_step}")
+    _require_finite(mu_min=mu_min, mu_max=mu_max)
+    _require_range(mu_step, "mu-step", 0.0, lo_open=True)
     if mu_min > mu_max:
         raise ZetaffError(f"empty mu grid: {mu_min} > {mu_max}")
     steps = (mu_max - mu_min) / mu_step + 1e-9

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, PoleEvaluationError, ValidationError
-from .errors import _complex, _floats, _is_int, _is_tol, _require_finite
+from .errors import _floats, _is_int, _point, _require_int, _require_range, _require_tol
 
 _CLOSURE_TOL = 1e-12
 
@@ -58,11 +58,8 @@ class LambdaFactor:
     nu: int = 1
 
     def __post_init__(self):
-        _require_finite(sigma0=self.sigma0, tau0=self.tau0)
-        if not 0.0 <= self.sigma0 <= 1.0:
-            raise InvalidInputError(f"sigma0 must lie in [0, 1], got {self.sigma0}")
-        if self.tau0 < 0.0:
-            raise InvalidInputError(f"tau0 must be nonnegative, got {self.tau0}")
+        _require_range(self.sigma0, "sigma0", 0.0, 1.0)
+        _require_range(self.tau0, "tau0", 0.0)
         if not (_is_int(self.nu) and self.nu in (-1, 1)):
             raise InvalidInputError(f"nu must be +1 or -1, got {self.nu}")
         if self.nu == -1 and not (
@@ -125,18 +122,11 @@ def make_curve(q, genus, base_roots) -> CurveZeta:
     pole factors are appended automatically.
     """
     C = vertical_spacing(q)
-    if not (_is_int(genus) and genus >= 0):
-        raise InvalidInputError(f"genus must be an integer >= 0, got {genus!r}")
-    base_roots = _floats(base_roots, "base roots", width=2)
-    if len(base_roots) != 2 * genus:
-        raise InvalidInputError(
-            f"expected {2 * genus} base roots for genus {genus}, got {len(base_roots)}"
-        )
+    _require_int(genus, "genus", 0)
     norm = []
-    for s, t in base_roots:
-        if not 0.0 <= s <= 1.0:
-            raise InvalidInputError(f"sigma0 must lie in [0, 1], got {s}")
-        _require_finite(tau0=t)  # a NaN tau0 would fail closure as a missing partner
+    # finite pairs: a NaN tau0 would fail closure as a missing partner
+    for s, t in _floats(base_roots, "base roots", width=2, count=2 * genus):
+        _require_range(s, "sigma0", 0.0, 1.0)
         norm.append((s, t % C))
 
     _check_closure(norm, C, lambda s, t: (1.0 - s, (C - t) % C), "q/lambda")
@@ -161,8 +151,8 @@ def _factor_lambda(factor: LambdaFactor, q) -> complex:
 
 def eval_zeta(curve: CurveZeta, s) -> complex:
     """Evaluate the factored zeta at a finite s (raises at poles)."""
-    _require_finite(s=s)
-    qs = cmath.exp(-complex(s) * math.log(curve.q))
+    s = _point(s, "s")
+    qs = cmath.exp(-s * math.log(curve.q))
     value = 1.0 + 0.0j
     for f in curve.factors:
         base = 1.0 - _factor_lambda(f, curve.q) * qs
@@ -184,9 +174,8 @@ def check_functional_equation(curve: CurveZeta, s, tol):
     be very large, putting the attainable absolute residual far above
     tol * (1 + |zeta(s)|) at double precision.
     """
-    if not _is_tol(tol):
-        raise InvalidInputError(f"tol must be a number >= 0, got {tol!r}")
-    s = _complex(s, "s")
+    _require_tol(tol, "tol")
+    s = _point(s, "s")
     left = eval_zeta(curve, 1.0 - s)
     zs = eval_zeta(curve, s)
     scale = cmath.exp((1 - curve.genus) * (1 - 2 * s) * math.log(curve.q))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .curve_model import CurveZeta, LambdaFactor, _factor_lambda, vertical_spacing
 from .errors import DivergentSeriesError, InvalidInputError, TailBudgetError
-from .errors import _complex, _is_int, _is_tol, _orders, _require_finite
+from .errors import _is_tol, _orders, _point, _require_finite, _require_int, _require_range
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,8 @@ class SeriesControl:
     tail_tol: float = 1e-12
 
     def __post_init__(self):
-        n = self.n_terms
         # below 2**53 every term index n is an exact double
-        if not (_is_int(n) and 1 <= n < 2**53):
-            raise InvalidInputError(f"n_terms must be an integer from 1 to 2**53 - 1, got {n!r}")
+        _require_int(self.n_terms, "n_terms", 1, 2**53 - 1)
         # inf turns the tail check off; NaN would too, silently
         if not (_is_tol(self.tail_tol) and self.tail_tol > 0.0):
             raise InvalidInputError(f"tail_tol must be positive, got {self.tail_tol!r}")
@@ -59,11 +57,9 @@ def series_tail_bound(ratio: float, mu: float, n_terms: int) -> float:
     finite real >= 0, the order finite and n_terms an integer >= 0, or
     InvalidInputError is raised.
     """
-    _require_finite(ratio=ratio, mu=mu)
-    if not _is_tol(ratio):
-        raise InvalidInputError(f"ratio must be a real number >= 0, got {ratio!r}")
-    if not (_is_int(n_terms) and n_terms >= 0):
-        raise InvalidInputError(f"n_terms must be an integer >= 0, got {n_terms!r}")
+    _require_range(ratio, "ratio", 0.0)
+    _require_finite(mu=mu)
+    _require_int(n_terms, "n_terms", 0)
     try:
         n = float(n_terms)
         denom = 1.0 - ratio * max(1.0, ((n + 2.0) / (n + 1.0)) ** (mu - 1.0))
@@ -91,7 +87,7 @@ def _series_values(q, factors, s0, orders, ctl, check_zero_orders):
     xs = None
     live, prefixes = [], []
     for i, mu in enumerate(orders):
-        _require_finite(mu=mu, s0=s0)
+        _require_finite(mu=mu)
         zero = mu <= 0.0 and mu.is_integer()
         if zero and not check_zero_orders:
             continue
@@ -161,7 +157,7 @@ def deriv_side_factor(q, factor: LambdaFactor, s0, mu, ctl: SeriesControl = Seri
     meet ctl.tail_tol, at the first order that does.
     """
     orders, one = _orders(mu)
-    values = _series_values(q, [factor], _complex(s0, "s0"), orders, ctl, check_zero_orders=True)[0]
+    values = _series_values(q, [factor], _point(s0), orders, ctl, check_zero_orders=True)[0]
     return values[0] if one else np.array(values, dtype=np.complex128)
 
 
@@ -172,10 +168,8 @@ def deriv_side_total(curve: CurveZeta, s0, mu, ctl: SeriesControl = SeriesContro
     complex ndarray.  At nonpositive integer mu every factor vanishes, and
     the sum is 0j exactly.
     """
-    s0 = _complex(s0, "s0")
+    s0 = _point(s0, min_re=1.0)
     orders, one = _orders(mu)
-    if s0.real <= 1.0:
-        raise InvalidInputError(f"Re(s0) must exceed 1, got {s0.real}")
     values = _series_values(curve.q, curve.factors, s0, orders, ctl, check_zero_orders=False)
     totals = [sum(column, start=0.0 + 0.0j) for column in zip(*values)]
     return totals[0] if one else np.array(totals, dtype=np.complex128)

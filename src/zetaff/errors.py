@@ -71,23 +71,47 @@ class UnsupportedMuError(ZetaffError):
     """mu outside the finite set supported by a closed-form routine."""
 
 
-def _is_finite(value, real=False) -> bool:
-    """True for a finite number, with ``real`` a finite real one, a NumPy
-    scalar included; False for NaN, inf and anything that is not a number,
-    such as a string, None or a list."""
-    try:
-        return math.isfinite(value) if real else cmath.isfinite(value)
+def _is_finite(value) -> bool:
+    """True for a finite real number, a NumPy scalar included; False for NaN,
+    inf, a complex number and anything that is not a number, such as a
+    string, None or a list."""
+    try:  # math.isfinite would read a NumPy complex by its real part
+        return not isinstance(value, (complex, np.complexfloating)) and math.isfinite(value)
     except (TypeError, OverflowError):  # OverflowError: an int past the doubles
         return False
 
 
 def _require_finite(**named) -> None:
     """Raise InvalidInputError, naming each argument, unless all are finite
-    numbers (see ``_is_finite``)."""
+    real numbers (see ``_is_finite``)."""
     for value in named.values():
         if not _is_finite(value):
-            got = ", ".join(f"{name} = {value}" for name, value in named.items())
+            got = ", ".join(f"{name} = {value!r}" for name, value in named.items())
             raise InvalidInputError(f"expected finite numbers, got {got}")
+
+
+def _point(value, name="s0", min_re=-math.inf) -> complex:
+    """value, a point such as s0, r0 or s, as a finite complex whose real part
+    exceeds min_re, or InvalidInputError naming the argument; a string is no
+    point, though complex() would parse it.  The totals and the Cesaro values
+    take min_re = 1: there Re(s0) must exceed 1."""
+    try:
+        point = None if isinstance(value, str) else complex(value)
+    except (TypeError, ValueError, OverflowError):
+        point = None
+    if point is None or not cmath.isfinite(point):
+        raise InvalidInputError(f"expected finite numbers, got {name} = {value!r}")
+    if not point.real > min_re:
+        raise InvalidInputError(f"Re({name}) must exceed {min_re:g}, got {point.real!r}")
+    return point
+
+
+def _require_range(value, name, lo, hi=math.inf, lo_open=False) -> None:
+    """Raise InvalidInputError naming the argument unless value is a finite
+    real number in [lo, hi], or in (lo, hi] with ``lo_open``."""
+    if not (_is_finite(value) and (lo < value <= hi if lo_open else lo <= value <= hi)):
+        where = f"{'>' if lo_open else '>='} {lo:g}" + (f" and <= {hi:g}" if hi < math.inf else "")
+        raise InvalidInputError(f"{name} must be a finite real number {where}, got {value!r}")
 
 
 def _is_int(value) -> bool:
@@ -96,47 +120,64 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool)
 
 
+def _require_int(value, name, lo, hi=math.inf, why="") -> None:
+    """Raise InvalidInputError naming the argument unless value is an integer
+    (see ``_is_int``) in [lo, hi]; ``why`` says where a finite hi comes from."""
+    if not (_is_int(value) and lo <= value <= hi):
+        where = f">= {lo}" if hi == math.inf else f"from {lo} to {hi:_}{why}"
+        raise InvalidInputError(f"{name} must be an integer {where}, got {value!r}")
+
+
 def _is_tol(value) -> bool:
-    """True for a real number >= 0, so not NaN, which no comparison can decide."""
-    return isinstance(value, numbers.Real) and value >= 0.0
+    """True for a real number >= 0 that converts to a double, inf included;
+    so not NaN, which no comparison can decide, nor an int past the doubles."""
+    try:
+        return isinstance(value, numbers.Real) and float(value) >= 0.0
+    except OverflowError:
+        return False
 
 
-def _complex(value, name) -> complex:
-    """value as a complex, or InvalidInputError naming the argument when it
-    is not a number (a string included, which complex() would parse)."""
-    if not isinstance(value, str):
-        try:
-            return complex(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise InvalidInputError(f"{name} must be a number, got {value!r}")
+def _require_tol(value, name) -> None:
+    """Raise InvalidInputError naming the argument unless _is_tol(value)."""
+    if not _is_tol(value):
+        raise InvalidInputError(f"{name} must be a number >= 0, got {value!r}")
 
 
-def _floats(values, name, width=None) -> list:
-    """values, a sequence of real numbers, as a list of floats; with a width,
-    a sequence of width-tuples of them, as a list of tuples of floats.
-    Anything else, a string included, raises InvalidInputError naming the
-    argument."""
-    rows = None
-    if not isinstance(values, str):
-        try:
-            rows = [float(v) if width is None else tuple(map(float, v)) for v in values]
-        except (TypeError, ValueError, OverflowError):
-            pass
-    if rows is None or (width is not None and any(len(row) != width for row in rows)):
+def _floats(values, name, width=None, count=None) -> list:
+    """values, a sequence of finite real numbers, as a list of floats; with a
+    width, a sequence of width-tuples of them, as a list of tuples of floats;
+    with a count, exactly that many.  Anything else, a string or NumPy
+    complex numbers included, raises InvalidInputError naming the argument."""
+    try:  # float() would read a NumPy complex by its real part
+        rows = None if isinstance(values, str) or np.iscomplexobj(values) else [
+            float(v) if width is None else tuple(map(float, v)) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if (rows is None or (width is not None and any(len(row) != width for row in rows))
+            or not np.isfinite(rows).all()):
         what = "real numbers" if width is None else f"{width}-tuples of real numbers"
-        raise InvalidInputError(f"{name} must be a sequence of {what}, got {values!r}")
+        raise InvalidInputError(f"{name} must be a sequence of finite {what}, got {values!r}")
+    if count is not None and len(rows) != count:
+        raise InvalidInputError(f"expected {count} {name}, got {len(rows)}")
     return rows
+
+
+def _reals(values, name):
+    """values, a real number or an array of them, as a float64 ndarray, or
+    InvalidInputError naming the argument (for a string, a complex number or
+    an int past the doubles too)."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged sequence
+        array = np.asarray(None)
+    if array.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{name} must be a real number or an array of them, got {values!r}")
+    return array.astype(np.float64, copy=False)
 
 
 def _orders(mu):
     """mu as a list of float orders, and whether it was one order or a grid."""
-    try:
-        orders = np.asarray(mu, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidInputError(
-            f"mu must be a real order or a 1-d grid of them, got {mu!r}"
-        ) from None
+    orders = _reals(mu, "mu")
     if orders.ndim > 1:
         raise InvalidInputError(f"mu must be one order or a 1-d grid, got shape {orders.shape}")
     return orders.reshape(-1).tolist(), orders.ndim == 0

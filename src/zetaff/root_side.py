@@ -41,10 +41,10 @@ from .errors import (
     OrderInsufficientError,
     RemovableSingularityError,
     WrongRegimeError,
-    _complex,
-    _is_int,
     _orders,
+    _point,
     _require_finite,
+    _require_int,
 )
 
 #: |B_2m| / (2m)! for m = 1 .. 9, that is B2 .. B18 (DLMF 24.2), from the
@@ -112,16 +112,12 @@ _MAX_K = 10**8
 
 def _check_k(k, smallest) -> None:
     """Raise unless k is an integer from ``smallest`` to the budget ``_MAX_K``."""
-    if not (_is_int(k) and smallest <= k <= _MAX_K):
-        raise InvalidInputError(
-            f"k must be an integer from {smallest} to {_MAX_K:_} (the root-side "
-            f"budget), got {k!r}"
-        )
+    _require_int(k, "k", smallest, _MAX_K, why=" (the root-side budget)")
 
 
 def _ladder_offset(factor: LambdaFactor, C, s0) -> complex:
     """a = s0 - r0, checked not to be i*C*j: s0 on the ladder is a root."""
-    a = complex(s0) - base_root(factor)
+    a = s0 - base_root(factor)
     if a.real == 0.0 and a.imag == C * round(a.imag / C):
         raise InvalidInputError(f"s0 = {s0} lies on the root ladder of {factor}")
     return a
@@ -140,7 +136,8 @@ def root_side_classical(factor: LambdaFactor, q, s0, mu, k) -> complex:
     k = 10^7 classical oracle of the acceptance suite (mu >= 2.5) is what
     relies on this sum.
     """
-    _require_finite(mu=mu, s0=s0)
+    s0 = _point(s0)
+    _require_finite(mu=mu)
     if mu <= 1.0:
         raise WrongRegimeError(
             f"classical sum diverges for mu = {mu} <= 1; use root_side_em"
@@ -221,9 +218,9 @@ def _abs_sum_bound(a, C, mu, window):
     return rmin**p + 2.0 * (x0**p + tail / C)
 
 
-def _check_em_order(s0, mu, k) -> None:
-    """Raise for an order, truncation or point root_side_em cannot handle."""
-    _require_finite(mu=mu, s0=s0)
+def _check_em_order(mu, k) -> None:
+    """Raise for an order or truncation root_side_em cannot handle."""
+    _require_finite(mu=mu)
     if k is not None:
         _check_k(k, 1)
     if abs(mu - 1.0) <= 1e-9:
@@ -341,9 +338,9 @@ def _em_sums(factors, q, s0, orders, k):
         return [[] for _ in factors]
     plans = [[] for _ in factors]
     for i, mu in enumerate(orders):
-        _check_em_order(s0, mu, k)
+        _check_em_order(mu, k)
         if i == 0:
-            # q and s0 are checked after the first order, as in a one-order call
+            # q is checked after the first order, as in a one-order call
             C = vertical_spacing(q)
             offsets = [_ladder_offset(f, C, s0) for f in factors]
             windows = [_windows(a, C, k, s0) for a in offsets]
@@ -386,7 +383,7 @@ def root_side_em(factor: LambdaFactor, q, s0, mu, k=None):
     geometry across the orders and gives each order's result bit for bit.
     """
     orders, one = _orders(mu)
-    sums = _em_sums([factor], q, s0, orders, k)[0]
+    sums = _em_sums([factor], q, _point(s0), orders, k)[0]
     return sums[0] if one else sums
 
 
@@ -397,10 +394,8 @@ def root_side_total(curve: CurveZeta, s0, mu, k=None):
     error model choose it.  mu is one order, giving a complex, or a 1-d grid
     of orders, giving a complex ndarray.
     """
-    s0 = _complex(s0, "s0")
+    s0 = _point(s0, min_re=1.0)
     orders, one = _orders(mu)
-    if s0.real <= 1.0:
-        raise InvalidInputError(f"Re(s0) must exceed 1, got {s0.real}")
     totals = []
     for column in zip(*_em_sums(curve.factors, curve.q, s0, orders, k)):
         total = 0.0 + 0.0j

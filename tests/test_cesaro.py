@@ -1270,6 +1270,15 @@ _MALFORMED = {
     "ladder_path-symbol-list": lambda: ladder_path(["k"], params(), 100 * C, DT),
     "counting_path-kind-list": lambda: counting_path(_CF, ["S"], 10 * C, DT),
     "make_curve-tau0-nan": lambda: make_curve(Q, 1, [(0.5, math.nan), (0.5, math.nan)]),
+    # a complex number for a real argument was taken, and the value computed
+    "LemmaParams-sigma0-complex": lambda: LemmaParams(q=Q, sigma0=1j, tau0=0.1, s0=S0),
+    "lemma_closed_form-sigma0-complex":
+        lambda: lemma_closed_form("k", "lower", 1, S0, 0.6 + 0.7j, 1j, TAU0, C),
+    "clim-sigma0-complex": lambda: clim(SampledPath(0.0, 0.1, [1.0, 2.0]), S0, 1j, "lower", 0, 1),
+    # a tolerance past the doubles was taken (a raised UnsupportedMuError for
+    # a complex mu is now InvalidInputError, as for every real argument)
+    "SeriesControl-tail_tol-past-the-doubles": lambda: SeriesControl(20, 10**400),
+    "r_lambda_cesaro-mu-complex": lambda: r_lambda_cesaro(LambdaFactor(0.6, 0.7), Q, S0, 1j),
 }
 
 
