@@ -300,13 +300,15 @@ def _clim_profile(
             "for the averages to flatten",
             residual_flatness=math.inf,
         )
+    nq = nfull // 4
+    if degree + 1 > 2 * nq:
+        raise InvalidInputError(f"degree {degree} needs {degree + 1} quarter rows, not {2 * nq}")
 
     def periods(p0, p1):
         return _finite(source(p0 * nbin, p1 * nbin)).reshape(-1, nbin)
 
     # Pass one: the first- and last-quarter rows, the only ones the fit reads,
     # stored as complex; ``rows`` views them in the samples' own dtype.
-    nq = nfull // 4
     p = np.r_[0:nq, nfull - nq : nfull]
     kept = np.empty((2 * nq, nbin), dtype=complex)
     for first, out in ((0, kept[:nq]), (nfull - nq, kept[nq:])):
@@ -407,7 +409,9 @@ def clim(
     flatness is the largest fit residual relative to the largest sample,
     both weighted by (1 + p)^-max_eigen, p the period index; it must be at
     most flat_tol.  The phase bins of a period must have more distinct
-    phases than min(max_eigen + 2, 8), the degree of the phase fit.
+    phases than min(max_eigen + 2, 8), the degree of the phase fit, and the
+    first and last quarter of the nfull full periods, 2*(nfull // 4) rows,
+    must number at least max_eigen + 1.
 
     Otherwise (plain mode) coefficients of z^n (n = 1..max_eigen) are fitted
     and removed, then P is applied up to max_p times until the tail of the
@@ -416,6 +420,8 @@ def clim(
     least-squares polynomial in the centred height (T - T_mid)/T_half, one
     (max_eigen + 1)-square solve of the normal equations per stage, on a
     complex copy of the samples; at max_eigen = 0 a real path stays real.
+    The samples must number at least max_eigen + 1.  Past either bound
+    InvalidInputError is raised before the path is read.
     """
     s0 = _point(s0)
     sign = _contour_sign(direction)
@@ -425,13 +431,15 @@ def clim(
 
     if period is not None:
         _require_range(period, "period", 0.0, lo_open=True)
+        # the fit's own bound on max_eigen is checked in _clim_profile
         _require_int(max_eigen, "max_eigen", 1)
         return _clim_profile(
             lambda i0, i1: path.samples[i0:i1], len(path.samples), path.t0, path.dt,
             s0, sigma0, direction, max_eigen, period, phase, flat_tol,
         )
 
-    _require_int(max_eigen, "max_eigen", 0)
+    # max_eigen + 1 fit coefficients need as many samples
+    _require_int(max_eigen, "max_eigen", 0, len(path.samples) - 1)
     f = np.ascontiguousarray(path.samples, dtype=complex if max_eigen > 0 else None)
     removed = np.zeros(max_eigen + 1, dtype=complex)
     if max_eigen > 0:

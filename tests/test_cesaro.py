@@ -1279,6 +1279,12 @@ _MALFORMED = {
     # a complex mu is now InvalidInputError, as for every real argument)
     "SeriesControl-tail_tol-past-the-doubles": lambda: SeriesControl(20, 10**400),
     "r_lambda_cesaro-mu-complex": lambda: r_lambda_cesaro(LambdaFactor(0.6, 0.7), Q, S0, 1j),
+    # these escaped as a LinAlgError: the fit has more coefficients than rows
+    "clim-max_eigen-past-the-samples":
+        lambda: clim(SampledPath(0.0, 0.1, [1.0, 2.0, 3.0]), S0, SIGMA0, "lower", 3, 1),
+    "clim-max_eigen-past-the-quarter-rows":
+        lambda: clim(ladder_path("k", params(), 60 * C, DT), S0, SIGMA0, "lower", 30, 0,
+                     period=C, phase=TAU0),
 }
 
 
