@@ -472,10 +472,12 @@ def test_console_entry_point(curve_file):
 
 
 def test_shared_argument_rules_live_in_errors_py():
-    """_require_finite, _is_int, _is_tol and _orders are defined in errors.py alone, and
-    no other module tests isinstance(..., bool): it calls _is_int instead."""
+    """The argument rules are defined in errors.py alone; no other module tests
+    isinstance(..., bool), it calls _is_int instead, and none calls _is_finite:
+    a real argument's range is checked by _require_range."""
     pkg = os.path.join(SRC, "zetaff")
-    rules = {"_require_finite", "_is_int", "_is_tol", "_orders"}
+    rules = {"_is_finite", "_require_finite", "_point", "_require_range", "_is_int",
+             "_require_int", "_is_tol", "_require_tol", "_floats", "_reals", "_orders"}
     found = []
     for name in sorted(os.listdir(pkg)):
         if not name.endswith(".py") or name == "errors.py":
@@ -489,6 +491,8 @@ def test_shared_argument_rules_live_in_errors_py():
                     and len(node.args) == 2
                     and any(getattr(n, "id", None) == "bool" for n in ast.walk(node.args[1]))):
                 found.append(f"{name}:{node.lineno}: isinstance(..., bool)")
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_is_finite":
+                found.append(f"{name}:{node.lineno}: calls _is_finite")
     assert found == []
 
 
