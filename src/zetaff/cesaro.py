@@ -35,7 +35,6 @@ Three layers live here:
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -48,6 +47,8 @@ from .errors import (
     NoClimError,
     UnsupportedMuError,
     ValidationError,
+    _computed,
+    _finite,
     _floats,
     _point,
     _reals,
@@ -192,12 +193,6 @@ def _entry(table: dict, key, what: str):
     if isinstance(key, str) and key in table:
         return table[key]
     raise InvalidInputError(f"unknown {what} {key!r}")
-
-
-def _finite(values, name="samples"):
-    if not np.isfinite(values).all():
-        raise InvalidInputError(f"{name} must be finite")
-    return values
 
 
 def _bin_grid(t0, dt, period, phase):
@@ -488,27 +483,18 @@ def _closed_form_table(direction: str, a: complex, c: complex, tau0, C) -> dict:
     """Closed forms of the symbols but alpha_n on one contour, a = s0 - r0, c = s0 - sigma0."""
     sgn = _contour_sign(direction)
     w = -sgn * 1j * a
-    try:
-        table = {
-            "k": (w - C / 2.0) / C,
-            "k2": (-a * a + sgn * 1j * C * a + C * C / 3.0) / C**2,
-            "k3": (sgn * 1j * C * C * c / 4.0 + sgn * 1j * a**3 + 1.5 * C * a * a
-                   - sgn * 1j * C * C * a - C**3 / 4.0) / C**3,
-            "k_alpha": w / 2.0 - C / 3.0,
-            "k_alpha2": C * w / 3.0 - C * C / 4.0,
-            "k2_alpha": -a * a / (2.0 * C) + sgn * 7j * a / 12.0 + C / 4.0 + sgn * tau0 / 12.0,
-            "z_alpha": 0.0 + 0.0j,
-            "z_alpha2": 0.0 + 0.0j,
-            "z2_alpha": sgn * 1j * C * C * c / 12.0,
-        }
-        finite = all(map(cmath.isfinite, table.values()))
-    except OverflowError:  # k3's a**3
-        finite = False
-    if not finite:
-        raise InvalidInputError(
-            f"the closed-form table overflows a double at s0 - r0 = {a}, s0 - sigma0 = {c}"
-        )
-    return table
+    return _computed("the closed-form table", {"s0 - r0": a, "s0 - sigma0": c}, lambda: {
+        "k": (w - C / 2.0) / C,
+        "k2": (-a * a + sgn * 1j * C * a + C * C / 3.0) / C**2,
+        "k3": (sgn * 1j * C * C * c / 4.0 + sgn * 1j * a**3 + 1.5 * C * a * a
+               - sgn * 1j * C * C * a - C**3 / 4.0) / C**3,
+        "k_alpha": w / 2.0 - C / 3.0,
+        "k_alpha2": C * w / 3.0 - C * C / 4.0,
+        "k2_alpha": -a * a / (2.0 * C) + sgn * 7j * a / 12.0 + C / 4.0 + sgn * tau0 / 12.0,
+        "z_alpha": 0.0 + 0.0j,
+        "z_alpha2": 0.0 + 0.0j,
+        "z2_alpha": sgn * 1j * C * C * c / 12.0,
+    })
 
 
 def lemma_closed_form(
@@ -530,9 +516,9 @@ def lemma_closed_form(
     and alpha_n's power n an integer >= 1; any other input, NaN included,
     raises InvalidInputError naming the argument before the table is built.
     The table of the symbols other than alpha_n is built whole and checked
-    whole, so an input at which any entry overflows a double (k3 grows like
-    |s0 - r0|^3) raises InvalidInputError for each of them; alpha_n raises
-    when C^n overflows.
+    whole, so an input at which any entry leaves the doubles (k3 grows like
+    |s0 - r0|^3, and C^2 underflows to 0 at C = 1e-308) raises
+    InvalidInputError for each of them; alpha_n raises when C^n overflows.
     """
     _contour_sign(direction)
     _entry(SYMBOL_DEGREE, symbol, "lemma symbol")
@@ -542,13 +528,7 @@ def lemma_closed_form(
     if symbol != "alpha_n":
         return _closed_form_table(direction, s0 - r0, s0 - sigma0, tau0, C)[symbol]
     _require_int(n, "n", 1)
-    try:
-        value = C**n / (n + 1.0)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise InvalidInputError(f"alpha_n overflows a double at C = {C}, n = {n}")
-    return value
+    return _computed("alpha_n", {"C": C, "n": n}, lambda: C**n / (n + 1.0))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve_model import CurveZeta, LambdaFactor, _factor_lambda, vertical_spacing
-from .errors import DivergentSeriesError, InvalidInputError, TailBudgetError
+from .errors import DivergentSeriesError, InvalidInputError, TailBudgetError, _computed, _finite
 from .errors import _is_tol, _orders, _point, _require_finite, _require_int, _require_range
 
 
@@ -66,7 +66,7 @@ def series_tail_bound(ratio: float, mu: float, n_terms: int) -> float:
         if denom <= 0.0:
             return math.inf
         return (n + 1.0) ** (mu - 1.0) * ratio ** (n_terms + 1) / denom
-    except OverflowError:
+    except OverflowError:  # not the rule of errors._computed: inf is this bound's answer
         return math.inf
 
 
@@ -121,14 +121,9 @@ def _series_values(q, factors, s0, orders, ctl, check_zero_orders):
         if zero:
             # 1/Gamma(mu) = 0 exactly, the value stays 0j
             continue
-        try:
-            prefix = cmath.exp(1j * math.pi * mu) * (1.0 / math.gamma(mu)) * math.log(q) ** mu
-        except (OverflowError, ZeroDivisionError):
-            prefix = math.nan
-        if not cmath.isfinite(prefix):
-            raise InvalidInputError(f"e^(i*pi*mu)*(ln q)^mu/Gamma(mu) overflows at mu = {mu}")
+        prefixes.append(_computed("e^(i*pi*mu)*(ln q)^mu/Gamma(mu)", {"mu": mu}, lambda: (
+            cmath.exp(1j * math.pi * mu) * (1.0 / math.gamma(mu)) * math.log(q) ** mu)))
         live.append(i)
-        prefixes.append(prefix)
     if not live:
         return values
     n = np.arange(1, ctl.n_terms + 1)
@@ -139,12 +134,8 @@ def _series_values(q, factors, s0, orders, ctl, check_zero_orders):
         sums = [np.sum(x**n / powers, axis=1).tolist() for x in xs]
     for j, (i, p) in enumerate(zip(live, prefixes)):
         for row, factor, factor_sums in zip(values, factors, sums):
-            row[i] = p * factor.nu * factor_sums[j]
-            if not cmath.isfinite(row[i]):
-                raise InvalidInputError(
-                    f"the series is not a finite double at mu = {orders[i]}, "
-                    f"n_terms = {ctl.n_terms}"
-                )
+            row[i] = _finite(p * factor.nu * factor_sums[j], "the series",
+                             {"mu": orders[i], "n_terms": ctl.n_terms})
     return values
 
 

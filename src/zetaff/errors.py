@@ -3,7 +3,7 @@
 All library errors derive from ZetaffError so callers can catch one type.
 Numerical routines raise specific subclasses that carry enough context to
 diagnose the failure (achieved bounds, residual flatness, offending input).
-The argument rules the modules share are stated once here as well.
+The rules the modules share, for arguments and computed values, are stated once here as well.
 """
 
 import cmath
@@ -181,3 +181,35 @@ def _orders(mu):
     if orders.ndim > 1:
         raise InvalidInputError(f"mu must be one order or a 1-d grid, got shape {orders.shape}")
     return orders.reshape(-1).tolist(), orders.ndim == 0
+
+
+
+def _finite(value, what="samples", at=None):
+    """value, an ndarray, a number or a flat tuple or dict of numbers, unless
+    one is NaN or inf: then InvalidInputError says that ``what`` must be
+    finite, or, computed from the inputs ``at`` (a dict by name), overflows a
+    double at them.  This runs once per factor and order, so a scalar takes
+    cmath.isfinite and the message is formatted only on failure."""
+    if isinstance(value, np.ndarray):
+        finite = np.isfinite(value).all()
+    elif isinstance(value, (tuple, dict)):
+        finite = all(map(cmath.isfinite, value.values() if isinstance(value, dict) else value))
+    else:
+        finite = cmath.isfinite(value)
+    if finite:
+        return value
+    if at is None:
+        raise InvalidInputError(f"{what} must be finite")
+    where = ", ".join(f"{name} = {x}" for name, x in at.items())
+    raise InvalidInputError(f"{what} overflows a double at {where}")
+
+
+def _computed(what, at, fn, *args):
+    """_finite(fn(*args), what, at), where fn raising OverflowError (a power
+    or exp past the doubles), ZeroDivisionError (by a divisor that underflowed
+    to 0) or ValueError (cmath.exp at an infinite phase) counts as a NaN."""
+    try:
+        value = fn(*args)
+    except (OverflowError, ZeroDivisionError, ValueError):
+        value = math.nan
+    return _finite(value, what, at)

@@ -41,6 +41,8 @@ from .errors import (
     OrderInsufficientError,
     RemovableSingularityError,
     WrongRegimeError,
+    _computed,
+    _finite,
     _orders,
     _point,
     _require_finite,
@@ -234,8 +236,9 @@ def _check_em_order(mu, k) -> None:
         )
 
 
-def _em_model(a, C, mu, coefs, windows, s0):
-    """(window, truncation, rounding, kept): the error model's choice of window.
+def _em_model(a, C, mu, coefs, windows):
+    """(k, w-, w+, |w-|, |w+|, truncation, rounding, kept): the error model's
+    choice of window, flat, so that ``errors._finite`` reads each number.
 
     At a window, |B_2m term| <= |coef_m| (rm^(-mu-2m+1) + rp^(-mu-2m+1)),
     rm = |w-| and rp = |w+|.  Bernoulli terms are kept while these bounds
@@ -254,43 +257,38 @@ def _em_model(a, C, mu, coefs, windows, s0):
     before.  An explicit k is a scan of its one window.
     """
     best = None
-    try:
-        for window in windows:
-            _, _, _, rm, rp = window
-            em, ep = rm ** (-mu - 1.0), rp ** (-mu - 1.0)
-            sm, sp = rm**-2.0, rp**-2.0
-            kept, kept_sum, prev = 0, 0.0, math.inf
-            for c in coefs[:_EM_TERMS]:
-                truncation = abs(c) * (em + ep)
-                if not truncation < prev:
-                    break
-                kept, kept_sum, prev = kept + 1, kept_sum + truncation, truncation
-                em *= sm
-                ep *= sp
-            else:
-                truncation = abs(coefs[_EM_TERMS]) * (em + ep)
-            hm, hp = rm**-mu, rp**-mu
-            boundary = (hm * rm + hp * rp) / (abs(1.0 - mu) * C) + 0.5 * (hm + hp) + kept_sum
-            growth = 2.0 + abs(mu) * (abs(math.log(max(rm, rp))) + math.pi)
-            rounding = _EPS * growth * (_abs_sum_bound(a, C, mu, window) + boundary)
-            if a.imag:
-                rounding += _EPS * abs(mu) * abs(a.imag) * _abs_sum_bound(a, C, mu + 1.0, window)
-            if best is not None and truncation + rounding >= best[1] + best[2]:
+    for window in windows:
+        _, _, _, rm, rp = window
+        em, ep = rm ** (-mu - 1.0), rp ** (-mu - 1.0)
+        sm, sp = rm**-2.0, rp**-2.0
+        kept, kept_sum, prev = 0, 0.0, math.inf
+        for c in coefs[:_EM_TERMS]:
+            truncation = abs(c) * (em + ep)
+            if not truncation < prev:
                 break
-            best = window, truncation, rounding, kept
-    except OverflowError:
-        raise InvalidInputError(
-            f"root-side terms overflow a double at mu = {mu}, s0 = {s0}"
-        ) from None
+            kept, kept_sum, prev = kept + 1, kept_sum + truncation, truncation
+            em *= sm
+            ep *= sp
+        else:
+            truncation = abs(coefs[_EM_TERMS]) * (em + ep)
+        hm, hp = rm**-mu, rp**-mu
+        boundary = (hm * rm + hp * rp) / (abs(1.0 - mu) * C) + 0.5 * (hm + hp) + kept_sum
+        growth = 2.0 + abs(mu) * (abs(math.log(max(rm, rp))) + math.pi)
+        rounding = _EPS * growth * (_abs_sum_bound(a, C, mu, window) + boundary)
+        if a.imag:
+            rounding += _EPS * abs(mu) * abs(a.imag) * _abs_sum_bound(a, C, mu + 1.0, window)
+        if best is not None and truncation + rounding >= best[5] + best[6]:
+            break
+        best = (*window, truncation, rounding, kept)
     return best
 
 
-def _continued(a, C, mu, coefs, pref, S, window, truncation, rounding, kept) -> RegularizedSum:
+def _continued(a, C, mu, coefs, pref, S, model) -> RegularizedSum:
     """Subtract the boundary terms at the window's ends from the truncated sum S.
 
-    pref is e^(i*pi*mu) * nu, and the model fields are those of _em_model.
+    pref is e^(i*pi*mu) * nu, and model is what _em_model chose.
     """
-    k, wm, wp, _, _ = window
+    k, wm, wp, _, _, truncation, rounding, kept = model
     pm, pp = wm ** (-mu), wp ** (-mu)
     # i/((1-mu)C) * (w-^(1-mu) - w+^(1-mu)) with w-/+ = a -/+ iCk written out,
     # so that at mu = 0 it is 2k exactly and the continuation cancels exactly
@@ -307,12 +305,9 @@ def _continued(a, C, mu, coefs, pref, S, window, truncation, rounding, kept) -> 
         corrections.append((label, pref * term))
         em *= sm
         ep *= sp
-    if not cmath.isfinite(rest):
-        # Python raises no OverflowError for w**(-mu) at an integer mu: it
-        # multiplies out w**|mu|, whose overflow leaves a NaN
-        raise InvalidInputError(f"root-side terms overflow a double at mu = {mu}, k = {k}")
+    # at an integer mu w**(-mu) multiplies out w**|mu|: an overflow is a NaN, not an error
     return RegularizedSum(
-        value=pref * rest,
+        value=_finite(pref * rest, "the root side", {"mu": mu, "k": k}),
         k_used=k,
         corrections=tuple(corrections),
         est_error=truncation + rounding,
@@ -345,21 +340,22 @@ def _em_sums(factors, q, s0, orders, k):
             offsets = [_ladder_offset(f, C, s0) for f in factors]
             windows = [_windows(a, C, k, s0) for a in offsets]
         coefs = _bernoulli_coefficients(mu, C)
+        at = {"mu": mu, "s0": s0}
         for a, wins, plan in zip(offsets, windows, plans):
-            plan.append((coefs, _em_model(a, C, mu, coefs, wins, s0)))
+            plan.append((coefs, _computed("the root side", at, _em_model, a, C, mu, coefs, wins)))
     phases = [cmath.exp(1j * math.pi * mu) for mu in orders]
     results = []
     for factor, a, plan in zip(factors, offsets, plans):
         by_k = {}
-        for i, (_, (window, *_)) in enumerate(plan):
-            by_k.setdefault(window[0], []).append(i)
+        for i, (_, (k_used, *_)) in enumerate(plan):
+            by_k.setdefault(k_used, []).append(i)
         S = [0j] * len(orders)
         for k_used, rows in by_k.items():
             sums = power_sum_symmetric(a, C, [orders[i] for i in rows], k_used)
             for i, value in zip(rows, sums.tolist()):
                 S[i] = value
         results.append([
-            _continued(a, C, mu, coefs, phase * factor.nu, S_mu, *model)
+            _continued(a, C, mu, coefs, phase * factor.nu, S_mu, model)
             for mu, phase, S_mu, (coefs, model) in zip(orders, phases, S, plan)
         ])
     return results
