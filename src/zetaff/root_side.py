@@ -147,8 +147,8 @@ def root_side_classical(factor: LambdaFactor, q, s0, mu, k) -> complex:
     _check_k(k, 0)
     C = vertical_spacing(q)
     a = _ladder_offset(factor, C, s0)
-    total = power_sum_symmetric(a, C, mu, k)
-    return cmath.exp(1j * math.pi * mu) * factor.nu * total
+    phase = _phase(mu)  # before the kernel, which at such an order only warns
+    return phase * factor.nu * power_sum_symmetric(a, C, mu, k)
 
 
 def _bernoulli_coefficients(mu, C):
@@ -234,6 +234,11 @@ def _check_em_order(mu, k) -> None:
         raise OrderInsufficientError(
             f"retained corrections are valid only for mu > -5, got mu = {mu}"
         )
+
+
+def _phase(mu) -> complex:
+    """e^(i*pi*mu), which has no phase once pi*mu overflows."""
+    return _computed("the phase e^(i*pi*mu)", {"mu": mu}, cmath.exp, 1j * math.pi * mu)
 
 
 def _em_model(a, C, mu, coefs, windows):
@@ -343,7 +348,7 @@ def _em_sums(factors, q, s0, orders, k):
         at = {"mu": mu, "s0": s0}
         for a, wins, plan in zip(offsets, windows, plans):
             plan.append((coefs, _computed("the root side", at, _em_model, a, C, mu, coefs, wins)))
-    phases = [cmath.exp(1j * math.pi * mu) for mu in orders]
+    phases = [_phase(mu) for mu in orders]
     results = []
     for factor, a, plan in zip(factors, offsets, plans):
         by_k = {}

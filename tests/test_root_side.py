@@ -478,6 +478,17 @@ def test_conjugation_symmetry_of_both_totals(curve, re_s0, im_s0, mu):
     assert abs(phase * d_conj - (phase * d).conjugate()) <= rounding
 
 
+def test_an_order_past_the_doubles_is_rejected():
+    # pi*mu overflows, so e^(i*pi*mu) has no phase: all three escaped as
+    # ValueError from cmath.exp, the classical sum after its kernel warned
+    curve = make_curve(25, 1, [(0.5, 0.3), (0.5, C25 - 0.3)])
+    for call in (lambda: root_side_em(FACTOR, 25, 5.0, 1e308),
+                 lambda: root_side_total(curve, 5.0, 1e308),
+                 lambda: root_side_classical(FACTOR, 25, 5.0, 1e308, 10)):
+        with pytest.raises(InvalidInputError, match="overflows a double at mu = 1e[+]308"):
+            call()
+
+
 def test_s0_on_the_ladder_or_overflow_is_rejected():
     # s0 - r0 = i*C*j is a root of the factor; it escaped as a bare
     # ZeroDivisionError, or as a NaN value, depending on mu and k
