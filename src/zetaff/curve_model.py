@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, PoleEvaluationError, ValidationError
-from .errors import _floats, _is_int, _point, _require_int, _require_range, _require_tol
+from .errors import _computed, _finite, _floats, _is_int, _point
+from .errors import _require_int, _require_range, _require_tol
 
 _CLOSURE_TOL = 1e-12
 
@@ -150,9 +151,10 @@ def _factor_lambda(factor: LambdaFactor, q) -> complex:
 
 
 def eval_zeta(curve: CurveZeta, s) -> complex:
-    """Evaluate the factored zeta at a finite s (raises at poles)."""
+    """Evaluate the factored zeta at a finite s (raises at poles, and where
+    q^(-s) or the product leaves the doubles)."""
     s = _point(s, "s")
-    qs = cmath.exp(-s * math.log(curve.q))
+    qs = _computed("q^(-s)", {"s": s}, cmath.exp, -s * math.log(curve.q))
     value = 1.0 + 0.0j
     for f in curve.factors:
         base = 1.0 - _factor_lambda(f, curve.q) * qs
@@ -162,7 +164,7 @@ def eval_zeta(curve: CurveZeta, s) -> complex:
             value /= base
         else:
             value *= base
-    return value
+    return _finite(value, "zeta(s)", {"s": s})
 
 
 def check_functional_equation(curve: CurveZeta, s, tol):
@@ -178,6 +180,7 @@ def check_functional_equation(curve: CurveZeta, s, tol):
     s = _point(s, "s")
     left = eval_zeta(curve, 1.0 - s)
     zs = eval_zeta(curve, s)
-    scale = cmath.exp((1 - curve.genus) * (1 - 2 * s) * math.log(curve.q))
+    scale = _computed("q^((1-g)(1-2s))", {"s": s},
+                      cmath.exp, (1 - curve.genus) * (1 - 2 * s) * math.log(curve.q))
     residual = abs(left - scale * zs)
     return residual <= tol * (1.0 + abs(zs) + abs(left)), residual

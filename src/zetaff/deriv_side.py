@@ -70,6 +70,21 @@ def series_tail_bound(ratio: float, mu: float, n_terms: int) -> float:
         return math.inf
 
 
+def _q_power(q, s0) -> complex:
+    """q^(-s0), or DivergentSeriesError when its modulus overflows.  That is
+    not the rule of errors._computed, since the cause is the domain:
+    |q^(-s0)| > 1e308 >= q^-sigma0 for every sigma0 in [0, 1]."""
+    try:
+        qs = cmath.exp(-s0 * math.log(q))
+    except OverflowError:
+        qs = math.inf
+    if abs(qs) == math.inf:
+        raise DivergentSeriesError(
+            f"|q^(-s0)| overflows a double; need Re(s0) > sigma0, got s0 = {s0}"
+        )
+    return qs
+
+
 def _series_values(q, factors, s0, orders, ctl, check_zero_orders):
     """deriv_side_factor of each factor at each order, one list per factor.
 
@@ -93,17 +108,7 @@ def _series_values(q, factors, s0, orders, ctl, check_zero_orders):
             continue
         if xs is None:
             vertical_spacing(q)  # q must be a prime power
-            try:
-                qs = cmath.exp(-s0 * math.log(q))
-            except OverflowError:
-                # |q^(-s0)| > 1e308 >= q^-sigma0 for every sigma0 in [0, 1]
-                raise DivergentSeriesError(
-                    f"|q^(-s0)| overflows a double; need Re(s0) > sigma0, got s0 = {s0}"
-                ) from None
-            except ValueError:
-                raise InvalidInputError(
-                    f"the phase of q^(-s0) is not a finite double at s0 = {s0}"
-                ) from None
+            qs = _computed("the phase of q^(-s0)", {"s0": s0}, _q_power, q, s0)
             xs = [_factor_lambda(f, q) * qs for f in factors]
         for factor, x in zip(factors, xs):
             rho = abs(x)

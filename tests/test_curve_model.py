@@ -158,6 +158,21 @@ def test_eval_zeta_raises_at_poles():
         eval_zeta(curve, 1.0 + 1j * vertical_spacing(7))
 
 
+def test_zeta_past_the_doubles_is_rejected():
+    # q^(-s) or q^(s-1) overflows, or Im(s)*ln q has no phase: these escaped
+    # as OverflowError or ValueError from cmath.exp
+    curve = make_curve(25, 1, [(0.5, 0.3), (0.5, C25 - 0.3)])
+    for s in (-1000.0, -(10**20), 1 + 1e308j):
+        with pytest.raises(InvalidInputError, match="overflows a double at s = "):
+            eval_zeta(curve, s)
+    for s in (10**19, 10**20, -(10**20), 2**70):
+        with pytest.raises(InvalidInputError, match="overflows a double at s = "):
+            check_functional_equation(curve, s, 1e-9)
+    # genus 0: the scale q^((1-g)(1-2s)) overflows while both zetas are finite
+    with pytest.raises(InvalidInputError, match=r"q\^\(\(1-g\)\(1-2s\)\) overflows"):
+        check_functional_equation(make_curve(25, 0, []), -150.0, 1e-9)
+
+
 def test_functional_equation_random_s():
     curve = make_curve(25, 2, [(0.6, 0.7), (0.4, C25 - 0.7), (0.6, C25 - 0.7), (0.4, 0.7)])
     rng = random.Random(42)
