@@ -197,12 +197,14 @@ def _entry(table: dict, key, what: str):
 
 def _bin_grid(t0, dt, period, phase):
     """k_b, alpha_b = divmod(t0 + b*dt - phase, period) over the bins b of one
-    period; dt must divide the period into nbin >= 2 of them."""
-    nbin = int(round(period / dt))
+    period; dt must divide the period into 2 <= nbin < 2**53 of them, which
+    is checked before any bin is built."""
+    count = period / dt
+    nbin = int(round(count)) if count < 2**53 else 0
     if nbin < 2 or abs(nbin * dt - period) > 1e-9 * period:
         raise InvalidInputError(
             f"dt = {dt} must divide the period {period} into an integer "
-            "number of samples"
+            "number of samples, from 2 to 2**53 - 1"
         )
     return np.divmod(t0 + dt * np.arange(nbin) - phase, period)
 
@@ -270,6 +272,13 @@ def _clim_profile(
     and goes into the value.  Ladder samples are exact polynomials in p, so
     on them the flatness is at rounding level.
     """
+    if not period < n * dt:
+        # checked before the bins are built, of which there may be 1e20
+        raise NoClimError(
+            f"the period {period} is longer than the path, {n} samples at dt = {dt}; "
+            "at least 50 periods are needed for the averages to flatten",
+            residual_flatness=math.inf,
+        )
     _, alpha_b = _bin_grid(t0, dt, period, phase)
     nbin = len(alpha_b)
     if phase_degree is None:
@@ -322,11 +331,16 @@ def _clim_profile(
     coef = fit / (dt * nbin * scale) ** np.arange(degree + 1)[:, None]
     sign = -1j * _contour_sign(direction)
     zb = _geometric_z(t0 + dt * np.arange(nbin), s0, sigma0, direction)
-    gam = _z_coefficients(coef, 1.0 / sign, zb)
 
     # the period means of the z-monomial profiles, each by exact quadrature
-    # of a polynomial fitted over the phase alpha/period in [0, 1)
-    fits = [np.polynomial.polynomial.polyfit(phases, g[order], phase_degree) for g in gam]
+    # of a polynomial fitted over the phase alpha/period in [0, 1); profiles
+    # that leave the doubles (they grow like (s0 - sigma0)^degree) raise
+    # instead of warning
+    with np.errstate(all="ignore"):
+        gam = _z_coefficients(coef, 1.0 / sign, zb)
+        fits = np.array([np.polynomial.polynomial.polyfit(phases, g[order], phase_degree)
+                         for g in gam])
+    _finite(fits, "the phase fit of the profiles", {"s0": s0, "sigma0": sigma0})
     m = np.arange(phase_degree + 1)
     means = [complex(np.sum(c / (m + 1))) for c in fits]
     value = means[0]
@@ -455,7 +469,8 @@ def clim(
             # pz[0] removes the n >= 1 terms without forming powers of z.
             # The residual is written over the fit, so no copy outlives it.
             coef = np.linalg.solve(gram, V.T @ f.view(float).reshape(-1, 2))
-            pz = _z_coefficients(coef.view(complex).ravel() / scale, 1j * sign, c)
+            pz = _computed("the z-fit", {"s0": s0, "sigma0": sigma0},
+                           _z_coefficients, coef.view(complex).ravel() / scale, 1j * sign, c)
             fitted = (V @ coef).view(complex).ravel()
             fitted -= pz[0]
             f = np.subtract(f, fitted, out=fitted)

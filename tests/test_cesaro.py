@@ -206,6 +206,31 @@ def test_clim_profile_needs_enough_periods():
         clim(path, S0, SIGMA0, "lower", max_eigen=1, max_p=1, period=C, phase=TAU0)
 
 
+def test_clim_period_past_the_path_raises_before_the_bins():
+    # int(round(period/dt)) raised OverflowError at 1e308, and building
+    # 10**20 bins raised ValueError ("Maximum allowed size exceeded")
+    path = ladder_path("k", params(t0=0.5 * DT), 60 * C, DT)
+    for period in (1e308, 10**19, 10**20, 2**70, 61 * C):
+        with pytest.raises(NoClimError, match="longer than the path"):
+            clim(path, S0, SIGMA0, "lower", max_eigen=1, max_p=0, period=period, phase=TAU0)
+    # a ladder path shorter than one period of more than 2**53 bins
+    with pytest.raises(InvalidInputError, match="from 2 to 2[*][*]53 - 1"):
+        ladder_path("k", params(t0=0.0), 3 * C * 2.0**-60, C * 2.0**-60)
+
+
+def test_clim_whose_fit_leaves_the_doubles_raises():
+    # profiles and z-fits that grow like (s0 - sigma0)^max_eigen: the phase
+    # fit warned of invalid values, and the plain z-fit escaped as an
+    # OverflowError from a complex power
+    path = ladder_path("k3", params(t0=0.5 * DT), 60 * C, DT)
+    for s0, sigma0 in ((1e308, SIGMA0), (S0, -1e308), (1e120, SIGMA0)):
+        with pytest.raises(InvalidInputError, match="the phase fit of the profiles overflows"):
+            clim(path, s0, sigma0, "lower", max_eigen=3, max_p=0, period=C, phase=TAU0)
+    flat = SampledPath(0.0, 0.1, np.ones(40))
+    with pytest.raises(InvalidInputError, match="the z-fit overflows"):
+        clim(flat, 1e120, SIGMA0, "lower", max_eigen=3, max_p=2)
+
+
 def test_clim_profile_dt_must_divide_period():
     # ladder_path rejects such a step itself, so the path is built by hand
     t = 0.9 * DT * np.arange(int(100 * C / (0.9 * DT)) + 1)
@@ -353,6 +378,9 @@ def test_lemma_closed_form_that_overflows_raises():
             lemma_closed_form(symbol, "lower", 1, s0, r0, SIGMA0, TAU0, C)
     with pytest.raises(InvalidInputError, match="overflows"):
         lemma_closed_form("alpha_n", "lower", 3000, S0, r0, SIGMA0, TAU0, C)
+    # C**2 underflows to 0: this escaped as a ZeroDivisionError
+    with pytest.raises(InvalidInputError, match="the closed-form table overflows"):
+        lemma_closed_form("k2_alpha", "lower", 1, 5.0, r0, SIGMA0, TAU0, 1e-308)
     with pytest.raises(InvalidInputError, match="overflows"):
         r_lambda_cesaro(LambdaFactor(SIGMA0, TAU0, 1), Q, 1e300, -2)
     assert lemma_closed_form("k", "lower", 3000, S0, r0, SIGMA0, TAU0, C) == (
