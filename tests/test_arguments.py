@@ -4,7 +4,11 @@ Each public function gets one valid call (``clim`` two: plain and profile
 mode).  Each numeric, name or sequence argument of it is replaced in turn by
 each value of ``_BAD``; the objects the library builds (a curve, a factor, a
 counting function, a path, lemma parameters, a series control) are kept.
-Every call must return or raise a ZetaffError, never a bare Python exception.
+``_BAD`` holds malformed values (a string, None, a list, a complex number,
+NaN, inf, an int past the doubles) and finite values at the edge of the
+doubles (+-1e308, +-1e-308, +-10**20, 2**70), where what the library
+computes from them can overflow or underflow.  Every call must return or
+raise a ZetaffError, never a bare Python exception or a warning.
 """
 
 import math
@@ -22,7 +26,8 @@ from zetaff import (
     ZetaffError,
 )
 
-_BAD = ("x", None, [1.0], 1j, math.nan, math.inf, 10**400)
+_BAD = ("x", None, [1.0], 1j, math.nan, math.inf, 10**400,
+        1e308, -1e308, 1e-308, -1e-308, 10**20, -(10**20), 2**70)
 
 Q = 25
 C = zetaff.vertical_spacing(Q)
