@@ -43,8 +43,10 @@ def parse_curve_file(path: str) -> curve_model.CurveZeta:
     """Parse a curve description file.
 
     Format: a header line ``q <int> genus <int>`` followed by one factor per
-    line ``sigma0 tau0 nu``.  The two pole factors (nu = -1) may be listed
-    but are appended automatically either way.  Any failure, an unreadable
+    line ``sigma0 tau0 nu``, under LambdaFactor's rules (sigma0 in [0, 1],
+    tau0 >= 0, and nu = -1 only for the pole factors (0, 0) and (1, 0)).
+    The two pole factors may be listed but are appended automatically
+    either way.  Any failure, an unreadable
     file or one that is not UTF-8 included, raises InvalidInputError
     starting "invalid curve: ".
     """
@@ -58,7 +60,6 @@ def parse_curve_file(path: str) -> curve_model.CurveZeta:
 def _parse_curve(lines) -> curve_model.CurveZeta:
     header = None
     roots = []
-    poles = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -75,23 +76,16 @@ def _parse_curve(lines) -> curve_model.CurveZeta:
         if len(parts) != 3:
             raise ZetaffError(f"line {lineno}: expected 'sigma0 tau0 nu'")
         try:
-            sigma0, tau0, nu = float(parts[0]), float(parts[1]), int(parts[2])
+            factor = curve_model.LambdaFactor(float(parts[0]), float(parts[1]), int(parts[2]))
         except ValueError:
             raise ZetaffError(f"line {lineno}: could not parse factor fields")
-        if nu == 1:
-            roots.append((sigma0, tau0))
-        elif nu == -1:
-            poles.append((sigma0, tau0))
-        else:
-            raise ZetaffError(f"line {lineno}: nu must be +1 or -1, got {nu}")
+        except ZetaffError as exc:  # the factor's own rules, LambdaFactor's
+            raise ZetaffError(f"line {lineno}: {exc}") from None
+        if factor.nu == 1:  # the pole factors are appended by make_curve
+            roots.append((factor.sigma0, factor.tau0))
     if header is None:
         raise ZetaffError("empty curve file: missing header")
     q, genus = header
-    for sigma0, tau0 in poles:
-        if (sigma0, tau0) not in ((0.0, 0.0), (1.0, 0.0)):
-            raise ZetaffError(
-                f"pole factor ({sigma0}, {tau0}) must be (0, 0) or (1, 0)"
-            )
     return curve_model.make_curve(q, genus, roots)
 
 
@@ -120,7 +114,7 @@ def _mu_grid(mu_min: float, mu_max: float, mu_step: float):
     _require_finite(mu_min=mu_min, mu_max=mu_max)
     _require_range(mu_step, "mu-step", 0.0, lo_open=True)
     if mu_min > mu_max:
-        raise ZetaffError(f"empty mu grid: {mu_min} > {mu_max}")
+        raise InvalidInputError(f"empty mu grid: {mu_min} > {mu_max}")
     steps = (mu_max - mu_min) / mu_step + 1e-9
     if not steps < _MAX_ORDERS:
         raise InvalidInputError(f"mu grid would hold more than {_MAX_ORDERS} orders")

@@ -111,6 +111,8 @@ def test_check_curve_invalid_inputs(tmp_path, capsys):
     ("q 25 genus 1\n0.5 1\n", 2),  # a factor line with two fields
     ("q 25 genus 1\n0.5 abc 1\n", 2),  # a factor field that is not a number
     ("# comment\nq 25 genus 1\n0.5 0.3 2\n", 3),  # nu = 2
+    ("q 25 genus 0\n0 0 -1\n0.5 0.3 -1\n", 3),  # a pole factor other than (0, 0), (1, 0)
+    ("q 25 genus 1\n0.5 0.3 1\n0.5 -0.3 1\n", 3),  # a negative tau0, as LambdaFactor rules
 ])
 def test_check_curve_reports_the_bad_line(text, lineno, tmp_path, capsys):
     path = tmp_path / "bad.txt"
@@ -205,6 +207,7 @@ def test_scan_mu_error_exits(tmp_path, capsys):
     # empty grid
     args, _ = scan_args(tmp_path, "y.csv", ["--mu-min", "2.0", "--mu-max", "1.0"])
     assert main(args) == EXIT_INVALID
+    assert capsys.readouterr().err == "invalid input: empty mu grid: 2.0 > 1.0\n"
     # nonpositive step
     args, _ = scan_args(tmp_path, "z.csv", ["--mu-step", "0"])
     assert main(args) == EXIT_INVALID
