@@ -475,12 +475,16 @@ def test_console_entry_point(curve_file):
 
 
 def test_shared_argument_rules_live_in_errors_py():
-    """The argument rules are defined in errors.py alone; no other module tests
-    isinstance(..., bool), it calls _is_int instead, and none calls _is_finite:
-    a real argument's range is checked by _require_range."""
+    """The argument rules, the finiteness rule and the rule for computed
+    values are defined in errors.py alone.  No other module tests
+    isinstance(..., bool), it calls _is_int instead; none calls _is_finite,
+    a real argument's range is checked by _require_range; and none calls an
+    isfinite, of math, cmath or NumPy: a computed value and the samples
+    are checked by _finite or _computed."""
     pkg = os.path.join(SRC, "zetaff")
     rules = {"_is_finite", "_require_finite", "_point", "_require_range", "_is_int",
-             "_require_int", "_is_tol", "_require_tol", "_floats", "_reals", "_orders"}
+             "_require_int", "_is_tol", "_require_tol", "_floats", "_reals", "_orders",
+             "_finite", "_computed"}
     found = []
     for name in sorted(os.listdir(pkg)):
         if not name.endswith(".py") or name == "errors.py":
@@ -496,6 +500,9 @@ def test_shared_argument_rules_live_in_errors_py():
                 found.append(f"{name}:{node.lineno}: isinstance(..., bool)")
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_is_finite":
                 found.append(f"{name}:{node.lineno}: calls _is_finite")
+            # math.isfinite, np.isfinite, or isfinite imported by name
+            if "isfinite" in (getattr(node, key, None) for key in ("attr", "id", "name")):
+                found.append(f"{name}: names isfinite")
     assert found == []
 
 
