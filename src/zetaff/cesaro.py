@@ -120,11 +120,8 @@ class ClimReport:
     Profile mode reports 1, because its value is the period mean of the
     fitted profiles, a first Cesaro mean; it applies P no times."""
     residual_flatness: float
-    """How far the path is from the model the value is read from (see ``clim``)."""
-
-    def __post_init__(self):
-        _require_int(self.p_power, "p_power", 0)
-        _require_tol(self.residual_flatness, "residual_flatness")
+    """How far the path is from the model the value is read from (see ``clim``).
+    A plain record: ``clim`` builds it only once the flatness passes."""
 
 
 def average_P(path: SampledPath) -> SampledPath:
@@ -784,17 +781,6 @@ def _heightwise(fn):
 
 
 @_heightwise
-def _steps_below(cf: CountingFunction, alpha):
-    """Number of steps at or below alpha, with half weight exactly on a step."""
-    count = np.zeros_like(alpha)
-    for k in cf.kappas:
-        count += np.where(
-            alpha > k + _PAIR_TOL, 1.0, np.where(np.abs(alpha - k) <= _PAIR_TOL, 0.5, 0.0)
-        )
-    return count
-
-
-@_heightwise
 def s_eval(cf: CountingFunction, T):
     """Periodic residual S(T) = N(alpha) - (2g/C)*alpha, alpha = T mod C.
 
@@ -802,7 +788,13 @@ def s_eval(cf: CountingFunction, T):
     quadrature of S unbiased when steps coincide with sample points.
     """
     alpha = T % cf.C
-    return _steps_below(cf, alpha) - (2.0 * cf.g / cf.C) * alpha
+    # N(alpha): the steps at or below alpha, with half weight exactly on a step
+    count = np.zeros_like(alpha)
+    for k in cf.kappas:
+        count += np.where(
+            alpha > k + _PAIR_TOL, 1.0, np.where(np.abs(alpha - k) <= _PAIR_TOL, 0.5, 0.0)
+        )
+    return count - (2.0 * cf.g / cf.C) * alpha
 
 
 @_heightwise
@@ -851,14 +843,18 @@ def s2_eval(cf: CountingFunction, T):
     return s1_av(cf) * (T - alpha) + inner
 
 
+# the evaluators' bodies, which take the heights unchecked (functools.wraps
+# keeps them as __wrapped__)
+_S, _S1, _S2 = (fn.__wrapped__ for fn in (s_eval, s1_eval, s2_eval))
+
 #: each counting-path kind as one expression in the heights t
 _COUNTING_EXPR = {
-    "S": s_eval,
-    "tS": lambda cf, t: t * s_eval(cf, t),
-    "t2S": lambda cf, t: t * t * s_eval(cf, t),
-    "S1": s1_eval,
-    "tS1": lambda cf, t: t * s1_eval(cf, t),
-    "S2": s2_eval,
+    "S": _S,
+    "tS": lambda cf, t: t * _S(cf, t),
+    "t2S": lambda cf, t: t * t * _S(cf, t),
+    "S1": _S1,
+    "tS1": lambda cf, t: t * _S1(cf, t),
+    "S2": _S2,
 }
 
 
@@ -866,7 +862,8 @@ def counting_path(cf: CountingFunction, kind: str, t_max: float, dt: float) -> S
     """Sampled path of a counting-pipeline combination on [0, t_max].
 
     kind is one of S, tS, t2S, S1, tS1, S2.  Step functions are sampled with
-    the midpoint convention of ``s_eval``.
+    the midpoint convention of ``s_eval``.  The heights dt * i are built from
+    the checked dt and count, so the evaluators' bodies take them unchecked.
     """
     expr = _entry(_COUNTING_EXPR, kind, "path kind")
     t = dt * np.arange(_sample_count(t_max, 0.0, dt)[0])

@@ -60,6 +60,11 @@ def series_tail_bound(ratio: float, mu: float, n_terms: int) -> float:
     _require_range(ratio, "ratio", 0.0)
     _require_finite(mu=mu)
     _require_int(n_terms, "n_terms", 0)
+    return _tail_bound(ratio, mu, n_terms)
+
+
+def _tail_bound(ratio, mu, n_terms) -> float:
+    """series_tail_bound for arguments already checked."""
     try:
         n = float(n_terms)
         denom = 1.0 - ratio * max(1.0, ((n + 2.0) / (n + 1.0)) ** (mu - 1.0))
@@ -116,7 +121,7 @@ def _series_values(q, factors, s0, orders, ctl, check_zero_orders):
                 raise DivergentSeriesError(
                     f"|lambda*q^(-s0)| = {rho:.6g} >= 1; need Re(s0) > sigma0 = {factor.sigma0}"
                 )
-            bound = series_tail_bound(rho, mu, ctl.n_terms)
+            bound = _tail_bound(rho, mu, ctl.n_terms)
             if bound > ctl.tail_tol:
                 raise TailBudgetError(
                     f"tail bound {bound:.3g} exceeds budget {ctl.tail_tol:.3g} "

@@ -71,7 +71,6 @@ _EM_TERMS = 8
 _K_CANDIDATES = (4, 6, 10, 16, 25, 40, 64, 100, 160, 250, 400, 1000)
 
 _BERNOULLI_LABELS = tuple(f"B{2 * m}-term" for m in range(1, _EM_TERMS + 1))
-_LABELS = frozenset(("boundary-power", "half-term", *_BERNOULLI_LABELS))
 
 _EPS = sys.float_info.epsilon
 
@@ -85,6 +84,7 @@ class RegularizedSum:
     for B2 .. B16, 0 for none).  est_error bounds the error of value: the
     truncation part (the first omitted Bernoulli term) plus the rounding part
     (double-precision rounding of the truncated sum and of the boundary terms).
+    A plain record: root_side_em builds it from numbers it has checked.
     """
 
     value: complex
@@ -94,15 +94,6 @@ class RegularizedSum:
     order: int = 0
     truncation_error: float = 0.0
     rounding_error: float = 0.0
-
-    def __post_init__(self):
-        if not (self.truncation_error >= 0.0 and self.rounding_error >= 0.0):
-            raise InvalidInputError("truncation_error and rounding_error must be nonnegative")
-        if not self.est_error >= self.truncation_error + self.rounding_error:
-            raise InvalidInputError("est_error must be nonnegative and cover both parts")
-        for label, _ in self.corrections:
-            if label not in _LABELS:
-                raise InvalidInputError(f"unknown correction label {label!r}")
 
 
 #: the budget of a root-side truncation: k is at most this, so one order
@@ -206,8 +197,8 @@ def _abs_sum_bound(a, C, mu, window):
         def F(T):  # int_0^T (x + u)^p du
             return ((x + T) ** (p + 1.0) - x ** (p + 1.0)) / (p + 1.0)
 
-        span = F(-lo) + F(hi) if lo < 0.0 < hi else abs(F(abs(hi)) - F(abs(lo)))
-        return span / C + (x + abs(lo)) ** p + (x + abs(hi)) ** p
+        # the window reaches the nearest rung, so t_k = lo <= 0 <= hi = t_-k
+        return (F(-lo) + F(hi)) / C + (x + abs(lo)) ** p + (x + abs(hi)) ** p
     j0 = round(a.imag / C)
     rmin = abs(a - 1j * C * j0)
     u0, u1 = C / 2.0, C * (2 * k + 1)

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaff import (
-    ClimReport,
     InvalidInputError,
     LemmaParams,
     NoClimError,
@@ -59,7 +58,6 @@ from zetaff.cesaro import (
     SYMBOL_DEGREE,
     _ladder_block,
     _ladder_partial_limit,
-    _steps_below,
 )
 from zetaff.cli import EXIT_INVALID, main
 from zetaff.curve_model import LambdaFactor
@@ -155,16 +153,6 @@ def test_sampled_path_validation():
 def test_sampled_path_rejects_non_finite_grid(t0, dt):
     with pytest.raises(InvalidInputError):
         SampledPath(t0, dt, np.zeros(10))
-
-
-def test_clim_report_rejects_nan_flatness():
-    with pytest.raises(InvalidInputError):
-        ClimReport(value=0j, removed_eigen=(), p_power=0, residual_flatness=math.nan)
-
-
-def test_clim_report_rejects_negative_p_power():
-    with pytest.raises(InvalidInputError):
-        ClimReport(value=0j, removed_eigen=(), p_power=-1, residual_flatness=0.0)
 
 
 # -------------------------------------------------------------------- clim
@@ -894,14 +882,13 @@ _CURVE = make_curve(Q, 1, [(0.5, 0.3), (0.5, C - 0.3)])
     lambda x: s1_eval(_CF, x),
     lambda x: q_eval(_CF, x),
     lambda x: s2_eval(_CF, x),
-    lambda x: _steps_below(_CF, x),
     lambda x: s_eval(_CF, np.array([0.5, x])),
     lambda x: eval_zeta(_CURVE, x),
     lambda x: eval_zeta(_CURVE, complex(2.0, x)),
     lambda x: check_functional_equation(_CURVE, complex(x, 1.0), 1e-9),
     lambda x: series_tail_bound(x, 1.0, 10),
     lambda x: series_tail_bound(0.5, x, 10),
-], ids=["S", "S1", "Q", "S2", "steps", "S-array", "zeta", "zeta-im", "fe", "tail-ratio",
+], ids=["S", "S1", "Q", "S2", "S-array", "zeta", "zeta-im", "fe", "tail-ratio",
         "tail-mu"])
 def test_evaluators_reject_non_finite_input(evaluate, bad):
     # each returned NaN, or a value read from one
@@ -1077,7 +1064,7 @@ def test_counting_path_matches_per_sample_reference(g):
             assert np.array_equal(got, ref), kind
 
 
-_EVALUATORS = (_steps_below, s_eval, s1_eval, q_eval, s2_eval)
+_EVALUATORS = (s_eval, s1_eval, q_eval, s2_eval)
 
 
 @given(

@@ -245,22 +245,6 @@ def test_em_report_fields():
     assert total == pytest.approx(classical, rel=1e-12)
 
 
-def test_regularized_sum_validation():
-    with pytest.raises(InvalidInputError):
-        RegularizedSum(value=0j, k_used=1, corrections=(("bogus", 0j),), est_error=0.0)
-    with pytest.raises(InvalidInputError):
-        RegularizedSum(value=0j, k_used=1, corrections=(), est_error=-1.0)
-    with pytest.raises(InvalidInputError):
-        RegularizedSum(value=0j, k_used=1, corrections=(("B18-term", 0j),), est_error=0.0)
-    for trunc, rnd, est in ((-1.0, 0.0, 1.0), (0.0, math.nan, 1.0), (1e-3, 1e-3, 1e-3)):
-        with pytest.raises(InvalidInputError):
-            RegularizedSum(value=0j, k_used=1, corrections=(), est_error=est,
-                           truncation_error=trunc, rounding_error=rnd)
-    ok = RegularizedSum(value=0j, k_used=1, corrections=(("B16-term", 0j),), est_error=2e-3,
-                        order=16, truncation_error=1e-3, rounding_error=1e-3)
-    assert ok.order == 16
-
-
 @pytest.mark.parametrize("k", [None, 4, 10, 1000])
 @pytest.mark.parametrize("mu", [-4.5, -3.5, -1.45, -0.45, 0.5, 2.6])
 def test_est_error_covers_oracle_error(mu, k):
