@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -178,6 +179,8 @@ _FLAT_TOL = 1e-7
 
 #: highest degree of the polynomial in the phase that a profile is fitted with
 _MAX_PHASE_DEGREE = 8
+
+_EPS = sys.float_info.epsilon
 
 
 def _chunk_spans(lo, hi):
@@ -427,7 +430,13 @@ def clim(
     (max_eigen + 1)-square solve of the normal equations per stage, on a
     complex copy of the samples; at max_eigen = 0 a real path stays real.
     The samples must number at least max_eigen + 1.  Past either bound
-    InvalidInputError is raised before the path is read.
+    InvalidInputError is raised before the path is read.  Each stage's fit
+    is carried from the path to z = 0, where the centred height has modulus
+    |c|/T_half, c = z(T_mid): the rounding of each fitted coefficient, eps
+    times the fit's size (the sum of their moduli), grows by that modulus per
+    power.  Summed over the stages, this carried rounding must also be at
+    most flat_tol * (1 + |value|), or NoClimError is raised with it as the
+    flatness: a huge |s0| leaves the value nothing but rounding.
     """
     s0 = _point(s0)
     sign = _contour_sign(direction)
@@ -458,7 +467,13 @@ def clim(
         gram = V.T @ V
         scale = t_half ** np.arange(max_eigen + 1)
         c = _geometric_z(t_mid, s0, sigma0, direction)
-    flat = math.inf
+        # the growth of the fit's rounding on its way to z = 0, summed over
+        # the powers; in Python floats, whose overflow is inf and not a warning
+        reach, power, gain = math.hypot(c.real, c.imag) / float(t_half), 1.0, 0.0
+        for _ in range(max_eigen):
+            power *= reach
+            gain += power
+    flat, carried = math.inf, 0.0
     for stage in range(max_p + 1):
         if max_eigen > 0:
             # real and imaginary parts as two real columns; the fitted
@@ -466,8 +481,10 @@ def clim(
             # pz[0] removes the n >= 1 terms without forming powers of z.
             # The residual is written over the fit, so no copy outlives it.
             coef = np.linalg.solve(gram, V.T @ f.view(float).reshape(-1, 2))
+            fit = coef.view(complex).ravel()
             pz = _computed("the z-fit", {"s0": s0, "sigma0": sigma0},
-                           _z_coefficients, coef.view(complex).ravel() / scale, 1j * sign, c)
+                           _z_coefficients, fit / scale, 1j * sign, c)
+            carried += _EPS * float(np.sum(np.abs(fit))) * gain
             fitted = (V @ coef).view(complex).ravel()
             fitted -= pz[0]
             f = np.subtract(f, fitted, out=fitted)
@@ -475,7 +492,13 @@ def clim(
         tail = f[int(0.9 * len(f)):]
         mean = complex(tail.mean())
         flat = float(np.max(np.abs(tail - mean)))
-        if flat <= flat_tol * (1.0 + abs(mean)):  # False for a NaN flatness
+        bound = flat_tol * (1.0 + abs(mean))
+        if flat <= bound:  # False for a NaN flatness
+            if carried > bound:  # NaN only for an all-zero fit at an infinite reach
+                raise NoClimError(
+                    f"the z-fit carries rounding {carried:.3g} to z = 0 at s0 = {s0}",
+                    residual_flatness=carried,
+                )
             return ClimReport(
                 value=mean,
                 removed_eigen=tuple(

@@ -179,6 +179,22 @@ def test_clim_plain_removes_z_square():
     assert rep.p_power == 0
 
 
+def test_clim_plain_raises_when_the_z_shift_leaves_only_rounding():
+    # the z-fit is carried from the path to z = 0 by |c|/T_half per power,
+    # c = z(T_mid): on a constant path the value read 1 - 7.2e67j at
+    # s0 = 1e100 and 1 - 7.2e275j at 1e308, each with flatness 0
+    path = SampledPath(0.0, 0.1, np.ones(40))
+    rep = clim(path, 5.0, 0.5, "lower", max_eigen=1, max_p=2)
+    assert abs(rep.value - 1.0) <= 1e-15
+    assert rep.residual_flatness == 0.0
+    for s0 in (1e20, 1e100, 1e308):
+        with pytest.raises(NoClimError, match="rounding") as exc:
+            clim(path, s0, 0.5, "lower", max_eigen=1, max_p=2)
+        assert exc.value.residual_flatness > 1.0
+    # a real path at max_eigen 0 has no z-fit to carry
+    assert clim(path, 1e308, 0.5, "lower", max_eigen=0, max_p=2).value == 1.0
+
+
 def test_clim_plain_raises_on_profile_content():
     # z^2 * alpha carries periodic content multiplying z^2, which plain
     # eigenfunction removal cannot represent
