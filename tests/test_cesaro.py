@@ -457,7 +457,10 @@ def test_lemma_numeric_verification(symbol, periods, nbin, bound, direction):
     # rounding level, far inside the stated tolerance, and it does not grow
     # with the path: the largest samples of z2_alpha and k3 reach 1e11
     assert res.abs_diff <= bound
-    assert res.report.p_power >= 0
+    # ClimReport is a plain record: profile mode builds it with one Cesaro
+    # mean and a flatness that passed
+    assert res.report.p_power == 1
+    assert 0.0 <= res.report.residual_flatness <= cesaro._FLAT_TOL
 
 
 def test_lemma_t0_invariance():
@@ -1169,6 +1172,7 @@ def test_plain_clim_matches_per_stage_lstsq_reference(g):
                     continue
                 rep = clim(path, *args[:3], max_eigen=max_eigen, max_p=3, flat_tol=1e-2)
                 assert rep.p_power == p_power, case
+                assert 0.0 <= rep.residual_flatness <= 1e-2 * (1.0 + abs(rep.value)), case
                 assert rep.value == pytest.approx(value, rel=1e-10, abs=1e-12), case
                 assert [n for n, _ in rep.removed_eigen] == list(range(1, max_eigen + 1))
                 got = np.array([v for _, v in rep.removed_eigen])

@@ -231,18 +231,47 @@ def test_em_conjugate_pair_real_combination():
     assert abs(combined.imag) <= 1e-12 * (1 + abs(combined))
 
 
+def assert_ledger(got: RegularizedSum):
+    """The error split and the ledger a RegularizedSum is built with."""
+    assert got.truncation_error >= 0.0 and got.rounding_error >= 0.0
+    assert got.est_error == got.truncation_error + got.rounding_error
+    labels = [label for label, _ in got.corrections]
+    bernoulli = [f"B{2 * m}-term" for m in range(1, got.order // 2 + 1)]
+    assert labels == ["boundary-power", "half-term"] + bernoulli
+
+
 def test_em_report_fields():
     got = root_side_em(FACTOR, 25, S0, 2.6, 1000)
     assert got.k_used == 1000
-    assert got.est_error >= 0.0
-    assert got.est_error == got.truncation_error + got.rounding_error
     assert got.order == 16
-    labels = [label for label, _ in got.corrections]
-    assert labels == ["boundary-power", "half-term"] + [f"B{2 * m}-term" for m in range(1, 9)]
+    assert_ledger(got)
     # continuation identity: value + corrections = truncated classical sum
     total = got.value + sum(v for _, v in got.corrections)
     classical = root_side_classical(FACTOR, 25, S0, 2.6, 1000)
     assert total == pytest.approx(classical, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [None, 4, 1000])
+def test_root_side_results_carry_their_ledger(k, monkeypatch):
+    # RegularizedSum is a plain record: what root_side_em and both totals
+    # build must hold the split and the labels themselves
+    mus = [-4.5, -1.45, 0.0, 0.5, 2.6, 3.5]
+    built = root_side_em(FACTOR, 25, S0, mus, k) + [root_side_em(FACTOR, 25, S0, -1.45, k)]
+    em_sums = root_side._em_sums
+
+    def spy(*args):
+        out = em_sums(*args)
+        built.extend(result for rows in out for result in rows)
+        return out
+
+    monkeypatch.setattr(root_side, "_em_sums", spy)
+    curve = make_curve(25, 2, [(0.6, 0.7), (0.4, C25 - 0.7), (0.6, C25 - 0.7), (0.4, 0.7)])
+    root_side_total(curve, S0, mus, k)
+    root_side_total(curve, S0, 2.6, k)
+    assert len(built) == 7 + 7 * len(curve.factors)
+    for got in built:
+        assert_ledger(got)
+    assert len({got.order for got in built}) > 1
 
 
 @pytest.mark.parametrize("k", [None, 4, 10, 1000])
