@@ -9,6 +9,9 @@ NaN, inf, an int past the doubles) and finite values at the edge of the
 doubles (+-1e308, +-1e-308, +-10**20, 2**70), where what the library
 computes from them can overflow or underflow.  Every call must return or
 raise a ZetaffError, never a bare Python exception or a warning.
+
+A value is checked once: where it enters the library or where the library
+computes it.  The last test keeps downstream re-checks from coming back.
 """
 
 import math
@@ -17,13 +20,19 @@ import numpy as np
 
 import zetaff
 from zetaff import (
+    ClimReport,
     CountingFunction,
+    CriticalLineResult,
     CurveZeta,
     LambdaFactor,
     LemmaParams,
+    LemmaVerification,
+    RegularizedSum,
     SampledPath,
     SeriesControl,
     ZetaffError,
+    cesaro,
+    deriv_side,
 )
 
 _BAD = ("x", None, [1.0], 1j, math.nan, math.inf, 10**400,
@@ -113,3 +122,31 @@ def test_malformed_arguments_raise_only_zetaff_errors():
                 escapes.append(f"{fn.__name__} [{where}] = {bad!r:.20}: {exc!r:.100}")
     assert calls > 500
     assert escapes == [], f"{len(escapes)} escapes in {calls} calls:\n" + "\n".join(escapes)
+
+
+def test_each_value_is_checked_once(monkeypatch):
+    # the result types are plain records, built from checked numbers
+    for result in (ClimReport, RegularizedSum, LemmaVerification, CriticalLineResult):
+        assert "__post_init__" not in vars(result), result.__name__
+
+    # the series reach the tail bound's body, not its argument checks
+    def checked(*args):
+        raise AssertionError("series_tail_bound re-checked its arguments")
+
+    monkeypatch.setattr(deriv_side, "series_tail_bound", checked)
+    zetaff.deriv_side_total(_CURVE, 5.0, [-1.45, 0.5, 2.6])
+
+    # a counting path's heights are built from its checked dt and count
+    calls = []
+    reals = cesaro._reals
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reals(*args, **kwargs)
+
+    monkeypatch.setattr(cesaro, "_reals", counted)
+    for kind in ("S", "tS", "t2S", "S1", "tS1", "S2"):
+        zetaff.counting_path(_CF, kind, 10 * C, DT)
+    assert calls == []
+    zetaff.s_eval(_CF, 5.0)  # the public evaluator checks its heights
+    assert len(calls) == 1
