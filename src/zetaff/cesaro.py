@@ -908,7 +908,8 @@ def r_critical_line(cf: CountingFunction, s0, mu: int, epsilons) -> CriticalLine
 
     N(T) = Ncheck(T) + S(T) with Ncheck = (2g/C)T, and each of the Ncheck
     and S blocks combines one Cesaro limit per contour.  On the lower
-    contour, with b = s0 - 1/2:
+    contour, with b = s0 - 1/2, the limits under plain averaging (``clim``
+    without a period: the z^n fit removed, then P applied) are:
 
         mu = 0:   Clim Ncheck = -(2g/C) i b,  Clim S = 0
         mu = -1:  Clim (T Ncheck - Ncheck1) = -(g/C) b^2,  Clim (T S - S1) = -S1av
@@ -917,8 +918,14 @@ def r_critical_line(cf: CountingFunction, s0, mu: int, epsilons) -> CriticalLine
 
     At mu = 0 and -2 the blocks add the two contours, and the upper contour
     gives the exact negative of each lower limit.  At mu = -1 the blocks
-    subtract them, and the upper contour gives the same limit.  The mu = -2
-    S combination 0 - 2 Clim TS1 + 2 Clim S2 also vanishes on each contour.
+    subtract them, and the upper contour gives the same limit.  So under
+    plain averaging the mu = -2 S combination T^2 S - 2 TS1 + 2 S2 is 0 on
+    each contour.  The profile rule the lemma table is verified with
+    (``clim`` with period C, which gives zero-mean z^2 content its Cesaro
+    value, as for z2_alpha) reads Clim T^2 S = i sgn b S1av instead, sgn = 1
+    on the lower contour and -1 on the upper.  Under it that combination is
+    i sgn b S1av on each contour, and only the sum over the two contours
+    vanishes.  The zero returned is that two-contour sum, under either rule.
     For mu = -2 the value is X_epsilon = sum eps_i^2 * Clim of the two-sided
     root count, which is zero because its one-sided limits cancel per root
     ladder (see ``r_lambda_cesaro``).
