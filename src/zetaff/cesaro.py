@@ -824,9 +824,14 @@ def s_eval(cf: CountingFunction, T):
 def s1_eval(cf: CountingFunction, T):
     """First antiderivative S1(T) = int_0^alpha S; periodic, S1(0) = S1(C) = 0."""
     alpha = T % cf.C
-    acc = -(cf.g / cf.C) * alpha * alpha
+    # -(g/C) * alpha * alpha + sum_i max(0, alpha - kappa_i), built in place
+    # with the same operations in the same order
+    acc = np.multiply(-(cf.g / cf.C), alpha)
+    acc *= alpha
+    step = np.empty_like(alpha)
     for k in cf.kappas:
-        acc += np.maximum(0.0, alpha - k)
+        np.subtract(alpha, k, out=step)
+        acc += np.maximum(0.0, step, out=step)
     return acc
 
 
@@ -841,9 +846,15 @@ def s1_av(cf: CountingFunction) -> float:
 
 def _q_of_phase(cf: CountingFunction, alpha):
     """Q at phases alpha = T mod C that are already reduced."""
+    # sum_i 0.5 * max(0, alpha - kappa_i)**2, built in place
     acc = np.zeros_like(alpha)
+    step = np.empty_like(alpha)
     for k in cf.kappas:
-        acc += 0.5 * np.maximum(0.0, alpha - k) ** 2
+        np.subtract(alpha, k, out=step)
+        np.maximum(0.0, step, out=step)
+        np.square(step, out=step)
+        step *= 0.5
+        acc += step
     return acc
 
 
@@ -862,8 +873,16 @@ def q_av(cf: CountingFunction) -> float:
 def s2_eval(cf: CountingFunction, T):
     """Second antiderivative S2(T) = S1av*(T - alpha) + int_0^alpha S1."""
     alpha = T % cf.C
-    inner = _q_of_phase(cf, alpha) - (cf.g / (3.0 * cf.C)) * alpha**3
-    return s1_av(cf) * (T - alpha) + inner
+    # inner = Q(alpha) - (g/(3C)) * alpha**3, then s1_av * (T - alpha) + inner,
+    # built in place
+    inner = _q_of_phase(cf, alpha)
+    cube = np.power(alpha, 3)
+    cube *= cf.g / (3.0 * cf.C)
+    inner -= cube
+    drift = np.subtract(T, alpha, out=cube)
+    drift *= s1_av(cf)
+    drift += inner
+    return drift
 
 
 # the evaluators' bodies, which take the heights unchecked (functools.wraps

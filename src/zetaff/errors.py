@@ -204,6 +204,16 @@ def _finite(value, what="samples", at=None):
     raise InvalidInputError(f"{what} overflows a double at {where}")
 
 
+def _finite_rows(values, what, at):
+    """values, an ndarray, unless a row (an index of its first axis) holds a
+    NaN or inf: then _finite raises for the first such row i, computed from
+    the inputs at(i)."""
+    rows = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    if not rows.all():
+        _finite(math.nan, what, at(int(rows.argmin())))
+    return values
+
+
 def _computed(what, at, fn, *args):
     """_finite(fn(*args), what, at), where fn raising OverflowError (a power
     or exp past the doubles), ZeroDivisionError (by a divisor that underflowed

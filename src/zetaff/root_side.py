@@ -19,10 +19,11 @@ large k with few, where the cancelling sum loses digits: at k = 10 a call
 sums 21 kernel terms.
 
 root_side_em and root_side_total take one order mu or a 1-d grid of orders.
-A grid is checked and modelled order by order, exactly as one-order calls
-would be; the orders of a factor that chose the same k then share one kernel
-call, which computes the ladder geometry once for all of them.  Each order's
-result is bitwise that of a one-order call.
+A grid is checked order by order, as one-order calls would be, and the
+error model runs once per call, as one array over factors x orders x
+candidate windows; the orders of a factor that chose the same k then share
+one kernel call, which computes the ladder geometry once for all of them.
+Each order's result is bitwise that of a one-order call.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ from .errors import (
     OrderInsufficientError,
     RemovableSingularityError,
     WrongRegimeError,
+    ZetaffError,
     _computed,
     _finite,
+    _finite_rows,
     _orders,
     _point,
     _require_finite,
@@ -60,12 +63,13 @@ _BERNOULLI = tuple(
     )
 )
 
-#: (m, |B_(2m+2)|(2m)! / (|B_2m|(2m+2)!)) for m = 1 .. 8
-_BERNOULLI_STEPS = tuple((m, _BERNOULLI[m] / _BERNOULLI[m - 1]) for m in range(1, 9))
-
 #: Bernoulli terms kept at most, B2 .. B16; the B18 bound is then the
 #: truncation error
 _EM_TERMS = 8
+
+#: 2m and |B_(2m+2)|(2m)! / (|B_2m|(2m+2)!) for m = 1 .. 8, as columns
+_EVEN = np.arange(2.0, 2.0 * _EM_TERMS + 1.0, 2.0)[:, None]
+_RATIOS = np.array([_BERNOULLI[m] / _BERNOULLI[m - 1] for m in range(1, 9)])[:, None]
 
 #: truncations the error model chooses from when no k is given
 _K_CANDIDATES = (4, 6, 10, 16, 25, 40, 64, 100, 160, 250, 400, 1000)
@@ -143,72 +147,74 @@ def root_side_classical(factor: LambdaFactor, q, s0, mu, k) -> complex:
 
 
 def _bernoulli_coefficients(mu, C):
-    """(mu)_(2m-1) C^(2m-1) |B_2m|/(2m)! for m = 1 .. 9, that is B2 .. B18.
+    """(mu)_(2m-1) C^(2m-1) |B_2m|/(2m)! for m = 1 .. 9, that is B2 .. B18,
+    one row per m and one column per order of the array mu.
 
     The B_2m term of the continuation is i times this coefficient times
     w-^(-mu-2m+1) - w+^(-mu-2m+1).  Each coefficient is the one before times
-    (mu + 2m - 1)(mu + 2m) C^2 |B_(2m+2)|(2m)!/(|B_2m|(2m+2)!).
+    (mu + 2m - 1)(mu + 2m) C^2 |B_(2m+2)|(2m)!/(|B_2m|(2m+2)!).  Past the
+    doubles a coefficient is inf or NaN, which the error model reports.
     """
-    c = mu * C * _BERNOULLI[0]
-    coefs = [c]
-    for m, ratio in _BERNOULLI_STEPS:
-        c *= (mu + 2 * m - 1) * (mu + 2 * m) * ratio * C * C
-        coefs.append(c)
-    return coefs
+    with np.errstate(all="ignore"):
+        even = mu + _EVEN  # mu + 2m, m = 1 .. 8
+        coefs = np.empty((_EM_TERMS + 1, len(mu)))
+        coefs[0] = mu * C * _BERNOULLI[0]
+        coefs[1:] = (even - 1) * even * _RATIOS * C * C
+        return np.multiply.accumulate(coefs, out=coefs)
 
 
 def _windows(a, C, k, s0):
-    """(k, w-, w+, |w-|, |w+|) of each window |j| <= k of one factor, in increasing k.
+    """(k, w-, w+, |w-|, |w+|) of each window |j| <= k of one factor, in
+    increasing k, and the index of the first that reaches the rung nearest s0.
 
-    The error model holds only where the window reaches the rung nearest s0,
+    The error model holds only where the window reaches that rung,
     C*k >= |Im a|: beyond it a tail's terms first grow toward that rung, and
     the first omitted Bernoulli term at k understates the remainder.  So the
-    windows are those of the given k, or of the candidates, that reach it,
-    and if none does the call raises.  The moduli are taken with math.hypot:
-    abs(w) can differ from it in the last bit, which est_error would show.
+    windows are those of the given k, or of the candidates, and the model
+    chooses among those that reach it; if none does the call raises.  The
+    moduli are taken with math.hypot: abs(w) can differ from it in the last
+    bit, which est_error would show.
     """
     given = _K_CANDIDATES if k is None else (int(k),)
-    ends = [(c, a - 1j * C * c, a + 1j * C * c) for c in given if C * c >= abs(a.imag)]
-    if not ends:
+    first = next((i for i, c in enumerate(given) if C * c >= abs(a.imag)), None)
+    if first is None:
         raise InvalidInputError(
             f"k = {given[-1]} misses the rung nearest s0 = {s0}: C*k < |Im(s0 - r0)|"
         )
+    ends = [(c, a - 1j * C * c, a + 1j * C * c) for c in given]
     return [(c, wm, wp, math.hypot(wm.real, wm.imag), math.hypot(wp.real, wp.imag))
-            for c, wm, wp in ends]
+            for c, wm, wp in ends], first
 
 
-def _abs_sum_bound(a, C, mu, window):
+def _abs_sum_bound(x, rmin, C, p, k, lo, hi):
     """Closed-form bound on sum_{j=-k..k} |a - i*C*j|^(-mu) over a window, p = -mu.
 
-    With x = |Re a| and t_j = Im a - C*j, |w_j| lies between max(x, |t_j|)
-    and x + |t_j|.  For p >= 0 the terms (x + |t|)^p form a valley in t, so
-    their grid sum is at most the integral over [t_k, t_-k] divided by C
-    plus the two end values.  For p < 0 the terms peak at the nearest rung
-    j0, which the window reaches (C*k >= |Im a|, see ``_windows``); every
+    x = |Re a| and rmin = |a - i*C*j0| at the rung j0 nearest s0, per factor;
+    k and the window ends lo = Im w- and hi = Im w+, per factor and window;
+    p per order.  They broadcast, and so does the bound.  With t_j = Im a -
+    C*j, |w_j| lies between max(x, |t_j|) and x + |t_j|.  For p >= 0 the
+    terms (x + |t|)^p form a valley in t, so their grid sum is at most the
+    integral over [t_k, t_-k] divided by C plus the two end values.  For
+    p < 0 the terms peak at the nearest rung j0, which the window reaches
+    (C*k >= |Im a|, see ``_windows``; so t_k = lo <= 0 <= hi = t_-k); every
     other rung has |t_j| >= C*(|j - j0| - 1/2), so the rest is at most twice
     a decreasing sum of max(x, u)^p, bounded by its first term plus an
-    integral.
+    integral.  Both forms are evaluated everywhere and the sign of p picks
+    one, so the caller silences the floating-point errors of the other.
     """
-    p = -mu
-    x = abs(a.real)
-    k, wm, wp, _, _ = window
-    lo, hi = wm.imag, wp.imag
-    if p >= 0.0:
-        def F(T):  # int_0^T (x + u)^p du
-            return ((x + T) ** (p + 1.0) - x ** (p + 1.0)) / (p + 1.0)
-
-        # the window reaches the nearest rung, so t_k = lo <= 0 <= hi = t_-k
-        return (F(-lo) + F(hi)) / C + (x + abs(lo)) ** p + (x + abs(hi)) ** p
-    j0 = round(a.imag / C)
-    rmin = abs(a - 1j * C * j0)
+    e = p + 1.0
+    # int_0^T (x + u)^p du at T = -lo and T = hi, where x + T = x + |T|
+    xl, xh, xe = x + abs(lo), x + abs(hi), x**e
+    valley = ((xl**e - xe) / e + (xh**e - xe) / e) / C + xl**p + xh**p
     u0, u1 = C / 2.0, C * (2 * k + 1)
-    x0 = max(x, u0)
+    x0 = np.maximum(x, u0)
     # int_u0^u1 max(x, u)^p du: flat up to x, a power beyond
-    tail = (min(x, u1) - u0) * x**p if x > u0 else 0.0
-    if u1 > x0:
-        e, span = p + 1.0, math.log(u1 / x0)
-        tail += x0**e * (math.expm1(e * span) / e if e else span)
-    return rmin**p + 2.0 * (x0**p + tail / C)
+    tail = np.where(x > u0, (np.minimum(x, u1) - u0) * x**p, 0.0)
+    span = np.log(u1 / x0)
+    power = x0**e * np.where(e != 0.0, np.expm1(e * span) / e, span)
+    tail = np.where(u1 > x0, tail + power, tail)
+    peak = rmin**p + 2.0 * (x0**p + tail / C)
+    return np.where(p >= 0.0, valley, peak)
 
 
 def _check_em_order(mu, k) -> None:
@@ -232,59 +238,100 @@ def _phase(mu) -> complex:
     return _computed("the phase e^(i*pi*mu)", {"mu": mu}, cmath.exp, 1j * math.pi * mu)
 
 
-def _em_model(a, C, mu, coefs, windows):
-    """(k, w-, w+, |w-|, |w+|, truncation, rounding, kept): the error model's
-    choice of window, flat, so that ``errors._finite`` reads each number.
+def _em_model(offsets, C, mu, coefs, windows, s0):
+    """The error model's choice of window at each factor and order: one list
+    per factor of (window, truncation, rounding, kept) per order.
 
-    At a window, |B_2m term| <= |coef_m| (rm^(-mu-2m+1) + rp^(-mu-2m+1)),
-    rm = |w-| and rp = |w+|.  Bernoulli terms are kept while these bounds
-    shrink, up to B16, and the bound on the first omitted term is the
-    truncation part.  The rounding part is eps times the scale of what is
-    summed, the moduli of the 2k+1 kernel terms plus those of the boundary
-    terms, times the growth of a term's relative error with |mu| log|w|: the
-    kernel and the complex powers form w^(-mu) as exp(-mu*log w).  To that
-    it adds the rounding of y = Im a - C*j, up to eps*C|j| <= eps*(|Im a| +
-    |w|), which the power turns into a relative error |mu| eps |Im a| / |w|:
-    near a ladder, where |w| << |Im a|, it is the larger part.
+    One array expression over factors x orders x windows.  At a window,
+    |B_2m term| <= |coef_m| (rm^(-mu-2m+1) + rp^(-mu-2m+1)), rm = |w-| and
+    rp = |w+|.  Bernoulli terms are kept while these bounds shrink, up to
+    B16, and the bound on the first omitted term is the truncation part.
+    The rounding part is eps times the scale of what is summed, the moduli
+    of the 2k+1 kernel terms plus those of the boundary terms, times the
+    growth of a term's relative error with |mu| log|w|: the kernel and the
+    complex powers form w^(-mu) as exp(-mu*log w).  To that it adds the
+    rounding of y = Im a - C*j, up to eps*C|j| <= eps*(|Im a| + |w|), which
+    the power turns into a relative error |mu| eps |Im a| / |w|: near a
+    ladder, where |w| << |Im a|, it is the larger part.
 
     The truncation part falls with k and the rounding part grows, so the
-    modelled error falls and then rises; the scan takes the windows in
-    increasing k and stops at the first that does no better than the one
-    before.  An explicit k is a scan of its one window.
+    modelled error falls and then rises; the scan takes the windows that
+    reach the rung in increasing k and stops at the first that does no
+    better than the one before.  An explicit k is a scan of its one window.
+    Windows that miss the rung are masked out of the scan.
+
+    Each element takes the scalar model's operations in the scalar model's
+    order, so k and the Bernoulli terms kept are those of a scalar scan;
+    NumPy's power, log and expm1 can round the two error parts differently
+    from math's in the last bit.  They give an element the same bits
+    wherever it sits in the batch, so a grid gives each order what a
+    one-order call gives.  A window the scan reaches whose modelled error is
+    not finite raises InvalidInputError (``errors._finite``) at the first
+    order that has one.
     """
-    best = None
-    for window in windows:
-        _, _, _, rm, rp = window
-        em, ep = rm ** (-mu - 1.0), rp ** (-mu - 1.0)
-        sm, sp = rm**-2.0, rp**-2.0
-        kept, kept_sum, prev = 0, 0.0, math.inf
-        for c in coefs[:_EM_TERMS]:
-            truncation = abs(c) * (em + ep)
-            if not truncation < prev:
-                break
-            kept, kept_sum, prev = kept + 1, kept_sum + truncation, truncation
-            em *= sm
-            ep *= sp
-        else:
-            truncation = abs(coefs[_EM_TERMS]) * (em + ep)
-        hm, hp = rm**-mu, rp**-mu
-        boundary = (hm * rm + hp * rp) / (abs(1.0 - mu) * C) + 0.5 * (hm + hp) + kept_sum
-        growth = 2.0 + abs(mu) * (abs(math.log(max(rm, rp))) + math.pi)
-        rounding = _EPS * growth * (_abs_sum_bound(a, C, mu, window) + boundary)
-        if a.imag:
-            rounding += _EPS * abs(mu) * abs(a.imag) * _abs_sum_bound(a, C, mu + 1.0, window)
-        if best is not None and truncation + rounding >= best[5] + best[6]:
-            break
-        best = (*window, truncation, rounding, kept)
-    return best
+    if not windows:
+        return []
+    F, M, W = len(windows), len(mu), len(windows[0][0])
+    # the windows' geometry, (factor, 1, window), and the factors', (factor, 1, 1)
+    geometry = np.array([[(c, rm, rp, wm.imag, wp.imag) for c, wm, wp, rm, rp in wins]
+                         for wins, _ in windows]).transpose(2, 0, 1)[:, :, None, :]
+    k, rm, rp, lo, hi = geometry
+    R = geometry[1:3]
+    valid = np.arange(W) >= np.array([first for _, first in windows])[:, None, None]
+    x, imag, rmin = np.array([(abs(a.real), a.imag, abs(a - 1j * C * round(a.imag / C)))
+                              for a in offsets]).T[:, :, None, None]
+    mu = mu[None, :, None]
+    cells = np.arange(F * M * W).reshape(F, M, W)
+    with np.errstate(all="ignore"):
+        # the bounds of B2 .. B18 in the rows of one array, per end of the
+        # window: w^(-mu-2m+1) from w^(-mu-1) by repeated multiplication by
+        # |w|^-2; the bounds and their partial sums then reuse the buffer
+        powers = np.empty((2, _EM_TERMS + 1, F, M, W))
+        powers[:, 0] = R ** (-mu - 1.0)
+        powers[:, 1:] = R[:, None] ** -2.0
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        bounds, sums = np.add(powers[0], powers[1], out=powers[0]), powers[1]
+        bounds *= np.abs(coefs)[:, None, :, None]
+        shrinking = np.empty((_EM_TERMS, F, M, W), dtype=bool)
+        shrinking[0] = bounds[0] < math.inf
+        np.less(bounds[1:_EM_TERMS], bounds[:_EM_TERMS - 1], out=shrinking[1:])
+        kept = np.logical_and.accumulate(shrinking, out=shrinking).sum(axis=0)
+        truncation = bounds.take(kept * cells.size + cells)
+        sums[0] = 0.0
+        np.cumsum(bounds[:_EM_TERMS], axis=0, out=sums[1:])
+        kept_sum = sums.take(kept * cells.size + cells)
+
+        H = R**-mu
+        boundary = (H[0] * rm + H[1] * rp) / (abs(1.0 - mu) * C) + 0.5 * (H[0] + H[1]) + kept_sum
+        growth = 2.0 + abs(mu) * (abs(np.log(np.maximum(rm, rp))) + math.pi)
+        bound, shifted = _abs_sum_bound(x, rmin, C, np.stack([-mu, -(mu + 1.0)]), k, lo, hi)
+        rounding = _EPS * growth * (bound + boundary)
+        rounding = np.where(imag != 0.0, rounding + _EPS * abs(mu) * abs(imag) * shifted, rounding)
+
+        error = truncation + rounding
+        # the scan stops at window w when window w + 1, which it reaches, does
+        # no better; past the last window it stops anyway
+        stops = np.ones((F, M, W), dtype=bool)
+        np.greater_equal(error[..., 1:], error[..., :-1], out=stops[..., :-1])
+        stops[..., :-1] &= valid[..., :-1]
+        chosen = stops.argmax(axis=-1)
+        reached = valid & (np.arange(W) <= chosen[..., None] + 1)
+    # the modelled error of each window the scan reaches, one row per order
+    _finite_rows(np.where(reached, error, 0.0).swapaxes(0, 1), "the root side",
+                 lambda i: {"mu": float(mu[0, i, 0]), "s0": s0})
+    pick = cells[..., 0] + chosen
+    rows = [chosen.tolist()] + [v.take(pick).tolist() for v in (truncation, rounding, kept)]
+    return [[(wins[i], t, r, n) for i, t, r, n in zip(*plan)]
+            for (wins, _), *plan in zip(windows, *rows)]
 
 
 def _continued(a, C, mu, coefs, pref, S, model) -> RegularizedSum:
     """Subtract the boundary terms at the window's ends from the truncated sum S.
 
-    pref is e^(i*pi*mu) * nu, and model is what _em_model chose.
+    pref is e^(i*pi*mu) * nu, coefs the order's Bernoulli coefficients, and
+    model what _em_model chose.
     """
-    k, wm, wp, _, _, truncation, rounding, kept = model
+    (k, wm, wp, _, _), truncation, rounding, kept = model
     pm, pp = wm ** (-mu), wp ** (-mu)
     # i/((1-mu)C) * (w-^(1-mu) - w+^(1-mu)) with w-/+ = a -/+ iCk written out,
     # so that at mu = 0 it is 2k exactly and the continuation cancels exactly
@@ -316,34 +363,41 @@ def _continued(a, C, mu, coefs, pref, S, model) -> RegularizedSum:
 def _em_sums(factors, q, s0, orders, k):
     """root_side_em of each factor at each order, one list per factor.
 
-    The orders are checked one at a time, in order, so a grid raises what a
-    one-order call at its first offending order raises, except that a
-    window that misses the rung raises with the first order, before any
-    factor's model runs.  Each factor's windows are built once per call,
-    and the Bernoulli coefficients and e^(i*pi*mu) once per order; the error
-    model and the boundary terms stay scalar per factor and order.  Each
-    factor's kernel runs once per distinct truncation, on all the orders
-    that chose it.
+    The orders are checked one at a time, in order, and the orders before
+    the first that fails its check are modelled before it raises, so a grid
+    raises what a one-order call at its first offending order raises, except
+    that a window that misses the rung raises with the first order, before
+    the model runs.  Each factor's windows are built once per call, the
+    Bernoulli coefficients and e^(i*pi*mu) once per order, and the error
+    model runs once, on all factors and orders; the boundary terms stay
+    scalar per factor and order.  Each factor's kernel runs once per
+    distinct truncation, on all the orders that chose it.
     """
     if not orders:
         return [[] for _ in factors]
-    plans = [[] for _ in factors]
-    for i, mu in enumerate(orders):
-        _check_em_order(mu, k)
-        if i == 0:
-            # q is checked after the first order, as in a one-order call
-            C = vertical_spacing(q)
-            offsets = [_ladder_offset(f, C, s0) for f in factors]
-            windows = [_windows(a, C, k, s0) for a in offsets]
-        coefs = _bernoulli_coefficients(mu, C)
-        at = {"mu": mu, "s0": s0}
-        for a, wins, plan in zip(offsets, windows, plans):
-            plan.append((coefs, _computed("the root side", at, _em_model, a, C, mu, coefs, wins)))
+    _check_em_order(orders[0], k)
+    # q is checked after the first order, as in a one-order call
+    C = vertical_spacing(q)
+    offsets = [_ladder_offset(f, C, s0) for f in factors]
+    windows = [_windows(a, C, k, s0) for a in offsets]
+    mus = np.array(orders)
+    coefs = _bernoulli_coefficients(mus, C)
+    checked = 1
+    try:
+        for mu in orders[1:]:
+            _check_em_order(mu, k)
+            checked += 1
+    except ZetaffError:
+        # an earlier order whose model overflows raises first
+        _em_model(offsets, C, mus[:checked], coefs[:, :checked], windows, s0)
+        raise
+    models = _em_model(offsets, C, mus, coefs, windows, s0)
+    coefs = coefs.T.tolist()
     phases = [_phase(mu) for mu in orders]
     results = []
-    for factor, a, plan in zip(factors, offsets, plans):
+    for factor, a, plan in zip(factors, offsets, models):
         by_k = {}
-        for i, (_, (k_used, *_)) in enumerate(plan):
+        for i, ((k_used, *_), *_) in enumerate(plan):
             by_k.setdefault(k_used, []).append(i)
         S = [0j] * len(orders)
         for k_used, rows in by_k.items():
@@ -351,8 +405,8 @@ def _em_sums(factors, q, s0, orders, k):
             for i, value in zip(rows, sums.tolist()):
                 S[i] = value
         results.append([
-            _continued(a, C, mu, coefs, phase * factor.nu, S_mu, model)
-            for mu, phase, S_mu, (coefs, model) in zip(orders, phases, S, plan)
+            _continued(a, C, mu, c, phase * factor.nu, S_mu, model)
+            for mu, c, phase, S_mu, model in zip(orders, coefs, phases, S, plan)
         ])
     return results
 

@@ -1083,6 +1083,33 @@ def test_counting_path_matches_per_sample_reference(g):
             assert np.array_equal(got, ref), kind
 
 
+def out_of_place_paths(cf, t):
+    """Every counting-path kind as array expressions that allocate a new
+    array per operation: the reference the in-place evaluators must match
+    byte for byte."""
+    alpha = t % cf.C
+    count, s1, q = np.zeros_like(alpha), -(cf.g / cf.C) * alpha * alpha, np.zeros_like(alpha)
+    for k in cf.kappas:
+        count = count + np.where(alpha > k + 1e-12, 1.0,
+                                 np.where(np.abs(alpha - k) <= 1e-12, 0.5, 0.0))
+        s1 = s1 + np.maximum(0.0, alpha - k)
+        q = q + 0.5 * np.maximum(0.0, alpha - k) ** 2
+    s = count - (2.0 * cf.g / cf.C) * alpha
+    s2 = s1_av(cf) * (t - alpha) + (q - (cf.g / (3.0 * cf.C)) * alpha**3)
+    return {"S": s, "tS": t * s, "t2S": t * t * s, "S1": s1, "tS1": t * s1, "S2": s2}
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_counting_paths_built_in_place_match_out_of_place_bytes(g):
+    rng = np.random.default_rng(g)
+    half = [37 * DT] + list(rng.uniform(0.05 * C, 0.45 * C, g - 1))
+    cf = make_counting(g, C, half + [C - k for k in half])
+    t = DT * np.arange(int(1000 * C / DT) + 1)
+    for kind, want in out_of_place_paths(cf, t).items():
+        got = counting_path(cf, kind, 1000 * C, DT).samples
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), kind
+
+
 _EVALUATORS = (s_eval, s1_eval, q_eval, s2_eval)
 
 

@@ -484,7 +484,7 @@ def test_shared_argument_rules_live_in_errors_py():
     pkg = os.path.join(SRC, "zetaff")
     rules = {"_is_finite", "_require_finite", "_point", "_require_range", "_is_int",
              "_require_int", "_is_tol", "_require_tol", "_floats", "_reals", "_orders",
-             "_finite", "_computed"}
+             "_finite", "_finite_rows", "_computed"}
     found = []
     for name in sorted(os.listdir(pkg)):
         if not name.endswith(".py") or name == "errors.py":

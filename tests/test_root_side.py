@@ -1,9 +1,11 @@
 """Tests for the root side: classical sum and Euler-McLaurin continuation."""
 
 import cmath
+import importlib.util
 import math
 import random
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -29,7 +31,7 @@ from zetaff import (
     vertical_spacing,
 )
 from zetaff import _kernels, root_side
-from zetaff.root_side import _K_CANDIDATES, _ladder_offset
+from zetaff.root_side import _BERNOULLI, _K_CANDIDATES, _ladder_offset
 
 C25 = vertical_spacing(25)
 S0 = 5.1238
@@ -587,6 +589,113 @@ def test_grid_builds_each_factors_windows_once(monkeypatch):
         calls.clear()
         assert len(root_side_total(curve, S0, GRID[:41], k)) == 41
         assert len(calls) == len(curve.factors) == 6
+
+
+def test_grid_runs_the_error_model_once(monkeypatch):
+    model, calls = root_side._em_model, []
+
+    def counted(*args):
+        calls.append(args)
+        return model(*args)
+
+    monkeypatch.setattr(root_side, "_em_model", counted)
+    curve = make_curve(25, 2, [(0.6, 0.7), (0.4, C25 - 0.7), (0.6, C25 - 0.7), (0.4, 0.7)])
+    for k in (None, 10):
+        calls.clear()
+        assert len(root_side_total(curve, S0, GRID[:41], k)) == 41
+        assert len(calls) == 1
+
+
+def abs_sum_bound_reference(a, C, mu, k):
+    """The closed-form bound on sum_j |a - i*C*j|^(-mu) over the window |j| <= k,
+    as the scalar error model took it."""
+    p = -mu
+    x = abs(a.real)
+    lo, hi = (a - 1j * C * k).imag, (a + 1j * C * k).imag
+    if p >= 0.0:
+        def F(T):
+            return ((x + T) ** (p + 1.0) - x ** (p + 1.0)) / (p + 1.0)
+
+        return (F(-lo) + F(hi)) / C + (x + abs(lo)) ** p + (x + abs(hi)) ** p
+    j0 = round(a.imag / C)
+    rmin = abs(a - 1j * C * j0)
+    u0, u1 = C / 2.0, C * (2 * k + 1)
+    x0 = max(x, u0)
+    tail = (min(x, u1) - u0) * x**p if x > u0 else 0.0
+    if u1 > x0:
+        e, span = p + 1.0, math.log(u1 / x0)
+        tail += x0**e * (math.expm1(e * span) / e if e else span)
+    return rmin**p + 2.0 * (x0**p + tail / C)
+
+
+def error_model_reference(a, C, mu):
+    """The default-k error model as a scalar scan in math.*: (k, Bernoulli
+    terms kept, truncation, rounding).  The library's array model must make
+    the same choices and agree on the two parts to rounding."""
+    c = mu * C * _BERNOULLI[0]
+    coefs = [c]
+    for m in range(1, 9):
+        c *= (mu + 2 * m - 1) * (mu + 2 * m) * (_BERNOULLI[m] / _BERNOULLI[m - 1]) * C * C
+        coefs.append(c)
+    eps, best = sys.float_info.epsilon, None
+    for k in _K_CANDIDATES:
+        if C * k < abs(a.imag):
+            continue
+        wm, wp = a - 1j * C * k, a + 1j * C * k
+        rm, rp = math.hypot(wm.real, wm.imag), math.hypot(wp.real, wp.imag)
+        em, ep = rm ** (-mu - 1.0), rp ** (-mu - 1.0)
+        sm, sp = rm**-2.0, rp**-2.0
+        kept, kept_sum, prev = 0, 0.0, math.inf
+        for c in coefs[:8]:
+            truncation = abs(c) * (em + ep)
+            if not truncation < prev:
+                break
+            kept, kept_sum, prev = kept + 1, kept_sum + truncation, truncation
+            em *= sm
+            ep *= sp
+        else:
+            truncation = abs(coefs[8]) * (em + ep)
+        hm, hp = rm**-mu, rp**-mu
+        boundary = (hm * rm + hp * rp) / (abs(1.0 - mu) * C) + 0.5 * (hm + hp) + kept_sum
+        growth = 2.0 + abs(mu) * (abs(math.log(max(rm, rp))) + math.pi)
+        rounding = eps * growth * (abs_sum_bound_reference(a, C, mu, k) + boundary)
+        if a.imag:
+            rounding += eps * abs(mu) * abs(a.imag) * abs_sum_bound_reference(a, C, mu + 1.0, k)
+        if best is not None and truncation + rounding >= best[2] + best[3]:
+            break
+        best = (k, kept, truncation, rounding)
+    return best
+
+
+def curve_pipeline_specs(seed, count):
+    """The first ``count`` curves of the benchmark's curve-pipeline workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("curve_pipeline_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.generate("curve-pipeline", seed)[:count]
+
+
+def test_error_model_matches_the_scalar_reference():
+    def close(got, want):
+        return abs(got - want) <= 1e-14 * abs(want)
+
+    checked = 0
+    for seed in (1, 2):
+        for spec in curve_pipeline_specs(seed, 30):
+            q = spec["q"]
+            C = vertical_spacing(q)
+            for factor in make_curve(q, spec["genus"], spec["roots"]).factors:
+                for s0 in (complex(S0), spec["s0"]):
+                    a = _ladder_offset(factor, C, s0)
+                    for mu, got in zip(GRID[:41], root_side_em(factor, q, s0, GRID[:41])):
+                        k, kept, truncation, rounding = error_model_reference(a, C, mu)
+                        assert (got.k_used, got.order) == (k, 2 * kept), (factor, s0, mu)
+                        assert close(got.truncation_error, truncation), (factor, s0, mu)
+                        assert close(got.rounding_error, rounding), (factor, s0, mu)
+                        assert close(got.est_error, truncation + rounding), (factor, s0, mu)
+                        checked += 1
+    assert checked > 20000
 
 
 def test_em_mu0_exact_zero_inside_a_grid():

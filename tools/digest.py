@@ -1,11 +1,11 @@
-"""Four SHA-256 digests, of CLI output, lemma values, closed forms and the counting and
-root-side ledgers, to check two trees bit for bit.
+"""Five SHA-256 digests, of CLI output, lemma values, closed forms, the counting and
+root-side ledgers and the root side's error estimates, to check two trees bit for bit.
 
     python tools/digest.py SRC
 
 imports zetaff from the directory SRC (the one holding the ``zetaff``
 package, e.g. ``src`` of a checkout) and the perfbench workloads from
-``perfbench/workloads.py`` next to this file, and prints four lines:
+``perfbench/workloads.py`` next to this file, and prints five lines:
 
 - CLI: ``zetaff.cli.main`` runs in-process on 1,926 argument lists: six
   fixed runs of scan-mu, lemma and critical-line, then check-curve and
@@ -33,12 +33,17 @@ package, e.g. ``src`` of a checkout) and the perfbench workloads from
   ``zetaff scan-mu`` at its s0, as it does for the inline factor of the
   scan-mu defaults.  The line gives the counts and one digest over the bytes
   of each path's samples, the ``repr`` of each Clim report's fields and of
-  every field of each root-side result (its k, order, error split and
-  ledger of corrections included).  The CLI line sees none of these but
+  every field of each root-side result but its error estimate (its value,
+  k, order and ledger of corrections).  The CLI line sees none of these but
   the root-side values.
+- Error splits: the ``repr`` of the est_error, truncation_error and
+  rounding_error of the same root-side results, one digest on a line of
+  its own, so that a change to the error model's rounding leaves the
+  ledger line as it is.
 
 Two trees whose CLI output is byte-identical and whose lemma values, closed
-forms and ledgers agree bit for bit print the same four lines.
+forms, ledgers and error estimates agree bit for bit print the same five
+lines.
 """
 
 from __future__ import annotations
@@ -67,6 +72,9 @@ FIXED_RUNS = (
 SPECS_PER_SEED = 40
 CURVES_PER_SEED = 30
 COUNTING_KINDS = ("S", "tS", "t2S", "S1", "tS1", "S2")
+# the fields of a root-side result that hold its error estimate; the fifth
+# line hashes them, the fourth every other field
+ERROR_SPLIT = ("est_error", "truncation_error", "rounding_error")
 # the defaults of `zetaff scan-mu`: its s0, its mu grid, built as the CLI
 # builds it, and its inline factor
 SCAN_S0 = 5.1238 + 0j
@@ -140,14 +148,16 @@ def closed_form_line(workloads, cesaro, vertical_spacing) -> str:
     return f"Closed forms: {count} values sha256 {digest.hexdigest()}"
 
 
-def ledger_line(workloads, zetaff) -> str:
-    digest, paths, clims, sums = hashlib.sha256(), 0, 0, 0
+def ledger_lines(workloads, zetaff) -> tuple:
+    digest, splits, paths, clims, sums = hashlib.sha256(), hashlib.sha256(), 0, 0, 0
 
     def root_sums(factor, q):
         nonlocal sums
         for result in zetaff.root_side_em(factor, q, SCAN_S0, SCAN_MUS):
-            fields = dataclasses.fields(result)
-            digest.update(repr([getattr(result, f.name) for f in fields]).encode())
+            fields = [f.name for f in dataclasses.fields(result)]
+            digest.update(repr([getattr(result, name) for name in fields
+                                if name not in ERROR_SPLIT]).encode())
+            splits.update(repr([getattr(result, name) for name in ERROR_SPLIT]).encode())
             sums += 1
 
     root_sums(zetaff.LambdaFactor(0.6, 3.0 * math.pi / 4.0), 25)
@@ -177,7 +187,8 @@ def ledger_line(workloads, zetaff) -> str:
                     digest.update(repr(record).encode())
                     clims += 1
     return (f"Ledgers: {paths} paths, {clims} Clims, {sums} root sums "
-            f"sha256 {digest.hexdigest()}")
+            f"sha256 {digest.hexdigest()}",
+            f"Error splits: {sums} root sums sha256 {splits.hexdigest()}")
 
 
 def main() -> None:
@@ -193,7 +204,7 @@ def main() -> None:
     print(cli_line(workloads, cli))
     print(lemma_line(workloads, cesaro, vertical_spacing))
     print(closed_form_line(workloads, cesaro, vertical_spacing))
-    print(ledger_line(workloads, zetaff))
+    print(*ledger_lines(workloads, zetaff), sep="\n")
 
 
 if __name__ == "__main__":
