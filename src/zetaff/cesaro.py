@@ -130,16 +130,30 @@ def average_P(path: SampledPath) -> SampledPath:
 
     The integral is a cumulative trapezoid on the sample grid; f is treated
     as 0 on [0, t0) when t0 > 0.  At T = 0 the average is f(0) (the limit).
-    The result has the path's dtype, so a real path stays real.
+    The result has the path's dtype, so a real path stays real, and is
+    written into a new array; the path's samples are only read.  Plain-mode
+    ``clim`` averages through the same steps (``_average``).
     """
     f = path.samples
-    t = path.times
-    out = np.empty_like(f)
-    np.cumsum(0.5 * (f[1:] + f[:-1]) * path.dt, out=out[1:])
+    return SampledPath(path.t0, path.dt, _average(f, path.times, path.dt, np.empty_like(f)))
+
+
+def _average(f, t, dt, out):
+    """P[f] at the heights t, written into ``out``, which must not be f.
+
+    The trapezoid steps are summed, halved, scaled by dt, accumulated and
+    divided by t in place, each step the operation an out-of-place
+    expression would take, so the bits are the same.
+    """
+    body = out[1:]
+    np.add(f[1:], f[:-1], out=body)
+    body *= 0.5
+    body *= dt
+    np.cumsum(body, out=body)
     # t0 >= 0 and dt > 0, so only t[0] can be zero
-    out[1:] /= t[1:]
+    body /= t[1:]
     out[0] = f[0] if t[0] == 0.0 else 0.0
-    return SampledPath(t0=path.t0, dt=path.dt, samples=out)
+    return out
 
 
 def _contour_sign(direction: str) -> float:
@@ -352,6 +366,18 @@ def _clim_profile(
         p2[0] -= means[2]
         mean_w = period * np.sum(p2 / ((m + 1) * (m + 2)))
         value += sign * (s0 - sigma0) * mean_w
+    # The rounding the binomial shift carries to z = 0.  In the period index
+    # p a column's fit is held to eps times its size, which bounds the
+    # weighted samples, and p = (z - z_b)/(sign*nbin*dt) carries it by
+    # |z_b|/(nbin*dt) per power; in Python floats, whose overflow is inf and
+    # not a warning.
+    per_index = float(scale) ** -np.arange(degree + 1.0)
+    size = float(np.max(np.sum(np.abs(fit) * per_index[:, None], axis=0)))
+    reach, power, gain = float(np.max(np.abs(zb))) / (nbin * dt), 1.0, 0.0
+    for _ in range(degree):
+        power *= reach
+        gain += power
+    carried = _EPS * size * gain
 
     # Pass two: predict every row from the fit by Horner's rule in the scaled
     # period index, the basis it was solved in, and keep each row's largest
@@ -391,6 +417,11 @@ def _clim_profile(
         raise NoClimError(
             f"profile residual not flat: {flat:.3g}", residual_flatness=flat
         )
+    if carried > flat_tol * (1.0 + abs(value)):  # NaN only for a zero fit at an infinite reach
+        raise NoClimError(
+            f"the profile shift carries rounding {carried:.3g} to z = 0 at s0 = {s0}",
+            residual_flatness=carried,
+        )
     return ClimReport(
         value=complex(value),
         removed_eigen=tuple(enumerate(means))[1:],
@@ -420,7 +451,11 @@ def clim(
     most flat_tol.  The phase bins of a period must have more distinct
     phases than min(max_eigen + 2, 8), the degree of the phase fit, and the
     first and last quarter of the nfull full periods, 2*(nfull // 4) rows,
-    must number at least max_eigen + 1.
+    must number at least max_eigen + 1.  The shift of each bin's fit to z = 0
+    carries its rounding, eps times the fit's size in the period index, by
+    max_b |z_b| over the period length per power; summed over the powers
+    this must also be at most flat_tol * (1 + |value|), or NoClimError is
+    raised with it as the flatness, as in plain mode.
 
     Otherwise (plain mode) coefficients of z^n (n = 1..max_eigen) are fitted
     and removed, then P is applied up to max_p times until the tail of the
@@ -429,6 +464,10 @@ def clim(
     least-squares polynomial in the centred height (T - T_mid)/T_half, one
     (max_eigen + 1)-square solve of the normal equations per stage, on a
     complex copy of the samples; at max_eigen = 0 a real path stays real.
+    The heights and the fit's Vandermonde are built once per call, and each
+    stage writes its residual and its average into one of two buffers of the
+    call's own, never into path.samples; each averaged stage is checked to
+    be finite.
     The samples must number at least max_eigen + 1.  Past either bound
     InvalidInputError is raised before the path is read.  Each stage's fit
     is carried from the path to z = 0, where the centred height has modulus
@@ -456,14 +495,31 @@ def clim(
     # max_eigen + 1 fit coefficients need as many samples
     _require_int(max_eigen, "max_eigen", 0, len(path.samples) - 1)
     f = np.ascontiguousarray(path.samples, dtype=complex if max_eigen > 0 else None)
+    # every stage writes into one of two buffers of its own, never into
+    # path.samples, which is the caller's array
+    buffers = [] if f is path.samples else [f]
+
+    def spare(f):
+        buf = next((b for b in buffers if b is not f), None)
+        if buf is None:
+            buf = np.empty_like(f)
+            buffers.append(buf)
+        return buf
+
+    times = path.times
     removed = np.zeros(max_eigen + 1, dtype=complex)
     if max_eigen > 0:
         # the fit is in the centred height x = (T - T_mid)/T_half, with
         # T - T_mid = i*sign*(z - c) and c = z(T_mid); V is the same at
-        # every stage
-        times = path.times
+        # every stage, its columns the powers of x by repeated products,
+        # as np.vander builds them
         t_mid, t_half = 0.5 * (times[-1] + times[0]), 0.5 * (times[-1] - times[0])
-        V = np.vander((times - t_mid) / t_half, max_eigen + 1, increasing=True)
+        x = (times - t_mid) / t_half
+        V = np.empty((len(x), max_eigen + 1))
+        V[:, 0] = 1.0
+        V[:, 1] = x
+        for n in range(2, max_eigen + 1):
+            np.multiply(V[:, n - 1], x, out=V[:, n])
         gram = V.T @ V
         scale = t_half ** np.arange(max_eigen + 1)
         c = _geometric_z(t_mid, s0, sigma0, direction)
@@ -479,13 +535,14 @@ def clim(
             # real and imaginary parts as two real columns; the fitted
             # polynomial is sum_n pz[n] z^n, so removing it and adding back
             # pz[0] removes the n >= 1 terms without forming powers of z.
-            # The residual is written over the fit, so no copy outlives it.
+            # The residual is written over the fit.
             coef = np.linalg.solve(gram, V.T @ f.view(float).reshape(-1, 2))
             fit = coef.view(complex).ravel()
             pz = _computed("the z-fit", {"s0": s0, "sigma0": sigma0},
                            _z_coefficients, fit / scale, 1j * sign, c)
             carried += _EPS * float(np.sum(np.abs(fit))) * gain
-            fitted = (V @ coef).view(complex).ravel()
+            fitted = spare(f)
+            np.matmul(V, coef, out=fitted.view(float).reshape(-1, 2))
             fitted -= pz[0]
             f = np.subtract(f, fitted, out=fitted)
             removed += pz
@@ -507,7 +564,7 @@ def clim(
                 p_power=stage,
                 residual_flatness=flat,
             )
-        f = average_P(SampledPath(path.t0, path.dt, f)).samples
+        f = _finite(_average(f, times, path.dt, spare(f)))
     raise NoClimError(
         f"no classical limit after {max_p} averagings (flatness {flat:.3g})",
         residual_flatness=flat,
@@ -803,6 +860,43 @@ def _heightwise(fn):
     return evaluator
 
 
+#: Veltkamp's splitter: C * (2**27 + 1) splits C into a 26-bit head and tail
+_SPLITTER = 2.0**27 + 1.0
+
+#: the periods whose split and products stay normal doubles
+_SPLIT_RANGE = (2.0**-900, 2.0**900)
+
+
+def _phase(T, C):
+    """T % C for an array of finite heights, bit for bit, in fewer passes.
+
+    m = floor(T/C) is off by at most one, and below 2**26 it holds at most 26
+    bits; so do the head and the tail of C's split, so m*head and m*tail are
+    exact.  Where m is right, T - m*head and the remainder of the tail are
+    exact too, and r = (T - m*head) - m*tail is fmod(T, C), which is T % C
+    for T >= 0.  Where m is one too large r < 0, and where it is one too
+    small r >= C: those heights are reduced again with ``%``.  Any negative
+    height (``%`` rounds fmod + C there), an m from 2**26 up, or a C outside
+    ``_SPLIT_RANGE`` sends the whole array to ``%``.
+    """
+    if not (T.size and _SPLIT_RANGE[0] <= C <= _SPLIT_RANGE[1]) or T.min() < 0.0:
+        return T % C
+    m = np.divide(T, C)
+    np.floor(m, out=m)
+    if m.max() >= 2.0**26:
+        return T % C
+    gamma = C * _SPLITTER
+    head = gamma - (gamma - C)
+    r = np.multiply(m, head)
+    np.subtract(T, r, out=r)
+    m *= C - head
+    r -= m
+    if r.min() < 0.0 or r.max() >= C:
+        wrong = (r < 0.0) | (r >= C)
+        r[wrong] = T[wrong] % C
+    return r
+
+
 @_heightwise
 def s_eval(cf: CountingFunction, T):
     """Periodic residual S(T) = N(alpha) - (2g/C)*alpha, alpha = T mod C.
@@ -810,7 +904,7 @@ def s_eval(cf: CountingFunction, T):
     On the steps the midpoint value is returned, which makes trapezoid
     quadrature of S unbiased when steps coincide with sample points.
     """
-    alpha = T % cf.C
+    alpha = _phase(T, cf.C)
     # N(alpha): the steps at or below alpha, with half weight exactly on a step
     count = np.zeros_like(alpha)
     for k in cf.kappas:
@@ -823,7 +917,7 @@ def s_eval(cf: CountingFunction, T):
 @_heightwise
 def s1_eval(cf: CountingFunction, T):
     """First antiderivative S1(T) = int_0^alpha S; periodic, S1(0) = S1(C) = 0."""
-    alpha = T % cf.C
+    alpha = _phase(T, cf.C)
     # -(g/C) * alpha * alpha + sum_i max(0, alpha - kappa_i), built in place
     # with the same operations in the same order
     acc = np.multiply(-(cf.g / cf.C), alpha)
@@ -861,7 +955,7 @@ def _q_of_phase(cf: CountingFunction, alpha):
 @_heightwise
 def q_eval(cf: CountingFunction, T):
     """Periodic piece Q(alpha) = sum_i max(0, alpha - kappa_i)^2 / 2."""
-    return _q_of_phase(cf, T % cf.C)
+    return _q_of_phase(cf, _phase(T, cf.C))
 
 
 def q_av(cf: CountingFunction) -> float:
@@ -872,7 +966,7 @@ def q_av(cf: CountingFunction) -> float:
 @_heightwise
 def s2_eval(cf: CountingFunction, T):
     """Second antiderivative S2(T) = S1av*(T - alpha) + int_0^alpha S1."""
-    alpha = T % cf.C
+    alpha = _phase(T, cf.C)
     # inner = Q(alpha) - (g/(3C)) * alpha**3, then s1_av * (T - alpha) + inner,
     # built in place
     inner = _q_of_phase(cf, alpha)
@@ -906,6 +1000,8 @@ def counting_path(cf: CountingFunction, kind: str, t_max: float, dt: float) -> S
     kind is one of S, tS, t2S, S1, tS1, S2.  Step functions are sampled with
     the midpoint convention of ``s_eval``.  The heights dt * i are built from
     the checked dt and count, so the evaluators' bodies take them unchecked.
+    Each evaluator reduces the heights to phases once, by the exact split of
+    ``_phase``, which gives the bits of T % C in fewer passes.
     """
     expr = _entry(_COUNTING_EXPR, kind, "path kind")
     t = dt * np.arange(_sample_count(t_max, 0.0, dt)[0])

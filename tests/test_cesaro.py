@@ -195,6 +195,20 @@ def test_clim_plain_raises_when_the_z_shift_leaves_only_rounding():
     assert clim(path, 1e308, 0.5, "lower", max_eigen=0, max_p=2).value == 1.0
 
 
+def test_clim_profile_raises_when_the_shift_leaves_only_rounding():
+    # the shift around each z_b carries the fit's rounding by |z_b| per
+    # power: a constant path read 1 - 765.5j at s0 = 1e20 and 1 - 7.7e82j at
+    # 1e100, each with flatness 1.4e-17
+    path = SampledPath(0.0, 0.1, np.ones(1001))
+    for max_eigen in (1, 2):
+        rep = clim(path, 5.0, 0.5, "lower", max_eigen, 0, period=1.0)
+        assert abs(rep.value - 1.0) <= 1e-14
+        for s0 in (1e20, 1e100):
+            with pytest.raises(NoClimError, match="rounding") as exc:
+                clim(path, s0, 0.5, "lower", max_eigen, 0, period=1.0)
+            assert exc.value.residual_flatness > 1.0
+
+
 def test_clim_plain_raises_on_profile_content():
     # z^2 * alpha carries periodic content multiplying z^2, which plain
     # eigenfunction removal cannot represent
@@ -1110,6 +1124,55 @@ def test_counting_paths_built_in_place_match_out_of_place_bytes(g):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), kind
 
 
+@pytest.mark.parametrize("q", [2, 4, 9, 25, 121])
+def test_counting_paths_match_out_of_place_bytes_at_every_q(q):
+    # the phase reduction against T % C on the grids of several periods,
+    # C from 9.06 (q = 2) down to 1.31 (q = 121)
+    period = vertical_spacing(q)
+    dt = period / 128.0
+    t = dt * np.arange(cesaro._sample_count(1000 * period, 0.0, dt)[0])
+    rng = np.random.default_rng(q)
+    for g in (1, 2, 3):
+        half = [37 * dt] + list(rng.uniform(0.05 * period, 0.45 * period, g - 1))
+        cf = make_counting(g, period, half + [period - k for k in half])
+        for kind, want in out_of_place_paths(cf, t).items():
+            got = counting_path(cf, kind, 1000 * period, dt).samples
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (q, g, kind)
+
+
+def _same_bytes(got, want):
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@given(
+    period=st.one_of(st.floats(-6.0, 6.0), st.floats(-320.0, -275.0), st.floats(275.0, 307.0))
+    .map(lambda decade: 10.0**decade),
+    ks=st.lists(st.integers(0, 2**26 - 1), min_size=1, max_size=20),
+    fractions=st.lists(st.floats(0.0, 1e6), max_size=20),
+)
+@settings(max_examples=300, deadline=None)
+def test_phase_reduction_matches_the_remainder_bitwise(period, ks, fractions):
+    # exact multiples k*C and their neighbours are where floor(T/C) is one
+    # off; a C past 1e270 or below 1e-270 is outside the split's safe range
+    with np.errstate(over="ignore"):  # the heights past the doubles are dropped
+        multiples = np.array(ks, dtype=float) * period
+        heights = np.concatenate([
+            [0.0, -0.0], multiples, np.nextafter(multiples, np.inf),
+            np.nextafter(multiples, 0.0), np.array(fractions) * period,
+        ])
+        below_one_period = period * np.geomspace(1e-17, 0.999, 60)
+        cases = (
+            heights,
+            # negative heights, where % rounds fmod + C
+            np.concatenate([heights, -heights, -below_one_period]),
+            # floor(T/C) past 2**26, where m*head leaves the doubles' 53 bits
+            np.concatenate([heights, heights + 1e9 * period]),
+        )
+    for T in cases:
+        T = T[np.isfinite(T)]
+        assert _same_bytes(cesaro._phase(T, period), T % period)
+
+
 _EVALUATORS = (s_eval, s1_eval, q_eval, s2_eval)
 
 
@@ -1207,6 +1270,101 @@ def test_plain_clim_matches_per_stage_lstsq_reference(g):
                 outcomes.add(p_power)
     # the cases flatten after one and after two averagings, and some never do
     assert {1, 2, "none"} <= outcomes
+
+
+def _stagewise_average_P(path):
+    """average_P as an out-of-place expression."""
+    f = path.samples
+    t = path.times
+    out = np.empty_like(f)
+    np.cumsum(0.5 * (f[1:] + f[:-1]) * path.dt, out=out[1:])
+    out[1:] /= t[1:]
+    out[0] = f[0] if t[0] == 0.0 else 0.0
+    return SampledPath(t0=path.t0, dt=path.dt, samples=out)
+
+
+def _stagewise_plain_clim(path, s0, sigma0, direction, max_eigen, max_p, flat_tol):
+    """Plain-mode clim built stage by stage: np.vander for the fit and an
+    average_P call per stage, out of place.  The reference the in-place clim
+    must match bit for bit; it returns the report's fields, or the
+    NoClimError and its flatness."""
+    s0 = complex(s0)
+    sign = 1.0 if direction == "lower" else -1.0
+    f = np.ascontiguousarray(path.samples, dtype=complex if max_eigen > 0 else None)
+    removed = np.zeros(max_eigen + 1, dtype=complex)
+    if max_eigen > 0:
+        times = path.times
+        t_mid, t_half = 0.5 * (times[-1] + times[0]), 0.5 * (times[-1] - times[0])
+        V = np.vander((times - t_mid) / t_half, max_eigen + 1, increasing=True)
+        gram = V.T @ V
+        scale = t_half ** np.arange(max_eigen + 1)
+        c = (s0 - sigma0) - 1j * sign * t_mid
+        reach, power, gain = math.hypot(c.real, c.imag) / float(t_half), 1.0, 0.0
+        for _ in range(max_eigen):
+            power *= reach
+            gain += power
+    flat, carried = math.inf, 0.0
+    for stage in range(max_p + 1):
+        if max_eigen > 0:
+            coef = np.linalg.solve(gram, V.T @ f.view(float).reshape(-1, 2))
+            fit = coef.view(complex).ravel()
+            pz = cesaro._z_coefficients(fit / scale, 1j * sign, c)
+            carried += cesaro._EPS * float(np.sum(np.abs(fit))) * gain
+            fitted = (V @ coef).view(complex).ravel()
+            fitted -= pz[0]
+            f = f - fitted
+            removed += pz
+        tail = f[int(0.9 * len(f)):]
+        mean = complex(tail.mean())
+        flat = float(np.max(np.abs(tail - mean)))
+        bound = flat_tol * (1.0 + abs(mean))
+        if flat <= bound:
+            if carried > bound:
+                return ("NoClimError", carried)
+            removed_eigen = tuple((n, complex(removed[n])) for n in range(1, max_eigen + 1))
+            return (mean, removed_eigen, stage, flat)
+        f = _stagewise_average_P(SampledPath(path.t0, path.dt, f)).samples
+    return ("NoClimError", flat)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_plain_clim_matches_the_stagewise_reference_bitwise(g):
+    half = [37 * DT, 0.8, 1.1][:g]
+    cf = make_counting(g, C, half + [C - k for k in half])
+    outcomes = collections.Counter()
+    for kind in ("S", "tS", "t2S", "S1", "tS1", "S2"):
+        path = counting_path(cf, kind, 200 * C, DT)
+        for direction, max_eigen, max_p in np.ndindex(2, 4, 4):
+            args = (S0, 0.5, ("lower", "upper")[direction], max_eigen, max_p, 1e-2)
+            want = _stagewise_plain_clim(path, *args)
+            try:
+                rep = clim(path, *args[:5], flat_tol=args[5])
+                got = (rep.value, rep.removed_eigen, rep.p_power, rep.residual_flatness)
+            except NoClimError as exc:
+                got = ("NoClimError", exc.residual_flatness)
+            assert repr(got) == repr(want), (kind, args)
+            outcomes[got[2] if len(got) == 4 else got[0]] += 1
+    # the cases flatten after one, two and three averagings, and some never do
+    assert {1, 2, 3, "NoClimError"} <= set(outcomes), outcomes
+
+
+def test_plain_clim_and_average_p_leave_the_samples_as_they_are():
+    # SampledPath keeps the caller's array when it is already float64 or
+    # complex128, so a stage written into it would change the caller's data
+    cf = make_counting(2, C, [37 * DT, C - 37 * DT, 55 * DT, C - 55 * DT])
+    real = counting_path(cf, "S2", 200 * C, DT).samples
+    for samples in (real, real + 0.25j * real):
+        before = samples.tobytes()
+        path = SampledPath(0.0, DT, samples)
+        assert path.samples is samples
+        average_P(path)
+        for max_eigen in (0, 1):
+            try:
+                clim(path, S0, 0.5, "lower", max_eigen, 3, flat_tol=1e-9)
+            except NoClimError:
+                pass
+            assert samples.tobytes() == before, (samples.dtype, max_eigen)
+        assert samples.tobytes() == before
 
 
 def test_sampled_paths_keep_their_samples_dtype():

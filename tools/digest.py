@@ -1,11 +1,12 @@
-"""Five SHA-256 digests, of CLI output, lemma values, closed forms, the counting and
-root-side ledgers and the root side's error estimates, to check two trees bit for bit.
+"""Six SHA-256 digests, of CLI output, lemma values, closed forms, the counting and
+root-side ledgers, the root side's error estimates and the counting evaluators, to
+check two trees bit for bit.
 
     python tools/digest.py SRC
 
 imports zetaff from the directory SRC (the one holding the ``zetaff``
 package, e.g. ``src`` of a checkout) and the perfbench workloads from
-``perfbench/workloads.py`` next to this file, and prints five lines:
+``perfbench/workloads.py`` next to this file, and prints six lines:
 
 - CLI: ``zetaff.cli.main`` runs in-process on 1,926 argument lists: six
   fixed runs of scan-mu, lemma and critical-line, then check-curve and
@@ -40,10 +41,18 @@ package, e.g. ``src`` of a checkout) and the perfbench workloads from
   rounding_error of the same root-side results, one digest on a line of
   its own, so that a change to the error model's rounding leaves the
   ledger line as it is.
+- Counting evaluators: ``s_eval``, ``s1_eval``, ``q_eval`` and ``s2_eval``
+  on the counting function of each critical curve of the same 30 curves of
+  each seed, each on four arrays of heights that reach every branch of the
+  reduction of a height to its phase: ten periods of 128 bins; 0.0, -0.0,
+  multiples k*C of the period (k a multiple of 65537 below 2**26) and their
+  neighbours above and below; the negatives of those; and multiples at and
+  past k = 2**26, with their neighbours.  The line gives the number of
+  values and one digest over their bytes.
 
 Two trees whose CLI output is byte-identical and whose lemma values, closed
-forms, ledgers and error estimates agree bit for bit print the same five
-lines.
+forms, ledgers, error estimates and counting evaluators agree bit for bit
+print the same six lines.
 """
 
 from __future__ import annotations
@@ -191,6 +200,36 @@ def ledger_lines(workloads, zetaff) -> tuple:
             f"Error splits: {sums} root sums sha256 {splits.hexdigest()}")
 
 
+def _heights(C, np) -> list:
+    """The four height arrays of the evaluator line, for period C."""
+    multiples = np.arange(0, 2**26, 65537) * C
+    near = np.concatenate([[0.0, -0.0], multiples, np.nextafter(multiples, np.inf),
+                           np.nextafter(multiples[1:], 0.0)])
+    huge = np.arange(2**26 - 3, 2**26 + 4) * C
+    huge = np.concatenate([huge, np.nextafter(huge, np.inf), np.nextafter(huge, 0.0),
+                           [2.0**40 * C, 1e300]])
+    return [(C / 128.0) * np.arange(1281), near, -near, huge]
+
+
+def evaluator_line(workloads, zetaff) -> str:
+    import numpy as np
+
+    digest, count = hashlib.sha256(), 0
+    evaluators = (zetaff.s_eval, zetaff.s1_eval, zetaff.q_eval, zetaff.s2_eval)
+    for seed in SEEDS:
+        for spec in workloads.generate("curve-pipeline", seed)[:CURVES_PER_SEED]:
+            if spec["kappas"] is None:
+                continue
+            C = zetaff.vertical_spacing(spec["q"])
+            cf = zetaff.make_counting(spec["genus"], C, spec["kappas"])
+            for heights in _heights(C, np):
+                for fn in evaluators:
+                    values = fn(cf, heights)
+                    digest.update(values.dtype.str.encode() + values.tobytes())
+                    count += len(values)
+    return f"Counting evaluators: {count} values sha256 {digest.hexdigest()}"
+
+
 def main() -> None:
     if len(sys.argv) != 2:
         sys.exit(f"usage: {sys.argv[0]} SRC")
@@ -205,6 +244,7 @@ def main() -> None:
     print(lemma_line(workloads, cesaro, vertical_spacing))
     print(closed_form_line(workloads, cesaro, vertical_spacing))
     print(*ledger_lines(workloads, zetaff), sep="\n")
+    print(evaluator_line(workloads, zetaff))
 
 
 if __name__ == "__main__":
