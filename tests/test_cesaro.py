@@ -1140,10 +1140,6 @@ def test_counting_paths_match_out_of_place_bytes_at_every_q(q):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (q, g, kind)
 
 
-def _same_bytes(got, want):
-    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
 @given(
     period=st.one_of(st.floats(-6.0, 6.0), st.floats(-320.0, -275.0), st.floats(275.0, 307.0))
     .map(lambda decade: 10.0**decade),
@@ -1170,7 +1166,8 @@ def test_phase_reduction_matches_the_remainder_bitwise(period, ks, fractions):
         )
     for T in cases:
         T = T[np.isfinite(T)]
-        assert _same_bytes(cesaro._phase(T, period), T % period)
+        got, want = cesaro._phase(T, period), T % period
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 _EVALUATORS = (s_eval, s1_eval, q_eval, s2_eval)

@@ -67,6 +67,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 SEEDS = (1, 2, 3, 311)
 
 FIXED_RUNS = (
@@ -200,7 +202,7 @@ def ledger_lines(workloads, zetaff) -> tuple:
             f"Error splits: {sums} root sums sha256 {splits.hexdigest()}")
 
 
-def _heights(C, np) -> list:
+def _heights(C) -> list:
     """The four height arrays of the evaluator line, for period C."""
     multiples = np.arange(0, 2**26, 65537) * C
     near = np.concatenate([[0.0, -0.0], multiples, np.nextafter(multiples, np.inf),
@@ -212,8 +214,6 @@ def _heights(C, np) -> list:
 
 
 def evaluator_line(workloads, zetaff) -> str:
-    import numpy as np
-
     digest, count = hashlib.sha256(), 0
     evaluators = (zetaff.s_eval, zetaff.s1_eval, zetaff.q_eval, zetaff.s2_eval)
     for seed in SEEDS:
@@ -222,7 +222,7 @@ def evaluator_line(workloads, zetaff) -> str:
                 continue
             C = zetaff.vertical_spacing(spec["q"])
             cf = zetaff.make_counting(spec["genus"], C, spec["kappas"])
-            for heights in _heights(C, np):
+            for heights in _heights(C):
                 for fn in evaluators:
                     values = fn(cf, heights)
                     digest.update(values.dtype.str.encode() + values.tobytes())
