@@ -107,7 +107,13 @@ class SampledPath:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.samples))
+        return _heights(self.t0, self.dt, 0, len(self.samples))
+
+
+def _heights(t0, dt, i0, i1):
+    """The heights t0 + i*dt of the samples [i0, i1): elementwise, so a block's
+    heights are the bytes of that slice of the whole path's."""
+    return t0 + dt * np.arange(i0, i1)
 
 
 @dataclass(frozen=True)
@@ -131,28 +137,43 @@ def average_P(path: SampledPath) -> SampledPath:
     The integral is a cumulative trapezoid on the sample grid; f is treated
     as 0 on [0, t0) when t0 > 0.  At T = 0 the average is f(0) (the limit).
     The result has the path's dtype, so a real path stays real, and is
-    written into a new array; the path's samples are only read.  Plain-mode
-    ``clim`` averages through the same steps (``_average``).
+    written into a new array; the path's samples are only read.  It is
+    built in blocks of samples by ``_stream_average``, which plain-mode
+    ``clim`` runs in place.
     """
     f = path.samples
-    return SampledPath(path.t0, path.dt, _average(f, path.times, path.dt, np.empty_like(f)))
+    return SampledPath(path.t0, path.dt, _stream_average(f, path.t0, path.dt, np.empty_like(f)))
 
 
-def _average(f, t, dt, out):
-    """P[f] at the heights t, written into ``out``, which must not be f.
+def _stream_average(f, t0, dt, out):
+    """P[f] on the heights t0 + i*dt, written into ``out``, which may be f.
 
-    The trapezoid steps are summed, halved, scaled by dt, accumulated and
-    divided by t in place, each step the operation an out-of-place
-    expression would take, so the bits are the same.
+    It runs in blocks of ``_BLOCK_SAMPLES``, so each temporary is one block
+    long.  A block's trapezoid steps are summed, halved, scaled by dt,
+    accumulated and divided by the block's own heights, each step the
+    operation an out-of-place whole-array expression would take, so the bits
+    are the same.  The running sum stays sequential: the sum carried from the
+    block before, taken before the division, is added to a block's first
+    step before its cumsum.  The last sample of each block is saved before
+    the block is written, since the next block's first step reads it.
     """
-    body = out[1:]
-    np.add(f[1:], f[:-1], out=body)
-    body *= 0.5
-    body *= dt
-    np.cumsum(body, out=body)
-    # t0 >= 0 and dt > 0, so only t[0] can be zero
-    body /= t[1:]
-    out[0] = f[0] if t[0] == 0.0 else 0.0
+    n = len(f)
+    step = np.empty(min(_BLOCK_SAMPLES, n - 1), dtype=f.dtype)
+    prev, carry = f[0], None
+    # t0 >= 0 and dt > 0, so only the first height can be zero
+    out[0] = f[0] if t0 == 0.0 else 0.0
+    for i0, i1 in _spans(1, n, _BLOCK_SAMPLES):
+        s = step[: i1 - i0]
+        s[0] = f[i0] + prev
+        np.add(f[i0 + 1 : i1], f[i0 : i1 - 1], out=s[1:])
+        prev = f[i1 - 1]
+        s *= 0.5
+        s *= dt
+        if carry is not None:
+            s[0] += carry
+        np.cumsum(s, out=s)
+        carry = s[-1]
+        np.divide(s, _heights(t0, dt, i0, i1), out=out[i0:i1])
     return out
 
 
@@ -188,6 +209,11 @@ def _z_coefficients(coef, s, c):
 #: chunk is 32768 samples, 512 KiB per complex temporary
 _CHUNK_PERIODS = 256
 
+#: samples per block of the counting paths, of ``average_P`` and of the
+#: plain-mode Clim; a block of complex samples is 125 KiB, under glibc's
+#: default 128 KiB threshold for serving an allocation by a fresh mmap
+_BLOCK_SAMPLES = 8000
+
 #: default flatness tolerance of a Clim, the one the lemma table is verified at
 _FLAT_TOL = 1e-7
 
@@ -197,9 +223,9 @@ _MAX_PHASE_DEGREE = 8
 _EPS = sys.float_info.epsilon
 
 
-def _chunk_spans(lo, hi):
-    """Consecutive [a, b) of at most ``_CHUNK_PERIODS`` periods covering [lo, hi)."""
-    return ((a, min(a + _CHUNK_PERIODS, hi)) for a in range(lo, hi, _CHUNK_PERIODS))
+def _spans(lo, hi, step):
+    """Consecutive [a, b) of at most ``step`` indices covering [lo, hi)."""
+    return ((a, min(a + step, hi)) for a in range(lo, hi, step))
 
 
 def _entry(table: dict, key, what: str):
@@ -330,7 +356,7 @@ def _clim_profile(
     p = np.r_[0:nq, nfull - nq : nfull]
     kept = np.empty((2 * nq, nbin), dtype=complex)
     for first, out in ((0, kept[:nq]), (nfull - nq, kept[nq:])):
-        for a, b in _chunk_spans(0, nq):
+        for a, b in _spans(0, nq, _CHUNK_PERIODS):
             f = periods(first + a, first + b)
             out[a:b] = f
     rows = kept if np.iscomplexobj(f) else kept.real
@@ -383,9 +409,9 @@ def _clim_profile(
     # period index, the basis it was solved in, and keep each row's largest
     # residual and largest sample.
     def chunks():
-        for a, b in _chunk_spans(0, 2 * nq):
+        for a, b in _spans(0, 2 * nq, _CHUNK_PERIODS):
             yield p[a:b], rows[a:b]
-        for a, b in _chunk_spans(nq, nfull - nq):
+        for a, b in _spans(nq, nfull - nq, _CHUNK_PERIODS):
             yield np.arange(a, b), periods(a, b)
         yield np.array([nfull]), _finite(source(nfull * nbin, n))[None, :]
 
@@ -460,14 +486,20 @@ def clim(
     Otherwise (plain mode) coefficients of z^n (n = 1..max_eigen) are fitted
     and removed, then P is applied up to max_p times until the tail of the
     path is flat: its flatness, the largest deviation of the last 10% from
-    their mean, must be at most flat_tol * (1 + |tail mean|).  The fit is a
+    their mean, must be at most flat_tol * (1 + |tail mean|).  P is applied
+    only between stages, so a path that never flattens is averaged max_p
+    times, and each average is checked to be finite.  The fit is a
     least-squares polynomial in the centred height (T - T_mid)/T_half, one
     (max_eigen + 1)-square solve of the normal equations per stage, on a
     complex copy of the samples; at max_eigen = 0 a real path stays real.
-    The heights and the fit's Vandermonde are built once per call, and each
-    stage writes its residual and its average into one of two buffers of the
-    call's own, never into path.samples; each averaged stage is checked to
-    be finite.
+    The call works in one buffer of its own, never in path.samples: the
+    complex copy, or at max_eigen = 0 the buffer its first average makes.
+    The fit's Vandermonde V is built once per call.  V, the residual, the
+    tail flatness and the averages are computed in blocks of
+    ``_BLOCK_SAMPLES`` samples, each block from its own heights, so no other
+    temporary is longer than a block.
+    The products V^T V and V^T f stay whole, since blocked sums would round
+    apart, and the report is the same, bit for bit, at any block length.
     The samples must number at least max_eigen + 1.  Past either bound
     InvalidInputError is raised before the path is read.  Each stage's fit
     is carried from the path to z = 0, where the centred height has modulus
@@ -493,33 +525,34 @@ def clim(
         )
 
     # max_eigen + 1 fit coefficients need as many samples
-    _require_int(max_eigen, "max_eigen", 0, len(path.samples) - 1)
-    f = np.ascontiguousarray(path.samples, dtype=complex if max_eigen > 0 else None)
-    # every stage writes into one of two buffers of its own, never into
-    # path.samples, which is the caller's array
-    buffers = [] if f is path.samples else [f]
-
-    def spare(f):
-        buf = next((b for b in buffers if b is not f), None)
-        if buf is None:
-            buf = np.empty_like(f)
-            buffers.append(buf)
-        return buf
-
-    times = path.times
+    n = len(path.samples)
+    _require_int(max_eigen, "max_eigen", 0, n - 1)
+    t0, dt = path.t0, path.dt
+    # the call works in one buffer of its own, never in path.samples, which
+    # is the caller's array: the complex copy the z-fit reads, or at
+    # max_eigen = 0 the buffer the first averaging makes
+    if max_eigen > 0:
+        f = np.array(path.samples, dtype=complex)
+    else:
+        f = np.ascontiguousarray(path.samples)
     removed = np.zeros(max_eigen + 1, dtype=complex)
     if max_eigen > 0:
         # the fit is in the centred height x = (T - T_mid)/T_half, with
         # T - T_mid = i*sign*(z - c) and c = z(T_mid); V is the same at
         # every stage, its columns the powers of x by repeated products,
-        # as np.vander builds them
-        t_mid, t_half = 0.5 * (times[-1] + times[0]), 0.5 * (times[-1] - times[0])
-        x = (times - t_mid) / t_half
-        V = np.empty((len(x), max_eigen + 1))
-        V[:, 0] = 1.0
-        V[:, 1] = x
-        for n in range(2, max_eigen + 1):
-            np.multiply(V[:, n - 1], x, out=V[:, n])
+        # as np.vander builds them, each block from its own heights
+        first, last = t0 + dt * np.array([0, n - 1])  # the end heights, as _heights gives them
+        t_mid, t_half = 0.5 * (last + first), 0.5 * (last - first)
+        V = np.empty((n, max_eigen + 1))
+        for i0, i1 in _spans(0, n, _BLOCK_SAMPLES):
+            rows = V[i0:i1]
+            rows[:, 0] = 1.0
+            np.subtract(_heights(t0, dt, i0, i1), t_mid, out=rows[:, 1])
+            rows[:, 1] /= t_half
+            for k in range(2, max_eigen + 1):
+                np.multiply(rows[:, k - 1], rows[:, 1], out=rows[:, k])
+        # V.T @ V and V.T @ f reduce over the samples, so they stay whole:
+        # blocked sums would round differently
         gram = V.T @ V
         scale = t_half ** np.arange(max_eigen + 1)
         c = _geometric_z(t_mid, s0, sigma0, direction)
@@ -531,24 +564,36 @@ def clim(
             gain += power
     flat, carried = math.inf, 0.0
     for stage in range(max_p + 1):
+        if stage:
+            # an average only between stages: one after the last would be
+            # thrown away
+            out = f if f is not path.samples else np.empty_like(f)
+            f = _finite(_stream_average(f, t0, dt, out))
         if max_eigen > 0:
             # real and imaginary parts as two real columns; the fitted
             # polynomial is sum_n pz[n] z^n, so removing it and adding back
             # pz[0] removes the n >= 1 terms without forming powers of z.
-            # The residual is written over the fit.
             coef = np.linalg.solve(gram, V.T @ f.view(float).reshape(-1, 2))
             fit = coef.view(complex).ravel()
             pz = _computed("the z-fit", {"s0": s0, "sigma0": sigma0},
                            _z_coefficients, fit / scale, 1j * sign, c)
             carried += _EPS * float(np.sum(np.abs(fit))) * gain
-            fitted = spare(f)
-            np.matmul(V, coef, out=fitted.view(float).reshape(-1, 2))
-            fitted -= pz[0]
-            f = np.subtract(f, fitted, out=fitted)
+            for i0, i1 in _spans(0, n, _BLOCK_SAMPLES):
+                # the residual in place, block by block; a one-row product
+                # would go to gemv, which can round apart from the whole
+                # product's gemm, so a lone row is read from a product of two
+                lo = min(i0, n - 2)
+                fitted = (V[lo : max(i1, lo + 2)] @ coef)[i0 - lo : i1 - lo]
+                fitted = fitted.view(complex).ravel()
+                fitted -= pz[0]
+                f[i0:i1] -= fitted
             removed += pz
-        tail = f[int(0.9 * len(f)):]
-        mean = complex(tail.mean())
-        flat = float(np.max(np.abs(tail - mean)))
+        # the tail is the last 10%; its flatness is a maximum, so blocks
+        # give its bits, and np.max keeps a NaN
+        tail = int(0.9 * n)
+        mean = complex(f[tail:].mean())
+        flat = float(np.max([np.max(np.abs(f[a:b] - mean))
+                             for a, b in _spans(tail, n, _BLOCK_SAMPLES)]))
         bound = flat_tol * (1.0 + abs(mean))
         if flat <= bound:  # False for a NaN flatness
             if carried > bound:  # NaN only for an all-zero fit at an infinite reach
@@ -559,12 +604,11 @@ def clim(
             return ClimReport(
                 value=mean,
                 removed_eigen=tuple(
-                    (n, complex(removed[n])) for n in range(1, max_eigen + 1)
+                    (k, complex(removed[k])) for k in range(1, max_eigen + 1)
                 ),
                 p_power=stage,
                 residual_flatness=flat,
             )
-        f = _finite(_average(f, times, path.dt, spare(f)))
     raise NoClimError(
         f"no classical limit after {max_p} averagings (flatness {flat:.3g})",
         residual_flatness=flat,
@@ -1001,11 +1045,17 @@ def counting_path(cf: CountingFunction, kind: str, t_max: float, dt: float) -> S
     the midpoint convention of ``s_eval``.  The heights dt * i are built from
     the checked dt and count, so the evaluators' bodies take them unchecked.
     Each evaluator reduces the heights to phases once, by the exact split of
-    ``_phase``, which gives the bits of T % C in fewer passes.
+    ``_phase``, which gives the bits of T % C in fewer passes.  The samples
+    are allocated once and filled in blocks of ``_BLOCK_SAMPLES`` heights;
+    the evaluators are elementwise, so a block gives the bytes of the whole
+    array's slice, and no temporary is longer than a block.
     """
     expr = _entry(_COUNTING_EXPR, kind, "path kind")
-    t = dt * np.arange(_sample_count(t_max, 0.0, dt)[0])
-    return SampledPath(t0=0.0, dt=dt, samples=expr(cf, t))
+    n = _sample_count(t_max, 0.0, dt)[0]
+    samples = np.empty(n)
+    for i0, i1 in _spans(0, n, _BLOCK_SAMPLES):
+        samples[i0:i1] = expr(cf, dt * np.arange(i0, i1))
+    return SampledPath(t0=0.0, dt=dt, samples=samples)
 
 
 @dataclass(frozen=True)

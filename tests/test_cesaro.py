@@ -8,6 +8,7 @@ quadrature and the analytic period means.
 
 import collections
 import functools
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -1399,6 +1400,137 @@ def test_sampled_paths_keep_their_samples_dtype():
                 assert abs(got.value - want.value) <= 1e-16 * (1.0 + abs(want.value)), kind
             cases += 1
     assert cases == 10
+
+
+def test_plain_clim_averages_only_between_stages(monkeypatch):
+    # an average after the last stage would be thrown away before the
+    # NoClimError: a path that never flattens at max_p = 2 is averaged twice
+    calls = []
+    average = cesaro._stream_average
+
+    def counted(*args):
+        calls.append(args)
+        return average(*args)
+
+    monkeypatch.setattr(cesaro, "_stream_average", counted)
+    cf = make_counting(2, C, [37 * DT, C - 37 * DT, 55 * DT, C - 55 * DT])
+    s2 = counting_path(cf, "S2", 200 * C, DT)
+    with pytest.raises(NoClimError):
+        clim(s2, S0, 0.5, "lower", max_eigen=1, max_p=2, flat_tol=1e-9)
+    assert len(calls) == 2
+    calls.clear()
+    rep = clim(counting_path(cf, "S1", 200 * C, DT), S0, 0.5, "lower", 0, 3, flat_tol=1e-2)
+    assert len(calls) == rep.p_power >= 1
+
+
+def test_plain_clim_overflows_only_in_an_average_it_uses():
+    # the first step of the average overflows; at max_p = 0 no average is
+    # taken, so the path ends in NoClimError, not in InvalidInputError
+    samples = np.tile([0.0, 1.0], 50)
+    samples[:2] = 1e308
+    path = SampledPath(0.0, 0.1, samples)
+    with pytest.raises(NoClimError):
+        clim(path, S0, 0.5, "lower", max_eigen=0, max_p=0)
+    with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="finite"):
+        clim(path, S0, 0.5, "lower", max_eigen=0, max_p=1)
+
+
+# (block, periods): one sample, a prime whose last block is a lone sample,
+# one below 2**13 and one past the path, each against the default block on
+# a path of 128 samples a period; a block of one sample runs on a short path
+_BLOCK_CASES = [(1, 3), (7, 14), (8191, 70), (10**6, 70)]
+_BLOCK_IDS = [f"block-{block}" for block, _ in _BLOCK_CASES]
+
+
+@pytest.mark.parametrize(("block", "periods"), _BLOCK_CASES, ids=_BLOCK_IDS)
+def test_counting_paths_do_not_depend_on_the_block(block, periods, monkeypatch):
+    rng = np.random.default_rng(8)
+    cfs = []
+    for g in (1, 2, 3):
+        half = [37 * DT] + list(rng.uniform(0.05 * C, 0.45 * C, g - 1))
+        cfs.append(make_counting(g, C, half + [C - k for k in half]))
+
+    def paths():
+        return [counting_path(cf, kind, periods * C, DT).samples.tobytes()
+                for cf in cfs for kind in ("S", "tS", "t2S", "S1", "tS1", "S2")]
+
+    want = paths()
+    monkeypatch.setattr(cesaro, "_BLOCK_SAMPLES", block)
+    assert paths() == want
+
+
+@pytest.mark.parametrize(("block", "periods"), _BLOCK_CASES, ids=_BLOCK_IDS)
+def test_average_p_does_not_depend_on_the_block(block, periods, monkeypatch):
+    # at t0 > 0 the first average is 0, and the sums run from the first sample
+    s2 = counting_path(make_counting(1, C, [37 * DT, C - 37 * DT]), "S2", periods * C, DT)
+    paths = [SampledPath(t0, DT, samples) for t0 in (0.0, 0.37)
+             for samples in (s2.samples, s2.samples - 0.5j * s2.samples[::-1])]
+
+    def averages():
+        return [average_P(path).samples.tobytes() for path in paths]
+
+    want = averages()
+    assert all(average_P(path).samples[0] == 0.0 for path in paths[2:])
+    monkeypatch.setattr(cesaro, "_BLOCK_SAMPLES", block)
+    assert averages() == want
+
+
+@pytest.mark.parametrize(("block", "periods"), _BLOCK_CASES, ids=_BLOCK_IDS)
+def test_plain_clim_does_not_depend_on_the_block(block, periods, monkeypatch):
+    # a complex path at max_eigen > 0 is the one whose samples the fit
+    # would write over if it worked in place on them
+    cf = make_counting(2, C, [37 * DT, C - 37 * DT, 55 * DT, C - 55 * DT])
+    paths = []
+    for kind in ("S1", "S2"):
+        real = counting_path(cf, kind, periods * C, DT)
+        paths += [real, SampledPath(0.0, DT, real.samples + 0.25j * real.samples)]
+    before = [path.samples.tobytes() for path in paths]
+
+    def reports():
+        out = []
+        for path, direction, max_eigen, max_p in itertools.product(
+            paths, ("lower", "upper"), range(4), range(4)
+        ):
+            try:
+                out.append(repr(clim(path, S0, 0.5, direction, max_eigen, max_p, flat_tol=1e-2)))
+            except NoClimError as exc:
+                out.append(repr(("NoClimError", exc.residual_flatness)))
+        return out
+
+    want = reports()
+    monkeypatch.setattr(cesaro, "_BLOCK_SAMPLES", block)
+    assert reports() == want
+    assert [path.samples.tobytes() for path in paths] == before
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_counting_pipeline_holds_only_the_arrays_its_results_need():
+    # 1000 periods of 128 bins: 128001 samples.  With full-length
+    # temporaries the path peaks at 3.9 MiB, the S2 Clim at 8.1 MiB and the
+    # S1 Clim at 2.3 MiB, each above its bound
+    cf = make_counting(2, C, [37 * DT, C - 37 * DT, 55 * DT, C - 55 * DT])
+    t_max = 1000 * C
+    s1, s2 = (counting_path(cf, kind, t_max, DT) for kind in ("S1", "S2"))
+    n = len(s2.samples)
+    assert n == 128001
+    blocks = 4 * 16 * cesaro._BLOCK_SAMPLES  # a few blocks of complex samples
+    # the float64 samples
+    assert _traced_peak(lambda: counting_path(cf, "S2", t_max, DT)) <= 8 * n + blocks
+    # the complex copy, and V, two float64 columns at max_eigen 1
+    s2_clim = functools.partial(clim, s2, S0, 0.5, "lower", 1, 2, flat_tol=1e-2)
+    assert _traced_peak(s2_clim) <= 2 * 16 * n + blocks
+    # a real path at max_eigen 0: the float64 buffer of the averages
+    s1_clim = functools.partial(clim, s1, S0, 0.5, "lower", 0, 2, flat_tol=1e-2)
+    assert _traced_peak(s1_clim) <= 8 * n + blocks
+    assert s1_clim().p_power >= 1 and s2_clim().p_power >= 1
 
 
 def test_r_critical_line_exact_zeros():
