@@ -128,7 +128,8 @@ class ClimReport:
     fitted profiles, a first Cesaro mean; it applies P no times."""
     residual_flatness: float
     """How far the path is from the model the value is read from (see ``clim``).
-    A plain record: ``clim`` builds it only once the flatness passes."""
+    A plain record, built in one place once the flatness passes, the rounding
+    carried to z = 0 is within bound and the value is finite."""
 
 
 def average_P(path: SampledPath) -> SampledPath:
@@ -249,6 +250,28 @@ def _bin_grid(t0, dt, period, phase):
     return np.divmod(t0 + dt * np.arange(nbin) - phase, period)
 
 
+def _shift_gain(reach, degree):
+    """sum of reach**j over j = 1..degree: how far a fit's rounding grows on
+    its way to z = 0; in Python floats, whose overflow is inf and not a
+    warning."""
+    power, gain = 1.0, 0.0
+    for _ in range(degree):
+        power *= reach
+        gain += power
+    return gain
+
+
+def _accepted(value, removed_eigen, p_power, flat, carried, flat_tol, route, s0):
+    """The report of a Clim whose flatness passed, by the acceptance rule
+    both routes share (see ``clim``)."""
+    if carried > flat_tol * (1.0 + abs(value)):  # NaN only for a zero fit at an infinite reach
+        raise NoClimError(
+            f"the {route} carries rounding {carried:.3g} to z = 0 at s0 = {s0}",
+            residual_flatness=carried,
+        )
+    return ClimReport(_finite(complex(value), "the Clim value"), removed_eigen, p_power, flat)
+
+
 def _clim_profile(
     source, n, t0, dt, s0, sigma0, direction, degree, period, phase, flat_tol,
     phase_degree=None,
@@ -280,7 +303,7 @@ def _clim_profile(
     together.
 
     The path is streamed in two passes over chunks of ``_CHUNK_PERIODS``
-    whole periods, and every sample read from the source is checked to be
+    whole periods, and only the fits, not the samples, are checked to be
     finite.  Pass one keeps the quarter rows for the fit, so the value does
     not depend on the chunk length.  Pass two checks the fit on the whole
     path: it reuses the kept rows, reads the middle half and the trailing
@@ -293,8 +316,9 @@ def _clim_profile(
     the quarter rows, one chunk buffer (Horner's rule, the residual and the
     moduli are written into it in place) and two floats per period.
 
-    The source returns float64 or complex128 samples, one dtype for the
-    whole path, as a ``SampledPath`` holds them.  The quarter rows are
+    The source returns finite float64 or complex128 samples, one dtype for
+    the whole path, as a ``SampledPath`` holds them and ``verify_lemma``
+    checks each ladder block.  The quarter rows are
     stored as complex either way, real samples filling the real parts.  So
     the solve reads, bit for bit, the matrix it reads for the
     samples' complex copies: a real-only matrix of half the columns could
@@ -349,7 +373,7 @@ def _clim_profile(
         raise InvalidInputError(f"degree {degree} needs {degree + 1} quarter rows, not {2 * nq}")
 
     def periods(p0, p1):
-        return _finite(source(p0 * nbin, p1 * nbin)).reshape(-1, nbin)
+        return source(p0 * nbin, p1 * nbin).reshape(-1, nbin)
 
     # Pass one: the first- and last-quarter rows, the only ones the fit reads,
     # stored as complex; ``rows`` views them in the samples' own dtype.
@@ -395,15 +419,10 @@ def _clim_profile(
     # The rounding the binomial shift carries to z = 0.  In the period index
     # p a column's fit is held to eps times its size, which bounds the
     # weighted samples, and p = (z - z_b)/(sign*nbin*dt) carries it by
-    # |z_b|/(nbin*dt) per power; in Python floats, whose overflow is inf and
-    # not a warning.
+    # |z_b|/(nbin*dt) per power.
     per_index = float(scale) ** -np.arange(degree + 1.0)
     size = float(np.max(np.sum(np.abs(fit) * per_index[:, None], axis=0)))
-    reach, power, gain = float(np.max(np.abs(zb))) / (nbin * dt), 1.0, 0.0
-    for _ in range(degree):
-        power *= reach
-        gain += power
-    carried = _EPS * size * gain
+    carried = _EPS * size * _shift_gain(float(np.max(np.abs(zb))) / (nbin * dt), degree)
 
     # Pass two: predict every row from the fit by Horner's rule in the scaled
     # period index, the basis it was solved in, and keep each row's largest
@@ -413,7 +432,7 @@ def _clim_profile(
             yield p[a:b], rows[a:b]
         for a, b in _spans(nq, nfull - nq, _CHUNK_PERIODS):
             yield np.arange(a, b), periods(a, b)
-        yield np.array([nfull]), _finite(source(nfull * nbin, n))[None, :]
+        yield np.array([nfull]), source(nfull * nbin, n)[None, :]
 
     # real rows are predicted from the real part of the fit and take their
     # moduli in place; complex rows need a float buffer for theirs
@@ -443,17 +462,8 @@ def _clim_profile(
         raise NoClimError(
             f"profile residual not flat: {flat:.3g}", residual_flatness=flat
         )
-    if carried > flat_tol * (1.0 + abs(value)):  # NaN only for a zero fit at an infinite reach
-        raise NoClimError(
-            f"the profile shift carries rounding {carried:.3g} to z = 0 at s0 = {s0}",
-            residual_flatness=carried,
-        )
-    return ClimReport(
-        value=complex(value),
-        removed_eigen=tuple(enumerate(means))[1:],
-        p_power=1,
-        residual_flatness=flat,
-    )
+    return _accepted(value, tuple(enumerate(means))[1:], 1, flat, carried, flat_tol,
+                     "profile shift", s0)
 
 
 def clim(
@@ -479,9 +489,8 @@ def clim(
     first and last quarter of the nfull full periods, 2*(nfull // 4) rows,
     must number at least max_eigen + 1.  The shift of each bin's fit to z = 0
     carries its rounding, eps times the fit's size in the period index, by
-    max_b |z_b| over the period length per power; summed over the powers
-    this must also be at most flat_tol * (1 + |value|), or NoClimError is
-    raised with it as the flatness, as in plain mode.
+    max_b |z_b| over the period length per power.  The samples are read as
+    they are: the path checked them when it was built.
 
     Otherwise (plain mode) coefficients of z^n (n = 1..max_eigen) are fitted
     and removed, then P is applied up to max_p times until the tail of the
@@ -505,9 +514,14 @@ def clim(
     is carried from the path to z = 0, where the centred height has modulus
     |c|/T_half, c = z(T_mid): the rounding of each fitted coefficient, eps
     times the fit's size (the sum of their moduli), grows by that modulus per
-    power.  Summed over the stages, this carried rounding must also be at
-    most flat_tol * (1 + |value|), or NoClimError is raised with it as the
-    flatness: a huge |s0| leaves the value nothing but rounding.
+    power, and this is summed over the stages.
+
+    Once its flatness passes, a Clim of either route is accepted by one
+    rule.  The carried rounding, summed over the powers, must be at most
+    flat_tol * (1 + |value|), or NoClimError is raised with it as the
+    flatness: a huge |s0| leaves the value nothing but rounding.  The value
+    must be finite, or InvalidInputError is raised: a plain tail mean that
+    overflows passes the flatness bound, which it makes infinite.
     """
     s0 = _point(s0)
     sign = _contour_sign(direction)
@@ -556,12 +570,7 @@ def clim(
         gram = V.T @ V
         scale = t_half ** np.arange(max_eigen + 1)
         c = _geometric_z(t_mid, s0, sigma0, direction)
-        # the growth of the fit's rounding on its way to z = 0, summed over
-        # the powers; in Python floats, whose overflow is inf and not a warning
-        reach, power, gain = math.hypot(c.real, c.imag) / float(t_half), 1.0, 0.0
-        for _ in range(max_eigen):
-            power *= reach
-            gain += power
+        gain = _shift_gain(math.hypot(c.real, c.imag) / float(t_half), max_eigen)
     flat, carried = math.inf, 0.0
     for stage in range(max_p + 1):
         if stage:
@@ -591,24 +600,13 @@ def clim(
         # the tail is the last 10%; its flatness is a maximum, so blocks
         # give its bits, and np.max keeps a NaN
         tail = int(0.9 * n)
-        mean = complex(f[tail:].mean())
+        with np.errstate(over="ignore", invalid="ignore"):  # _accepted refuses an overflow
+            mean = complex(f[tail:].mean())
         flat = float(np.max([np.max(np.abs(f[a:b] - mean))
                              for a, b in _spans(tail, n, _BLOCK_SAMPLES)]))
-        bound = flat_tol * (1.0 + abs(mean))
-        if flat <= bound:  # False for a NaN flatness
-            if carried > bound:  # NaN only for an all-zero fit at an infinite reach
-                raise NoClimError(
-                    f"the z-fit carries rounding {carried:.3g} to z = 0 at s0 = {s0}",
-                    residual_flatness=carried,
-                )
-            return ClimReport(
-                value=mean,
-                removed_eigen=tuple(
-                    (k, complex(removed[k])) for k in range(1, max_eigen + 1)
-                ),
-                p_power=stage,
-                residual_flatness=flat,
-            )
+        if flat <= flat_tol * (1.0 + abs(mean)):  # False for a NaN flatness
+            return _accepted(mean, tuple(enumerate(removed.tolist()))[1:], stage, flat,
+                             carried, flat_tol, "z-fit", s0)
     raise NoClimError(
         f"no classical limit after {max_p} averagings (flatness {flat:.3g})",
         residual_flatness=flat,
@@ -788,9 +786,9 @@ def verify_lemma(
         symbol, params.direction, params.n, params.s0, r0, params.sigma0, params.tau0, C
     )
     report = _clim_profile(
-        functools.partial(_ladder_block, symbol, shifted, bins, dt), n, shifted.t0, dt,
-        complex(params.s0), params.sigma0, params.direction, SYMBOL_DEGREE[symbol],
-        C, params.phase, _FLAT_TOL,
+        lambda i0, i1: _finite(_ladder_block(symbol, shifted, bins, dt, i0, i1)),
+        n, shifted.t0, dt, complex(params.s0), params.sigma0, params.direction,
+        SYMBOL_DEGREE[symbol], C, params.phase, _FLAT_TOL,
         # alpha_n's profile is alpha^n; the default phase degree, 3 for a
         # degree-1 symbol, covers every other profile
         phase_degree=max(3, params.n) if symbol == "alpha_n" else None,

@@ -25,8 +25,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve_model import CurveZeta, LambdaFactor, _factor_lambda, vertical_spacing
-from .errors import DivergentSeriesError, InvalidInputError, TailBudgetError, _computed, _finite
-from .errors import _is_tol, _orders, _point, _require_finite, _require_int, _require_range
+from .errors import (
+    DivergentSeriesError,
+    InvalidInputError,
+    TailBudgetError,
+    _computed,
+    _finite,
+    _is_tol,
+    _order_totals,
+    _orders,
+    _point,
+    _require_finite,
+    _require_int,
+    _require_range,
+)
 
 
 @dataclass(frozen=True)
@@ -167,10 +179,9 @@ def deriv_side_total(curve: CurveZeta, s0, mu, ctl: SeriesControl = SeriesContro
 
     mu is one order, giving a complex, or a 1-d grid of orders, giving a
     complex ndarray.  At nonpositive integer mu every factor vanishes, and
-    the sum is 0j exactly.
+    the sum is 0j exactly, as it is at every order for a curve of no factors.
     """
     s0 = _point(s0, min_re=1.0)
     orders, one = _orders(mu)
     values = _series_values(curve.q, curve.factors, s0, orders, ctl, check_zero_orders=False)
-    totals = [sum(column, start=0.0 + 0.0j) for column in zip(*values)]
-    return totals[0] if one else np.array(totals, dtype=np.complex128)
+    return _order_totals(values, orders, one)

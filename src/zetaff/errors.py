@@ -183,6 +183,15 @@ def _orders(mu):
     return orders.reshape(-1).tolist(), orders.ndim == 0
 
 
+def _order_totals(rows, orders, one):
+    """Each order's total over rows, one row per factor with a value per
+    order, added from 0j in row order, so no rows total 0j: a complex for
+    one order, else a complex ndarray, as ``_orders`` told."""
+    totals = [0j] * len(orders)
+    for row in rows:
+        totals = [total + value for total, value in zip(totals, row)]
+    return totals[0] if one else np.array(totals, dtype=np.complex128)
+
 
 def _finite(value, what="samples", at=None):
     """value, an ndarray, a number or a flat tuple or dict of numbers, unless

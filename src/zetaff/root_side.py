@@ -46,6 +46,7 @@ from .errors import (
     _computed,
     _finite,
     _finite_rows,
+    _order_totals,
     _orders,
     _point,
     _require_finite,
@@ -438,14 +439,9 @@ def root_side_total(curve: CurveZeta, s0, mu, k=None):
 
     k is passed to root_side_em for every factor; None lets each factor's
     error model choose it.  mu is one order, giving a complex, or a 1-d grid
-    of orders, giving a complex ndarray.
+    of orders, giving a complex ndarray.  A curve of no factors sums to 0j.
     """
     s0 = _point(s0, min_re=1.0)
     orders, one = _orders(mu)
-    totals = []
-    for column in zip(*_em_sums(curve.factors, curve.q, s0, orders, k)):
-        total = 0.0 + 0.0j
-        for result in column:
-            total += result.value
-        totals.append(total)
-    return totals[0] if one else np.array(totals, dtype=np.complex128)
+    sums = _em_sums(curve.factors, curve.q, s0, orders, k)
+    return _order_totals(([result.value for result in row] for row in sums), orders, one)

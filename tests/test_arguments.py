@@ -150,3 +150,17 @@ def test_each_value_is_checked_once(monkeypatch):
     assert calls == []
     zetaff.s_eval(_CF, 5.0)  # the public evaluator checks its heights
     assert len(calls) == 1
+
+    # a profile clim reads the samples its path checked when it was built,
+    # and checks only its fits
+    checked = []
+    finite = cesaro._finite
+
+    def recorded(value, *args):
+        checked.append(value)
+        return finite(value, *args)
+
+    monkeypatch.setattr(cesaro, "_finite", recorded)
+    zetaff.clim(_LADDER, 5.0, 0.6, "lower", 1, 0, period=C, phase=0.7)
+    assert checked
+    assert not any(np.shares_memory(value, _LADDER.samples) for value in checked)

@@ -757,17 +757,37 @@ def test_clim_profile_of_an_all_zero_path():
 
 
 @pytest.mark.parametrize("bad", [1000, 100 * 128 + 5, -1])
-def test_streamed_clim_rejects_non_finite_chunk(bad):
-    # a SampledPath cannot hold a NaN, but a streamed source is only checked
-    # chunk by chunk: a quarter row (pass one), a middle period (pass two)
-    # and the trailing partial period
-    samples = ladder_path("k", params(t0=0.5 * DT), 200.5 * C, DT).samples.copy()
-    samples[bad] = np.nan
-    with pytest.raises(InvalidInputError):
-        cesaro._clim_profile(
-            lambda i0, i1: samples[i0:i1], len(samples), 0.5 * DT, DT,
-            complex(S0), SIGMA0, "lower", 1, C, TAU0, 1e-7,
-        )
+def test_streamed_clim_rejects_non_finite_chunk(bad, monkeypatch):
+    # verify_lemma checks each ladder block it computes, at every read site
+    # of the streamed Clim: a quarter row (pass one), a middle period (pass
+    # two) and the trailing partial period
+    bad %= cesaro._ladder_length("k", params(), 200.5 * C, DT, shift=0.5)[1]
+    hits = []
+
+    def block(*args):
+        samples, (i0, i1) = _ladder_block(*args).copy(), args[-2:]
+        if i0 <= bad < i1:
+            samples[bad - i0] = np.nan
+            hits.append((i0, i1))
+        return samples
+
+    monkeypatch.setattr(cesaro, "_ladder_block", block)
+    with pytest.raises(InvalidInputError, match="samples must be finite"):
+        verify_lemma("k", params(), 200.5 * C, DT, 1e-6)
+    assert len(hits) == 1
+
+
+@pytest.mark.parametrize("bad, error", [
+    (1000, InvalidInputError), (100 * 128 + 5, NoClimError), (-1, NoClimError),
+])
+def test_profile_clim_of_a_path_changed_after_it_was_built(bad, error):
+    # clim reads a path's samples as they were checked when it was built; a
+    # NaN written in later still ends in a ZetaffError: in a quarter row
+    # through the fits, elsewhere through the NaN flatness
+    path = ladder_path("k", params(t0=0.5 * DT), 200.5 * C, DT)
+    path.samples[bad] = np.nan
+    with pytest.raises(error):
+        clim(path, S0, SIGMA0, "lower", max_eigen=1, max_p=1, period=C, phase=TAU0)
 
 
 def test_streamed_lemma_clim_memory_is_bounded():
@@ -1433,6 +1453,18 @@ def test_plain_clim_overflows_only_in_an_average_it_uses():
         clim(path, S0, 0.5, "lower", max_eigen=0, max_p=0)
     with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="finite"):
         clim(path, S0, 0.5, "lower", max_eigen=0, max_p=1)
+
+
+@pytest.mark.parametrize("max_p", [0, 1, 2])
+def test_plain_clim_refuses_a_tail_mean_that_overflows(max_p):
+    # the tail mean's sum leaves the doubles, so the bound flat_tol * (1 +
+    # |mean|) is inf and passes the inf flatness; the value, inf + 0j, is
+    # refused, and the mean does not warn (a warning fails this suite)
+    steps = SampledPath(0.0, 0.1, np.tile([1.0e308, 1.5e308], 500))
+    ramp = SampledPath(0.0, 0.1, np.linspace(0.0, 1.7e308, 1000))
+    for path in (steps, ramp):
+        with pytest.raises(InvalidInputError, match="the Clim value must be finite"):
+            clim(path, 5.0, 0.5, "lower", max_eigen=0, max_p=max_p)
 
 
 # (block, periods): one sample, a prime whose last block is a lone sample,

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetaff import (
+    CurveZeta,
     InvalidInputError,
     LambdaFactor,
     OrderInsufficientError,
@@ -574,6 +575,16 @@ def test_total_order_grid_matches_one_order_calls_bitwise():
         assert got.dtype == complex and got.shape == (len(GRID),)
         assert repr(got.tolist()) == repr([root_side_total(curve, S0, mu, k) for mu in GRID])
         assert type(root_side_total(curve, S0, 2.6, k)) is complex
+
+
+def test_both_totals_of_a_curve_without_factors_are_zero():
+    # genus 0: each order's total is the empty sum over factors
+    curve = CurveZeta(25, 0, ())
+    for total in (root_side_total, deriv_side_total):
+        got = total(curve, S0, 2.6)
+        assert type(got) is complex and repr(got) == repr(0j)
+        got = total(curve, S0, [-1.45, 0.5])
+        assert got.dtype == complex and repr(got.tolist()) == repr([0j, 0j])
 
 
 def test_grid_builds_each_factors_windows_once(monkeypatch):
