@@ -97,7 +97,10 @@ class SampledPath:
     def __post_init__(self):
         _require_range(self.t0, "t0", 0.0)
         _require_range(self.dt, "dt", 0.0, lo_open=True)
-        samples = np.asarray(self.samples)
+        try:
+            samples = np.asarray(self.samples)
+        except ValueError:  # a ragged sequence
+            samples = np.asarray(None)
         if samples.dtype.kind not in "biufc":
             raise InvalidInputError("samples must be real or complex numbers")
         samples = samples.astype(complex if samples.dtype.kind == "c" else float, copy=False)
@@ -501,6 +504,8 @@ def clim(
     least-squares polynomial in the centred height (T - T_mid)/T_half, one
     (max_eigen + 1)-square solve of the normal equations per stage, on a
     complex copy of the samples; at max_eigen = 0 a real path stays real.
+    A fit that is not finite, as when V^T f sums samples past the doubles,
+    raises InvalidInputError.
     The call works in one buffer of its own, never in path.samples: the
     complex copy, or at max_eigen = 0 the buffer its first average makes.
     The fit's Vandermonde V is built once per call.  V, the residual, the
@@ -544,11 +549,9 @@ def clim(
     t0, dt = path.t0, path.dt
     # the call works in one buffer of its own, never in path.samples, which
     # is the caller's array: the complex copy the z-fit reads, or at
-    # max_eigen = 0 the buffer the first averaging makes
-    if max_eigen > 0:
-        f = np.array(path.samples, dtype=complex)
-    else:
-        f = np.ascontiguousarray(path.samples)
+    # max_eigen = 0 the buffer the first averaging makes, until which the
+    # samples are only read
+    f = np.array(path.samples, dtype=complex) if max_eigen > 0 else path.samples
     removed = np.zeros(max_eigen + 1, dtype=complex)
     if max_eigen > 0:
         # the fit is in the centred height x = (T - T_mid)/T_half, with
@@ -582,7 +585,9 @@ def clim(
             # real and imaginary parts as two real columns; the fitted
             # polynomial is sum_n pz[n] z^n, so removing it and adding back
             # pz[0] removes the n >= 1 terms without forming powers of z.
-            coef = np.linalg.solve(gram, V.T @ f.view(float).reshape(-1, 2))
+            with np.errstate(over="ignore", invalid="ignore"):  # refused when not finite
+                coef = np.linalg.solve(gram, V.T @ f.view(float).reshape(-1, 2))
+            coef = _finite(coef, "the z-fit of the samples")
             fit = coef.view(complex).ravel()
             pz = _computed("the z-fit", {"s0": s0, "sigma0": sigma0},
                            _z_coefficients, fit / scale, 1j * sign, c)
@@ -960,14 +965,9 @@ def s_eval(cf: CountingFunction, T):
 def s1_eval(cf: CountingFunction, T):
     """First antiderivative S1(T) = int_0^alpha S; periodic, S1(0) = S1(C) = 0."""
     alpha = _phase(T, cf.C)
-    # -(g/C) * alpha * alpha + sum_i max(0, alpha - kappa_i), built in place
-    # with the same operations in the same order
-    acc = np.multiply(-(cf.g / cf.C), alpha)
-    acc *= alpha
-    step = np.empty_like(alpha)
+    acc = -(cf.g / cf.C) * alpha * alpha
     for k in cf.kappas:
-        np.subtract(alpha, k, out=step)
-        acc += np.maximum(0.0, step, out=step)
+        acc += np.maximum(0.0, alpha - k)
     return acc
 
 
@@ -982,15 +982,9 @@ def s1_av(cf: CountingFunction) -> float:
 
 def _q_of_phase(cf: CountingFunction, alpha):
     """Q at phases alpha = T mod C that are already reduced."""
-    # sum_i 0.5 * max(0, alpha - kappa_i)**2, built in place
     acc = np.zeros_like(alpha)
-    step = np.empty_like(alpha)
     for k in cf.kappas:
-        np.subtract(alpha, k, out=step)
-        np.maximum(0.0, step, out=step)
-        np.square(step, out=step)
-        step *= 0.5
-        acc += step
+        acc += 0.5 * np.maximum(0.0, alpha - k) ** 2
     return acc
 
 
@@ -1009,16 +1003,7 @@ def q_av(cf: CountingFunction) -> float:
 def s2_eval(cf: CountingFunction, T):
     """Second antiderivative S2(T) = S1av*(T - alpha) + int_0^alpha S1."""
     alpha = _phase(T, cf.C)
-    # inner = Q(alpha) - (g/(3C)) * alpha**3, then s1_av * (T - alpha) + inner,
-    # built in place
-    inner = _q_of_phase(cf, alpha)
-    cube = np.power(alpha, 3)
-    cube *= cf.g / (3.0 * cf.C)
-    inner -= cube
-    drift = np.subtract(T, alpha, out=cube)
-    drift *= s1_av(cf)
-    drift += inner
-    return drift
+    return s1_av(cf) * (T - alpha) + (_q_of_phase(cf, alpha) - (cf.g / (3.0 * cf.C)) * alpha**3)
 
 
 # the evaluators' bodies, which take the heights unchecked (functools.wraps

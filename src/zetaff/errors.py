@@ -194,15 +194,15 @@ def _order_totals(rows, orders, one):
 
 
 def _finite(value, what="samples", at=None):
-    """value, an ndarray, a number or a flat tuple or dict of numbers, unless
-    one is NaN or inf: then InvalidInputError says that ``what`` must be
-    finite, or, computed from the inputs ``at`` (a dict by name), overflows a
-    double at them.  This runs once per factor and order, so a scalar takes
+    """value, an ndarray, a number or a dict of numbers, unless one is NaN or
+    inf: then InvalidInputError says that ``what`` must be finite, or,
+    computed from the inputs ``at`` (a dict by name), overflows a double at
+    them.  This runs once per factor and order, so a scalar takes
     cmath.isfinite and the message is formatted only on failure."""
     if isinstance(value, np.ndarray):
         finite = np.isfinite(value).all()
-    elif isinstance(value, (tuple, dict)):
-        finite = all(map(cmath.isfinite, value.values() if isinstance(value, dict) else value))
+    elif isinstance(value, dict):
+        finite = all(map(cmath.isfinite, value.values()))
     else:
         finite = cmath.isfinite(value)
     if finite:

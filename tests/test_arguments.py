@@ -4,10 +4,10 @@ Each public function gets one valid call (``clim`` two: plain and profile
 mode).  Each numeric, name or sequence argument of it is replaced in turn by
 each value of ``_BAD``; the objects the library builds (a curve, a factor, a
 counting function, a path, lemma parameters, a series control) are kept.
-``_BAD`` holds malformed values (a string, None, a list, a complex number,
-NaN, inf, an int past the doubles) and finite values at the edge of the
-doubles (+-1e308, +-1e-308, +-10**20, 2**70), where what the library
-computes from them can overflow or underflow.  Every call must return or
+``_BAD`` holds malformed values (a string, None, a list, a ragged list, a
+complex number, NaN, inf, an int past the doubles) and finite values at the
+edge of the doubles (+-1e308, +-1e-308, +-10**20, 2**70), where what the
+library computes from them can overflow or underflow.  Every call must return or
 raise a ZetaffError, never a bare Python exception or a warning.
 
 A value is checked once: where it enters the library or where the library
@@ -35,7 +35,7 @@ from zetaff import (
     deriv_side,
 )
 
-_BAD = ("x", None, [1.0], 1j, math.nan, math.inf, 10**400,
+_BAD = ("x", None, [1.0], [[1.0], [1.0, 2.0]], 1j, math.nan, math.inf, 10**400,
         1e308, -1e308, 1e-308, -1e-308, 10**20, -(10**20), 2**70)
 
 Q = 25

@@ -1467,6 +1467,15 @@ def test_plain_clim_refuses_a_tail_mean_that_overflows(max_p):
             clim(path, 5.0, 0.5, "lower", max_eigen=0, max_p=max_p)
 
 
+@pytest.mark.parametrize("max_eigen", [1, 2, 3])
+def test_plain_clim_refuses_a_z_fit_of_samples_past_the_doubles(max_eigen):
+    # the projection V^T f sums the samples past the doubles; it warned of
+    # the overflow, and the fit was refused as one that overflows at s0
+    steps = SampledPath(0.0, 0.1, np.tile([1.0e308, 1.5e308], 50))
+    with pytest.raises(InvalidInputError, match="the z-fit of the samples must be finite"):
+        clim(steps, 5.0, 0.5, "lower", max_eigen=max_eigen, max_p=0)
+
+
 # (block, periods): one sample, a prime whose last block is a lone sample,
 # one below 2**13 and one past the path, each against the default block on
 # a path of 128 samples a period; a block of one sample runs on a short path

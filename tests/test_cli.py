@@ -392,6 +392,20 @@ def test_closed_stdout_pipe_exits_invalid_without_a_traceback():
     assert proc.stderr == "invalid input: [Errno 32] Broken pipe\n"
 
 
+def test_closed_stdout_pipe_in_process(monkeypatch, capsys):
+    # the same branch in this process, on a real pipe whose read end is
+    # closed: main points the pipe's descriptor at /dev/null, so closing the
+    # stream after it does not meet the pipe again
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["scan-mu"]) == EXIT_INVALID
+        monkeypatch.undo()
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    assert capsys.readouterr().err == "invalid input: [Errno 32] Broken pipe\n"
+
+
 def test_lemma_single_symbol(capsys):
     rc = main(["lemma", "--symbol", "alpha_n", "--t-max-periods", "200"])
     assert rc == EXIT_OK
