@@ -70,11 +70,13 @@ _LADDER_SYMBOLS = {
     "k": (1, lambda k, alpha, z, n: k),
     "k_alpha": (1, lambda k, alpha, z, n: k * alpha),
     "k_alpha2": (1, lambda k, alpha, z, n: k * alpha**2),
-    "z_alpha": (1, lambda k, alpha, z, n: z * alpha),
-    "z_alpha2": (1, lambda k, alpha, z, n: z * alpha**2),
+    "z_alpha": (1, lambda k, alpha, z, n: np.multiply(z, alpha, out=z)),
+    "z_alpha2": (1, lambda k, alpha, z, n: np.multiply(z, alpha**2, out=z)),
     "k2": (2, lambda k, alpha, z, n: k**2),
     "k2_alpha": (2, lambda k, alpha, z, n: k**2 * alpha),
-    "z2_alpha": (2, lambda k, alpha, z, n: z**2 * alpha),
+    # NumPy's complex square, the bits of its z * z, is fused (re = fma(a, a,
+    # -b*b)); a*a - b*b written out would round apart from it
+    "z2_alpha": (2, lambda k, alpha, z, n: np.multiply(np.square(z, out=z), alpha, out=z)),
     "k3": (3, lambda k, alpha, z, n: k * k * k),
 }
 
@@ -746,18 +748,32 @@ def _ladder_block(symbol: str, params: LemmaParams, bins, dt: float, i0: int, i1
     then cut to [i0, i1).  A sample depends on its own index only, so a block
     is bitwise the same slice of ``ladder_path(...).samples``.  The symbols
     that do not read z are real and come back as float64; z_alpha, z_alpha2
-    and z2_alpha come back as complex128.
+    and z2_alpha come back as complex128, with z built from its real parts
+    and multiplied in place, bitwise the complex expressions.
     """
     k_b, alpha_b = bins
     nbin = len(k_b)
     p0, p1 = i0 // nbin, -(-i1 // nbin)
     p = np.arange(p0, p1)[:, None]
-    z = None
+    k = z = None
     if symbol.startswith("z"):
-        T = params.t0 + dt * (p * nbin + np.arange(nbin))
-        z = _geometric_z(T, complex(params.s0), params.sigma0, params.direction)
+        # z = c - sign*iT, c = s0 - sigma0, from its real parts: the bits of
+        # _geometric_z, whose i*sign*T has real part 0 and imaginary part
+        # sign*T
+        T = np.add(p * nbin, np.arange(nbin), dtype=float)
+        T *= dt
+        T += params.t0
+        c = complex(params.s0) - params.sigma0
+        z = np.empty(T.shape, dtype=complex)
+        z.real = c.real
+        if params.direction == "lower":
+            np.subtract(c.imag, T, out=z.imag)
+        else:
+            np.add(c.imag, T, out=z.imag)
+    else:
+        k = p + k_b
     expr = _LADDER_SYMBOLS[symbol][1]
-    rows = expr(p + k_b, alpha_b, z, params.n)
+    rows = expr(k, alpha_b, z, params.n)
     if rows.ndim == 1:  # alpha_n reads only the phase: one row for every period
         rows = np.broadcast_to(rows, (p1 - p0, nbin))
     return rows.reshape(-1)[i0 - p0 * nbin : i1 - p0 * nbin]

@@ -596,6 +596,12 @@ def _reference_ladder_samples(symbol, p, T_max, dt):
 def test_ladder_path_matches_reference(direction):
     # t0 < tau0, so the lower contour starts at k = -1
     p = LemmaParams(q=Q, sigma0=SIGMA0, tau0=TAU0, s0=S0 + 0.3j, direction=direction, n=2, t0=0.1)
+    # the z symbols, built from the real parts of z, are bitwise the complex
+    # expressions in double, on the bin grid's phases and the path's heights
+    alpha = ladder_path("alpha_n", replace(p, n=1), 50 * C, DT)
+    z = cesaro._geometric_z(alpha.times, complex(p.s0), p.sigma0, direction)
+    a = alpha.samples
+    complex_expr = {"z_alpha": z * a**1, "z_alpha2": z * a**2, "z2_alpha": z**2 * a}
     for symbol in LEMMA_SYMBOLS:
         got = ladder_path(symbol, p, 50 * C, DT).samples.astype(complex)
         want = _reference_ladder_samples(symbol, p, 50 * C, DT)
@@ -603,6 +609,8 @@ def test_ladder_path_matches_reference(direction):
             assert got.tobytes() == want.tobytes(), symbol
         else:
             assert got == pytest.approx(want, rel=1e-12), symbol
+        if symbol in complex_expr:
+            assert got.tobytes() == complex_expr[symbol].tobytes(), symbol
     alpha = ladder_path("alpha_n", replace(p, n=1), 50 * C, DT).samples
     want = _reference_ladder_samples("alpha_n", replace(p, n=1), 50 * C, DT)
     assert np.max(np.abs(alpha - want)) <= 2 * np.finfo(float).eps * C
