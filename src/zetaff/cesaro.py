@@ -17,11 +17,13 @@ Three layers live here:
    polynomial in z.  The constant content is integrated exactly, and the
    zero-mean z^2 profile content is assigned its Cesaro value
    -i*sgn*(s0-sigma0)*mean(W) where W is the antiderivative of the profile
-   anchored at alpha = 0.  The extraction streams the path in chunks of whole
-   periods and holds only the quarter rows, one chunk buffer and two floats
-   per period, never the whole path.  Its quarter rows are stored as complex
-   whatever the dtype, so the solve reads the same matrix for real samples
-   as for their complex copies.
+   anchored at alpha = 0.  The extraction streams the path twice in chunks
+   of whole periods and holds one complex buffer, the fit and two floats per
+   period, never the whole path nor its quarter rows: the solve's Q and R
+   come before any sample, and the projection is summed over fixed groups
+   of quarter rows as they stream.  Each group is copied into the complex
+   buffer whatever the dtype, so the fit reads the same matrices for real
+   samples as for their complex copies.
 
 2. The closed-form limit table for the ladder symbols alpha^n, k, k*alpha^n,
    z*alpha^n, k^2, k^2*alpha, z^2*alpha, k^3 on both contours, a numeric
@@ -215,6 +217,11 @@ def _z_coefficients(coef, s, c):
 #: chunk is 32768 samples, 512 KiB per complex temporary
 _CHUNK_PERIODS = 256
 
+#: quarter rows per group of the streamed profile fit, which sums its
+#: projection group by group; fixed, so the fit does not depend on the chunk
+#: length, and at 128 bins a group is 1 MiB of complex samples
+_GROUP_PERIODS = 512
+
 #: samples per block of the counting paths, of ``average_P`` and of the
 #: plain-mode Clim; a block of complex samples is 125 KiB, under glibc's
 #: default 128 KiB threshold for serving an allocation by a fresh mmap
@@ -309,31 +316,35 @@ def _clim_profile(
 
     The path is streamed in two passes over chunks of ``_CHUNK_PERIODS``
     whole periods, and only the fits, not the samples, are checked to be
-    finite.  Pass one keeps the quarter rows for the fit, so the value does
-    not depend on the chunk length.  Pass two checks the fit on the whole
-    path: it reuses the kept rows, reads the middle half and the trailing
-    partial period (row p = nfull), and predicts each row from the fit
-    itself, by Horner's rule in the scaled period index p/scale, the basis
-    the solve was made in.  With the fit's weights w_p = (1 + p)^-degree, the
-    flatness is max w_p|f - prediction| / max w_p|f| (0 for an all-zero
-    path), and the Clim is rejected unless it is at most ``flat_tol``.  Both
-    are maxima, so neither depends on the chunk length, and the memory is
-    the quarter rows, one chunk buffer (Horner's rule, the residual and the
-    moduli are written into it in place) and two floats per period.
+    finite.  The weights and the Vandermonde do not depend on the samples,
+    so Q and R are formed before any is read.  Pass one reads the quarter
+    rows and sums the projection (Q w)^T f over groups of
+    ``_GROUP_PERIODS`` of them, a size that does not depend on the chunk
+    length, and neither does the value.  Pass two checks the fit on the
+    whole path: it reads every row again, the trailing partial period (row
+    p = nfull) included, and predicts each row from the fit itself, by
+    Horner's rule in the scaled period index p/scale, the basis the solve
+    was made in.  With the fit's weights w_p = (1 + p)^-degree, the flatness
+    is max w_p|f - prediction| / max w_p|f| (0 for an all-zero path), and
+    the Clim is rejected unless it is at most ``flat_tol``.  Both are
+    maxima, so neither depends on the chunk length.  The memory is one
+    complex buffer, which holds a group in pass one and Horner's rule, the
+    residual and the moduli in pass two, written into it in place, and two
+    floats per period.
 
     The source returns finite float64 or complex128 samples, one dtype for
     the whole path, as a ``SampledPath`` holds them and ``verify_lemma``
-    checks each ladder block.  The quarter rows are
-    stored as complex either way, real samples filling the real parts.  So
-    the solve reads, bit for bit, the matrix it reads for the
-    samples' complex copies: a real-only matrix of half the columns could
-    round differently, since a BLAS may pick its kernel by matrix size
-    (OpenBLAS does, at 2100 to 7000 periods of 128 bins).  The storage also
-    has one byte size whatever the dtype, so Clims of real and of complex
-    samples in turn ask the allocator for blocks of one size.  Pass two
-    works in the samples' dtype: real rows are predicted from the real part
-    of the fit, whose imaginary part is the fit of zero columns, and so read
-    the same residuals and the same flatness as their complex copies.
+    checks each ladder block.  A group is copied into the complex buffer
+    either way, real samples filling the real parts.  So the projection
+    reads, bit for bit, the matrices it reads for the samples' complex
+    copies: a real-only matrix of half the columns could round differently,
+    since a BLAS may pick its kernel by matrix size (OpenBLAS does).  Pass
+    two works in the samples' dtype: real rows are predicted from the real
+    part of the fit, whose imaginary part is the fit of zero columns, and
+    complex rows as pairs of floats, so that a complex times the real p/scale
+    is two real products.  Both read the residuals of complex arithmetic up
+    to the sign of a zero, which the moduli erase, so the flatness is that
+    of the samples' complex copies bit for bit.
 
     The guard bounds what the profiles miss relative to the weighted
     samples.  Content that grows like p^degree but is no polynomial in p is
@@ -377,26 +388,36 @@ def _clim_profile(
     if degree + 1 > 2 * nq:
         raise InvalidInputError(f"degree {degree} needs {degree + 1} quarter rows, not {2 * nq}")
 
-    def periods(p0, p1):
-        return source(p0 * nbin, p1 * nbin).reshape(-1, nbin)
-
-    # Pass one: the first- and last-quarter rows, the only ones the fit reads,
-    # stored as complex; ``rows`` views them in the samples' own dtype.
+    # The fit reads the first- and last-quarter rows, and its weights and
+    # Vandermonde do not depend on the samples: Q and R come first, and pass
+    # one sums the projection (Q w)^T f over fixed groups of quarter rows.
     p = np.r_[0:nq, nfull - nq : nfull]
-    kept = np.empty((2 * nq, nbin), dtype=complex)
-    for first, out in ((0, kept[:nq]), (nfull - nq, kept[nq:])):
-        for a, b in _spans(0, nq, _CHUNK_PERIODS):
-            f = periods(first + a, first + b)
-            out[a:b] = f
-    rows = kept if np.iscomplexobj(f) else kept.real
-    # one weight per row; the fit folds its rows' weights into Q, since
-    # weighting a copy of the rows would double the memory of the fit
     w = (1.0 + np.arange(nfull + 1)) ** -degree
     wq = w[p][:, None]
     scale = 1 << (nfull - 1).bit_length()
     Q, R = np.linalg.qr(np.vander(p / scale, degree + 1, increasing=True) * wq)
-    # real and imaginary parts as separate columns: the Vandermonde is real
-    fit = np.linalg.solve(R, (Q * wq).T @ kept.view(float)).view(complex)
+    Q *= wq  # Q w: the projection weights the rows through Q, not a copy of them
+    # one complex buffer holds a group of pass one, then the work and the
+    # moduli of pass two
+    rows = min(_CHUNK_PERIODS, nfull)
+    buf = np.empty((max(min(_GROUP_PERIODS, nq), 2 * rows), nbin), dtype=complex)
+
+    def read(p0, p1, out):
+        # the rows of periods [p0, p1) into out, real samples into the real
+        # parts; the chunk is freed on return, before the next one is read
+        f = source(p0 * nbin, p1 * nbin)
+        out[...] = f.reshape(-1, nbin)
+        return np.iscomplexobj(f)
+
+    proj = np.zeros((degree + 1, 2 * nbin))
+    for q0, first in ((0, 0), (nq, nfull - nq)):
+        for a, b in _spans(0, nq, _GROUP_PERIODS):
+            group = buf[: b - a]
+            for c0, c1 in _spans(a, b, _CHUNK_PERIODS):
+                is_complex = read(first + c0, first + c1, group[c0 - a : c1 - a])
+            # real and imaginary parts as separate columns: the Vandermonde is real
+            proj += Q[q0 + a : q0 + b].T @ group.view(float)
+    fit = np.linalg.solve(R, proj).view(complex)
     coef = fit / (dt * nbin * scale) ** np.arange(degree + 1)[:, None]
     sign = -1j * _contour_sign(direction)
     zb = _geometric_z(t0 + dt * np.arange(nbin), s0, sigma0, direction)
@@ -429,37 +450,42 @@ def _clim_profile(
     size = float(np.max(np.sum(np.abs(fit) * per_index[:, None], axis=0)))
     carried = _EPS * size * _shift_gain(float(np.max(np.abs(zb))) / (nbin * dt), degree)
 
-    # Pass two: predict every row from the fit by Horner's rule in the scaled
-    # period index, the basis it was solved in, and keep each row's largest
-    # residual and largest sample.
-    def chunks():
-        for a, b in _spans(0, 2 * nq, _CHUNK_PERIODS):
-            yield p[a:b], rows[a:b]
-        for a, b in _spans(nq, nfull - nq, _CHUNK_PERIODS):
-            yield np.arange(a, b), periods(a, b)
-        yield np.array([nfull]), source(nfull * nbin, n)[None, :]
-
-    # real rows are predicted from the real part of the fit and take their
-    # moduli in place; complex rows need a float buffer for theirs
-    work = np.empty((_CHUNK_PERIODS, nbin), dtype=rows.dtype)
-    if rows.dtype == float:
-        fit, moduli = fit.real, work
+    # Pass two: read every row again, predict it from the fit by Horner's
+    # rule in the scaled period index, the basis it was solved in, and keep
+    # each row's largest residual and largest sample.  Horner's rule runs on
+    # float views: complex rows as pairs of floats, so a complex times the
+    # real x is two real products; real rows are predicted from the real
+    # part of the fit and take their moduli in place, complex rows take
+    # theirs in the second half of the buffer.
+    floats = buf.reshape(-1).view(float)
+    if is_complex:
+        work, coef_rows = buf[:rows], fit.view(float)
+        moduli = floats[2 * rows * nbin : 3 * rows * nbin].reshape(rows, nbin)
     else:
-        moduli = np.empty(work.shape)
+        work, coef_rows = floats[: rows * nbin].reshape(rows, nbin), fit.real
+        moduli = work
     res, mag = np.empty(nfull + 1), np.empty(nfull + 1)
-    for pc, f in chunks():
+
+    def check(pc, f):
+        # one chunk per call, so it is freed before the next one is read
         height, width = f.shape
         x = (pc / scale)[:, None]
         predicted = work[:height, :width]
-        np.multiply(fit[degree, :width], x, out=predicted)
+        parts = predicted.view(float)
+        cols = parts.shape[1]
+        np.multiply(coef_rows[degree, :cols], x, out=parts)
         for nn in range(degree - 1, 0, -1):
-            predicted += fit[nn, :width]
-            predicted *= x
-        predicted += fit[0, :width]
+            parts += coef_rows[nn, :cols]
+            parts *= x
+        parts += coef_rows[0, :cols]
         residual = np.subtract(f, predicted, out=predicted)
         out = moduli[:height, :width]
         res[pc] = np.max(np.abs(residual, out=out), axis=1)
         mag[pc] = np.max(np.abs(f, out=out), axis=1)
+
+    for a, b in _spans(0, nfull, _CHUNK_PERIODS):
+        check(np.arange(a, b), source(a * nbin, b * nbin).reshape(-1, nbin))
+    check(np.array([nfull]), source(nfull * nbin, n)[None, :])
     # weighted like the fit, so the late rows do not hide the early ones
     peak = np.max(w * mag)
     flat = float(np.max(w * res) / peak) if peak else 0.0

@@ -601,7 +601,7 @@ def test_ladder_path_matches_reference(direction):
     alpha = ladder_path("alpha_n", replace(p, n=1), 50 * C, DT)
     z = cesaro._geometric_z(alpha.times, complex(p.s0), p.sigma0, direction)
     a = alpha.samples
-    complex_expr = {"z_alpha": z * a**1, "z_alpha2": z * a**2, "z2_alpha": z**2 * a}
+    complex_expr = {"z_alpha": z * a, "z_alpha2": z * a**2, "z2_alpha": z**2 * a}
     for symbol in LEMMA_SYMBOLS:
         got = ladder_path(symbol, p, 50 * C, DT).samples.astype(complex)
         want = _reference_ladder_samples(symbol, p, 50 * C, DT)
@@ -611,9 +611,8 @@ def test_ladder_path_matches_reference(direction):
             assert got == pytest.approx(want, rel=1e-12), symbol
         if symbol in complex_expr:
             assert got.tobytes() == complex_expr[symbol].tobytes(), symbol
-    alpha = ladder_path("alpha_n", replace(p, n=1), 50 * C, DT).samples
     want = _reference_ladder_samples("alpha_n", replace(p, n=1), 50 * C, DT)
-    assert np.max(np.abs(alpha - want)) <= 2 * np.finfo(float).eps * C
+    assert np.max(np.abs(a - want)) <= 2 * np.finfo(float).eps * C
 
 
 @pytest.mark.parametrize("direction", ["lower", "upper"])
@@ -698,8 +697,9 @@ def test_streamed_lemma_clim_equals_in_memory_clim(direction, q, monkeypatch):
             )
         assert streamed.numeric == in_memory.value, (symbol, n)
         assert streamed.report == in_memory, (symbol, n)
-        # the fit reads only the kept quarter rows and the flatness is a
-        # ratio of maxima, so the chunk length changes neither
+        # the fit sums its projection over groups of quarter rows whose size
+        # is fixed, and the flatness is a ratio of maxima, so the chunk
+        # length changes neither
         assert streamed.report == default[(symbol, n)], (symbol, n)
 
 
@@ -798,17 +798,28 @@ def test_profile_clim_of_a_path_changed_after_it_was_built(bad, error):
         clim(path, S0, SIGMA0, "lower", max_eigen=1, max_p=1, period=C, phase=TAU0)
 
 
-def test_streamed_lemma_clim_memory_is_bounded():
-    # a path of 1.28e6 samples built in memory peaks near 49 MiB; the
-    # streamed Clim keeps the quarter rows (10 MiB)
+def _k3_lemma_peak(periods):
+    """The tracemalloc peak of a k3 lemma op at this many periods, in MiB."""
     tracemalloc.start()
     try:
-        res = verify_lemma("k3", params(), 1e4 * C, DT, 5e-3)
+        res = verify_lemma("k3", params(), periods * C, DT, 5e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert res.passed
-    assert peak < 32 * 2**20
+    return peak / 2**20
+
+
+def test_streamed_lemma_clim_memory_is_bounded():
+    # a path of 1.28e6 samples built in memory peaks near 49 MiB, and its
+    # quarter rows alone take 9.8 MiB; the streamed Clim sums its projection
+    # as the rows pass and keeps none of them
+    assert _k3_lemma_peak(1e4) < 8
+
+
+def test_streamed_lemma_clim_memory_is_bounded_at_1e5_periods():
+    # the quarter rows of 1e5 periods would take 98 MiB
+    assert _k3_lemma_peak(1e5) < 16
 
 
 # ------------------------------------------- one-sided partial-sum limits

@@ -13,7 +13,10 @@ package, e.g. ``src`` of a checkout) and the perfbench workloads from
   scan-mu on each of the 960 curve-pipeline curves of perfbench seeds 1, 2,
   3 and 311.  The line gives the number of runs and one digest over each
   run's argv, exit code, stdout and stderr, with the temporary directory
-  that holds the curve files masked.
+  that holds the curve files masked.  Two of the fixed runs are ``zetaff
+  lemma`` (at 1000 periods, and alpha_n at n = 6), which print the lemma
+  values, so a change to the lemma values moves this line and the next one
+  together.
 - Lemma: ``cesaro.verify_lemma`` runs on the 40 lemma-table specs of each
   of the same seeds (at that workload's periods, bins and tolerance), then
   on alpha_n at n = 1 .. 8 on both contours at the defaults of ``zetaff
