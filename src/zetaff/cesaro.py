@@ -23,7 +23,8 @@ Three layers live here:
    come before any sample, and the projection is summed over fixed groups
    of quarter rows as they stream.  Each group is copied into the complex
    buffer whatever the dtype, so the fit reads the same matrices for real
-   samples as for their complex copies.
+   samples as for their complex copies.  Every height is formed by
+   ``_heights`` and every z by ``_geometric_z``, so all paths share their bits.
 
 2. The closed-form limit table for the ladder symbols alpha^n, k, k*alpha^n,
    z*alpha^n, k^2, k^2*alpha, z^2*alpha, k^3 on both contours, a numeric
@@ -118,9 +119,13 @@ class SampledPath:
 
 
 def _heights(t0, dt, i0, i1):
-    """The heights t0 + i*dt of the samples [i0, i1): elementwise, so a block's
-    heights are the bytes of that slice of the whole path's."""
-    return t0 + dt * np.arange(i0, i1)
+    """The heights t0 + i*dt of the samples [i0, i1), formed nowhere else: one
+    array built in place from the exact doubles i, so a block's heights are
+    the bytes of that slice of the whole path's."""
+    t = np.arange(i0, i1, dtype=float)
+    t *= dt
+    t += t0
+    return t
 
 
 @dataclass(frozen=True)
@@ -144,17 +149,15 @@ def average_P(path: SampledPath) -> SampledPath:
 
     The integral is a cumulative trapezoid on the sample grid; f is treated
     as 0 on [0, t0) when t0 > 0.  At T = 0 the average is f(0) (the limit).
-    The result has the path's dtype, so a real path stays real, and is
-    written into a new array; the path's samples are only read.  It is
-    built in blocks of samples by ``_stream_average``, which plain-mode
-    ``clim`` runs in place.
+    The result has the path's dtype, so a real path stays real; it is a
+    copy of the samples, averaged in place by ``_stream_average``, so the
+    path's samples are only read.
     """
-    f = path.samples
-    return SampledPath(path.t0, path.dt, _stream_average(f, path.t0, path.dt, np.empty_like(f)))
+    return SampledPath(path.t0, path.dt, _stream_average(path.samples.copy(), path.t0, path.dt))
 
 
-def _stream_average(f, t0, dt, out):
-    """P[f] on the heights t0 + i*dt, written into ``out``, which may be f.
+def _stream_average(f, t0, dt):
+    """P[f] on the heights t0 + i*dt, written over f, which the caller owns.
 
     It runs in blocks of ``_BLOCK_SAMPLES``, so each temporary is one block
     long.  A block's trapezoid steps are summed, halved, scaled by dt,
@@ -169,7 +172,7 @@ def _stream_average(f, t0, dt, out):
     step = np.empty(min(_BLOCK_SAMPLES, n - 1), dtype=f.dtype)
     prev, carry = f[0], None
     # t0 >= 0 and dt > 0, so only the first height can be zero
-    out[0] = f[0] if t0 == 0.0 else 0.0
+    f[0] = f[0] if t0 == 0.0 else 0.0
     for i0, i1 in _spans(1, n, _BLOCK_SAMPLES):
         s = step[: i1 - i0]
         s[0] = f[i0] + prev
@@ -181,8 +184,8 @@ def _stream_average(f, t0, dt, out):
             s[0] += carry
         np.cumsum(s, out=s)
         carry = s[-1]
-        np.divide(s, _heights(t0, dt, i0, i1), out=out[i0:i1])
-    return out
+        np.divide(s, _heights(t0, dt, i0, i1), out=f[i0:i1])
+    return f
 
 
 def _contour_sign(direction: str) -> float:
@@ -194,8 +197,16 @@ def _contour_sign(direction: str) -> float:
     raise InvalidInputError(f"direction must be 'lower' or 'upper', got {direction!r}")
 
 
-def _geometric_z(times: np.ndarray, s0: complex, sigma0: float, direction: str):
-    return (s0 - sigma0) - 1j * _contour_sign(direction) * times
+def _geometric_z(times, s0, sigma0: float, direction: str):
+    """z = (s0 - sigma0) - sign*iT at the heights T, formed nowhere else, from
+    its real parts: imaginary part c.imag -/+ T on the lower/upper contour.
+    One height gives a Python complex, whose powers overflow as OverflowError
+    rather than as a NumPy warning."""
+    c = complex(s0) - sigma0
+    z = np.empty(np.shape(times), dtype=complex)
+    z.real = c.real
+    (np.subtract if _contour_sign(direction) > 0 else np.add)(c.imag, times, out=z.imag)
+    return z if z.ndim else complex(z)
 
 
 def _z_coefficients(coef, s, c):
@@ -259,7 +270,7 @@ def _bin_grid(t0, dt, period, phase):
             f"dt = {dt} must divide the period {period} into an integer "
             "number of samples, from 2 to 2**53 - 1"
         )
-    return np.divmod(t0 + dt * np.arange(nbin) - phase, period)
+    return np.divmod(_heights(t0, dt, 0, nbin) - phase, period)
 
 
 def _shift_gain(reach, degree):
@@ -420,7 +431,7 @@ def _clim_profile(
     fit = np.linalg.solve(R, proj).view(complex)
     coef = fit / (dt * nbin * scale) ** np.arange(degree + 1)[:, None]
     sign = -1j * _contour_sign(direction)
-    zb = _geometric_z(t0 + dt * np.arange(nbin), s0, sigma0, direction)
+    zb = _geometric_z(_heights(t0, dt, 0, nbin), s0, sigma0, direction)
 
     # the period means of the z-monomial profiles, each by exact quadrature
     # of a polynomial fitted over the phase alpha/period in [0, 1); profiles
@@ -534,8 +545,8 @@ def clim(
     complex copy of the samples; at max_eigen = 0 a real path stays real.
     A fit that is not finite, as when V^T f sums samples past the doubles,
     raises InvalidInputError.
-    The call works in one buffer of its own, never in path.samples: the
-    complex copy, or at max_eigen = 0 the buffer its first average makes.
+    The call works in one buffer of its own, never in path.samples: a copy
+    made up front, complex when max_eigen > 0, and averaged in place.
     The fit's Vandermonde V is built once per call.  V, the residual, the
     tail flatness and the averages are computed in blocks of
     ``_BLOCK_SAMPLES`` samples, each block from its own heights, so no other
@@ -575,18 +586,16 @@ def clim(
     n = len(path.samples)
     _require_int(max_eigen, "max_eigen", 0, n - 1)
     t0, dt = path.t0, path.dt
-    # the call works in one buffer of its own, never in path.samples, which
-    # is the caller's array: the complex copy the z-fit reads, or at
-    # max_eigen = 0 the buffer the first averaging makes, until which the
-    # samples are only read
-    f = np.array(path.samples, dtype=complex) if max_eigen > 0 else path.samples
+    # the call works in a copy of its own, never in path.samples, which is
+    # the caller's array; the z-fit reads a complex one
+    f = np.array(path.samples, dtype=complex if max_eigen > 0 else None)
     removed = np.zeros(max_eigen + 1, dtype=complex)
     if max_eigen > 0:
         # the fit is in the centred height x = (T - T_mid)/T_half, with
         # T - T_mid = i*sign*(z - c) and c = z(T_mid); V is the same at
         # every stage, its columns the powers of x by repeated products,
         # as np.vander builds them, each block from its own heights
-        first, last = t0 + dt * np.array([0, n - 1])  # the end heights, as _heights gives them
+        first, last = (_heights(t0, dt, i, i + 1)[0] for i in (0, n - 1))
         t_mid, t_half = 0.5 * (last + first), 0.5 * (last - first)
         V = np.empty((n, max_eigen + 1))
         for i0, i1 in _spans(0, n, _BLOCK_SAMPLES):
@@ -607,8 +616,7 @@ def clim(
         if stage:
             # an average only between stages: one after the last would be
             # thrown away
-            out = f if f is not path.samples else np.empty_like(f)
-            f = _finite(_stream_average(f, t0, dt, out))
+            f = _finite(_stream_average(f, t0, dt))
         if max_eigen > 0:
             # real and imaginary parts as two real columns; the fitted
             # polynomial is sum_n pz[n] z^n, so removing it and adding back
@@ -774,30 +782,18 @@ def _ladder_block(symbol: str, params: LemmaParams, bins, dt: float, i0: int, i1
     then cut to [i0, i1).  A sample depends on its own index only, so a block
     is bitwise the same slice of ``ladder_path(...).samples``.  The symbols
     that do not read z are real and come back as float64; z_alpha, z_alpha2
-    and z2_alpha come back as complex128, with z built from its real parts
-    and multiplied in place, bitwise the complex expressions.
+    and z2_alpha come back as complex128, with z from ``_geometric_z`` at the
+    heights of ``_heights``, multiplied in place.
     """
     k_b, alpha_b = bins
     nbin = len(k_b)
     p0, p1 = i0 // nbin, -(-i1 // nbin)
-    p = np.arange(p0, p1)[:, None]
     k = z = None
     if symbol.startswith("z"):
-        # z = c - sign*iT, c = s0 - sigma0, from its real parts: the bits of
-        # _geometric_z, whose i*sign*T has real part 0 and imaginary part
-        # sign*T
-        T = np.add(p * nbin, np.arange(nbin), dtype=float)
-        T *= dt
-        T += params.t0
-        c = complex(params.s0) - params.sigma0
-        z = np.empty(T.shape, dtype=complex)
-        z.real = c.real
-        if params.direction == "lower":
-            np.subtract(c.imag, T, out=z.imag)
-        else:
-            np.add(c.imag, T, out=z.imag)
+        T = _heights(params.t0, dt, p0 * nbin, p1 * nbin).reshape(-1, nbin)
+        z = _geometric_z(T, params.s0, params.sigma0, params.direction)
     else:
-        k = p + k_b
+        k = np.arange(p0, p1)[:, None] + k_b
     expr = _LADDER_SYMBOLS[symbol][1]
     rows = expr(k, alpha_b, z, params.n)
     if rows.ndim == 1:  # alpha_n reads only the phase: one row for every period
@@ -1067,11 +1063,11 @@ def counting_path(cf: CountingFunction, kind: str, t_max: float, dt: float) -> S
     """Sampled path of a counting-pipeline combination on [0, t_max].
 
     kind is one of S, tS, t2S, S1, tS1, S2.  Step functions are sampled with
-    the midpoint convention of ``s_eval``.  The heights dt * i are built from
-    the checked dt and count, so the evaluators' bodies take them unchecked.
-    Each evaluator reduces the heights to phases once, by the exact split of
-    ``_phase``, which gives the bits of T % C in fewer passes.  The samples
-    are allocated once and filled in blocks of ``_BLOCK_SAMPLES`` heights;
+    the midpoint convention of ``s_eval``.  The heights dt * i come from
+    ``_heights`` at the checked dt and count, so the evaluators' bodies take
+    them unchecked.  Each evaluator reduces the heights to phases once, by
+    the exact split of ``_phase``, the bits of T % C in fewer passes.  The
+    samples are allocated once and filled in blocks of ``_BLOCK_SAMPLES`` heights;
     the evaluators are elementwise, so a block gives the bytes of the whole
     array's slice, and no temporary is longer than a block.
     """
@@ -1079,7 +1075,7 @@ def counting_path(cf: CountingFunction, kind: str, t_max: float, dt: float) -> S
     n = _sample_count(t_max, 0.0, dt)[0]
     samples = np.empty(n)
     for i0, i1 in _spans(0, n, _BLOCK_SAMPLES):
-        samples[i0:i1] = expr(cf, dt * np.arange(i0, i1))
+        samples[i0:i1] = expr(cf, _heights(0.0, dt, i0, i1))
     return SampledPath(t0=0.0, dt=dt, samples=samples)
 
 

@@ -599,7 +599,8 @@ def test_ladder_path_matches_reference(direction):
     # the z symbols, built from the real parts of z, are bitwise the complex
     # expressions in double, on the bin grid's phases and the path's heights
     alpha = ladder_path("alpha_n", replace(p, n=1), 50 * C, DT)
-    z = cesaro._geometric_z(alpha.times, complex(p.s0), p.sigma0, direction)
+    sign = 1.0 if direction == "lower" else -1.0
+    z = (complex(p.s0) - p.sigma0) - 1j * sign * alpha.times
     a = alpha.samples
     complex_expr = {"z_alpha": z * a, "z_alpha2": z * a**2, "z2_alpha": z**2 * a}
     for symbol in LEMMA_SYMBOLS:
@@ -613,6 +614,18 @@ def test_ladder_path_matches_reference(direction):
             assert got.tobytes() == complex_expr[symbol].tobytes(), symbol
     want = _reference_ladder_samples("alpha_n", replace(p, n=1), 50 * C, DT)
     assert np.max(np.abs(a - want)) <= 2 * np.finfo(float).eps * C
+
+
+@pytest.mark.parametrize("direction", ["lower", "upper"])
+def test_geometric_z_of_one_height_is_a_python_complex(direction):
+    # the Clim centre: a Python complex, whose powers overflow as
+    # OverflowError, bitwise the complex expression at an np.float64 height
+    sign = 1.0 if direction == "lower" else -1.0
+    for T in (np.float64(0.0), np.float64(37.25), np.float64(1e300)):
+        z = cesaro._geometric_z(T, S0 + 0.3j, SIGMA0, direction)
+        want = (complex(S0 + 0.3j) - SIGMA0) - 1j * sign * T
+        assert type(z) is complex
+        assert np.array([z]).tobytes() == np.array([want]).tobytes(), T
 
 
 @pytest.mark.parametrize("direction", ["lower", "upper"])
