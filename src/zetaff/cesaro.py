@@ -902,29 +902,36 @@ def r_lambda_cesaro(factor, q, s0, mu: int) -> complex:
 
 @dataclass(frozen=True)
 class CountingFunction:
-    """Critical-line root counting data: period C, genus g, step positions."""
+    """Critical-line root counting data: period C, genus g, step positions.
+
+    Checked on construction: g is an integer >= 1, C a finite real > 0, and
+    kappas 2g base-root imaginary parts strictly inside (0, C) on the
+    critical line, a multiset symmetric under kappa -> C - kappa, that is
+    the roots 1/2 + i*kappa closed under conjugation, checked as
+    ``make_curve`` checks it.  The fields are kept as a float, an int and a
+    sorted tuple of floats.
+    """
 
     C: float
     g: int
     kappas: tuple
 
+    def __post_init__(self):
+        _require_int(self.g, "genus", 1)
+        _require_range(self.C, "C", 0.0, lo_open=True)
+        kappas = sorted(_floats(self.kappas, "kappas", count=2 * self.g))
+        for k in kappas:
+            if not _PAIR_TOL < k < self.C - _PAIR_TOL:
+                raise ValidationError(f"kappa = {k} must lie strictly inside (0, {self.C})")
+        _check_conjugation([(0.5, k) for k in kappas], self.C)
+        object.__setattr__(self, "C", float(self.C))
+        object.__setattr__(self, "g", int(self.g))
+        object.__setattr__(self, "kappas", tuple(kappas))
+
 
 def make_counting(g: int, C: float, kappas) -> CountingFunction:
-    """Validate and build a CountingFunction.
-
-    kappas are the base-root imaginary parts in (0, C) on the critical line;
-    the multiset must be symmetric under kappa -> C - kappa, that is the
-    roots 1/2 + i*kappa closed under conjugation, checked as ``make_curve``
-    checks it.
-    """
-    _require_int(g, "genus", 1)
-    _require_range(C, "C", 0.0, lo_open=True)
-    kappas = sorted(_floats(kappas, "kappas", count=2 * g))
-    for k in kappas:
-        if not _PAIR_TOL < k < C - _PAIR_TOL:
-            raise ValidationError(f"kappa = {k} must lie strictly inside (0, {C})")
-    _check_conjugation([(0.5, k) for k in kappas], C)
-    return CountingFunction(C=float(C), g=int(g), kappas=tuple(kappas))
+    """Build a CountingFunction, which checks its inputs (see there)."""
+    return CountingFunction(C=C, g=g, kappas=kappas)
 
 
 def _heightwise(fn):

@@ -73,11 +73,27 @@ class LambdaFactor:
 
 @dataclass(frozen=True)
 class CurveZeta:
-    """A validated curve zeta function: q, genus, and the factor multiset."""
+    """A curve zeta function: q, genus, and the factor multiset.
+
+    Checked on construction, as far as the functions that read a curve need:
+    q is an integer prime power, genus an integer >= 0 and factors a tuple
+    of ``LambdaFactor``; otherwise InvalidInputError is raised.  The closure
+    of the factor set and its pole factors are ``make_curve``'s to check and
+    append, so a curve built directly may lack them.
+    """
 
     q: int
     genus: int
     factors: tuple
+
+    def __post_init__(self):
+        vertical_spacing(self.q)
+        _require_int(self.genus, "genus", 0)
+        if not (isinstance(self.factors, tuple)
+                and all(isinstance(f, LambdaFactor) for f in self.factors)):
+            raise InvalidInputError(
+                f"factors must be a tuple of LambdaFactor, got {self.factors!r}"
+            )
 
     @property
     def C(self) -> float:
@@ -124,20 +140,16 @@ def make_curve(q, genus, base_roots) -> CurveZeta:
     """
     C = vertical_spacing(q)
     _require_int(genus, "genus", 0)
-    norm = []
-    # finite pairs: a NaN tau0 would fail closure as a missing partner
-    for s, t in _floats(base_roots, "base roots", width=2, count=2 * genus):
-        _require_range(s, "sigma0", 0.0, 1.0)
-        norm.append((s, t % C))
-
+    # finite pairs: a NaN tau0 would fail closure as a missing partner; each
+    # factor checks its sigma0
+    roots = tuple(LambdaFactor(s, t % C, 1)
+                  for s, t in _floats(base_roots, "base roots", width=2, count=2 * genus))
+    norm = [(f.sigma0, f.tau0) for f in roots]
     _check_closure(norm, C, lambda s, t: (1.0 - s, (C - t) % C), "q/lambda")
     _check_conjugation(norm, C)
 
-    factors = tuple(LambdaFactor(s, t, 1) for s, t in norm) + (
-        LambdaFactor(0.0, 0.0, -1),
-        LambdaFactor(1.0, 0.0, -1),
-    )
-    return CurveZeta(q=int(q), genus=int(genus), factors=factors)
+    poles = (LambdaFactor(0.0, 0.0, -1), LambdaFactor(1.0, 0.0, -1))
+    return CurveZeta(q=int(q), genus=int(genus), factors=roots + poles)
 
 
 def base_root(factor: LambdaFactor) -> complex:

@@ -58,6 +58,7 @@ _CALLS = [
     (zetaff.ladder_path, ("k", _PARAMS, 60 * C, DT), {}),
     (zetaff.lemma_closed_form, ("k2_alpha", "lower", 1, 5.0, 0.6 + 0.7j, 0.6, 0.7, C), {}),
     (zetaff.make_counting, (1, C, [0.3, C - 0.3]), {}),
+    (CountingFunction, (C, 1, (0.3, C - 0.3)), {}),
     (zetaff.q_av, (_CF,), {}),
     (zetaff.q_eval, (_CF, 5.0), {}),
     (zetaff.r_critical_line, (_CF, 5.0, -2, [0.1, 0.1]), {}),
@@ -76,6 +77,7 @@ _CALLS = [
     (zetaff.check_functional_equation, (_CURVE, 2.0, 1e-9), {}),
     (zetaff.eval_zeta, (_CURVE, 2.0), {}),
     (zetaff.make_curve, (Q, 1, [(0.5, 0.3), (0.5, C - 0.3)]), {}),
+    (CurveZeta, (Q, 1, _CURVE.factors), {}),
     (zetaff.vertical_spacing, (Q,), {}),
     (zetaff.deriv_side_factor, (Q, _FACTOR, 5.0, 0.5, SeriesControl()), {}),
     (zetaff.deriv_side_total, (_CURVE, 5.0, 0.5, SeriesControl()), {}),
@@ -101,8 +103,7 @@ def _variants(args, kwargs):
 def test_malformed_arguments_raise_only_zetaff_errors():
     # every public function has its valid call; the result types are built
     # by the library, not by its callers
-    results = {"ClimReport", "CriticalLineResult", "LemmaVerification", "RegularizedSum",
-               "CountingFunction", "CurveZeta"}
+    results = {"ClimReport", "CriticalLineResult", "LemmaVerification", "RegularizedSum"}
     public = {
         name for name, value in vars(zetaff).items()
         if callable(value) and not name.startswith("_") and name not in results

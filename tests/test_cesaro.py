@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetaff import (
+    CountingFunction,
     InvalidInputError,
     LemmaParams,
     NoClimError,
@@ -956,6 +957,24 @@ def test_make_counting_validation():
     # the self-paired limit kappa -> C/2 is allowed
     cf = make_counting(1, C, [C / 2.0, C / 2.0])
     assert cf.kappas == (C / 2.0, C / 2.0)
+
+
+def test_counting_function_checks_itself():
+    # built directly, it took a NaN or infinite period, whose evaluators read
+    # NaN and whose counting paths read zeros, and any number of kappas
+    for period in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            CountingFunction(C=period, g=1, kappas=(0.3, 1.6))
+    with pytest.raises(InvalidInputError):
+        CountingFunction(C=2.0, g=1, kappas=(0.3, 5.0, 7.0))
+    with pytest.raises(ValidationError):
+        CountingFunction(C=2.0, g=1, kappas=(0.3, 5.0))  # not inside (0, C)
+    with pytest.raises(ValidationError):
+        CountingFunction(C=C, g=1, kappas=(0.3, 0.4))  # not closed under conjugation
+    # its fields are kept as make_counting kept them
+    cf = CountingFunction(C=np.float64(C), g=np.int64(1), kappas=[C - 0.3, 0.3])
+    assert (type(cf.C), type(cf.g), cf.kappas) == (float, int, (0.3, C - 0.3))
+    assert cf == make_counting(1, C, [0.3, C - 0.3])
 
 
 _CF = make_counting(1, C, [0.3, C - 0.3])

@@ -22,6 +22,7 @@ from zetaff import (
     make_curve,
     vertical_spacing,
 )
+from zetaff import curve_model
 
 C25 = vertical_spacing(25)
 
@@ -207,6 +208,36 @@ def test_functional_equation_detects_broken_curve():
     ok, residual = check_functional_equation(broken, 1.8 + 0.4j, 1e-9)
     assert not ok
     assert residual > 1e-3
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("factors", ("x",)), ("factors", None), ("factors", [LambdaFactor(0.0, 0.0, -1)]),
+     ("q", -5), ("q", "x"), ("q", 6), ("q", 25.0), ("genus", "x"), ("genus", -1)],
+)
+def test_curve_zeta_refuses_what_its_consumers_cannot_read(field, value):
+    # built directly, such a curve ended in an AttributeError, a TypeError or
+    # a ValueError from eval_zeta, the functional equation or the totals
+    with pytest.raises(InvalidInputError):
+        CurveZeta(**{"q": 25, "genus": 0, "factors": (), field: value})
+
+
+def test_make_curve_checks_each_sigma0_once(monkeypatch):
+    # each factor checks its own sigma0, which make_curve checked as well
+    checked = []
+    require = curve_model._require_range
+
+    def recorded(value, name, *args, **kwargs):
+        if name == "sigma0":
+            checked.append(value)
+        return require(value, name, *args, **kwargs)
+
+    monkeypatch.setattr(curve_model, "_require_range", recorded)
+    make_curve(25, 1, [(0.5, 0.3), (0.5, C25 - 0.3)])
+    assert checked == [0.5, 0.5, 0.0, 1.0]  # the two roots, then the two poles
+    with pytest.raises(InvalidInputError) as exc:
+        make_curve(25, 1, [(0.5, 0.3), (1.5, C25 - 0.3)])
+    assert str(exc.value) == "sigma0 must be a finite real number >= 0 and <= 1, got 1.5"
 
 
 def test_curve_C_property():
