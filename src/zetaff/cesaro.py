@@ -198,8 +198,8 @@ def _contour_sign(direction: str) -> float:
 
 
 def _geometric_z(times, s0, sigma0: float, direction: str):
-    """z = (s0 - sigma0) - sign*iT at the heights T, formed nowhere else, from
-    its real parts: imaginary part c.imag -/+ T on the lower/upper contour.
+    """z = c - sign*iT, c = s0 - sigma0, at the heights T, formed nowhere else,
+    from its real parts: c.real, and c.imag -/+ T on the lower/upper contour.
     One height gives a Python complex, whose powers overflow as OverflowError
     rather than as a NumPy warning."""
     c = complex(s0) - sigma0

@@ -223,7 +223,7 @@ def test_curve_zeta_refuses_what_its_consumers_cannot_read(field, value):
 
 
 def test_make_curve_checks_each_sigma0_once(monkeypatch):
-    # each factor checks its own sigma0, which make_curve checked as well
+    # make_curve leaves each sigma0 to its LambdaFactor, and the message is kept
     checked = []
     require = curve_model._require_range
 
