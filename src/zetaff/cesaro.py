@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curve_model import _check_conjugation, vertical_spacing
+from .curve_model import LambdaFactor, _check_conjugation, vertical_spacing
 from .errors import (
     InvalidInputError,
     NoClimError,
@@ -56,6 +56,7 @@ from .errors import (
     _floats,
     _point,
     _reals,
+    _record,
     _require_finite,
     _require_int,
     _require_range,
@@ -153,6 +154,7 @@ def average_P(path: SampledPath) -> SampledPath:
     copy of the samples, averaged in place by ``_stream_average``, so the
     path's samples are only read.
     """
+    _record(path, SampledPath, "path")
     return SampledPath(path.t0, path.dt, _stream_average(path.samples.copy(), path.t0, path.dt))
 
 
@@ -295,10 +297,20 @@ def _accepted(value, removed_eigen, p_power, flat, carried, flat_tol, route, s0)
     return ClimReport(_finite(complex(value), "the Clim value"), removed_eigen, p_power, flat)
 
 
-def _clim_profile(
-    source, n, t0, dt, s0, sigma0, direction, degree, period, phase, flat_tol,
-    phase_degree=None,
-):
+def _phase_fit(phases, profiles, phase_degree, at):
+    """Each profile fitted over the bin phases at ``phase_degree``, one 1-d
+    polyfit per profile, and the fits' largest miss of the profiles relative
+    to the largest profile (0 when every profile is zero)."""
+    with np.errstate(all="ignore"):  # a fit that is not finite is refused
+        fits = np.array([np.polynomial.polynomial.polyfit(phases, g, phase_degree)
+                         for g in profiles])
+        _finite(fits, "the phase fit of the profiles", at)
+        peak = np.max(np.abs(profiles))
+        miss = np.max(np.abs(np.polynomial.polynomial.polyval(phases, fits.T) - profiles))
+    return fits, float(miss / peak) if peak else 0.0
+
+
+def _clim_profile(source, n, t0, dt, s0, sigma0, direction, degree, period, phase, flat_tol):
     """Period-aware Clim: the profiles gamma_n(alpha) of f as a polynomial in z.
 
     ``source(i0, i1)`` returns the samples f[i0:i1] of a path of n samples,
@@ -318,12 +330,19 @@ def _clim_profile(
     down a column they are exactly polynomials in p.
 
     Each period mean is the exact integral of a polynomial in the phase,
-    fitted over the bins at ``phase_degree`` (by default min(degree + 2, 8),
-    which covers every ladder symbol but alpha_n, whose profile alpha^n
-    needs n).  The fit goes up to degree 8 and needs more distinct bin
-    phases than its degree, or InvalidInputError is raised before the path
-    is read; a large |phase| or t0 rounds the bin phases t0 + b*dt - phase
-    together.
+    fitted over the bins.  The fit picks its own degree.  It starts at
+    min(degree + 2, 8), which covers every ladder symbol but alpha_n, whose
+    profile alpha^n needs n, and the bins must have more distinct phases than
+    that, or InvalidInputError is raised before the path is read; a large
+    |phase| or t0 rounds the bin phases t0 + b*dt - phase together.  Its miss
+    is the largest |fit(phase) - profile| over all profiles and bins,
+    relative to the largest |profile|.  While the miss exceeds ``flat_tol``
+    the degree is raised by one, up to min(8, distinct phases - 1); if no
+    degree passes, NoClimError is raised with the last miss as its flatness.
+    A profile that is piecewise in the phase, as on a counting path with
+    steps at the kappas, fits at no degree and is refused.  This gate runs
+    after the flatness gate below and before the carried rounding is
+    checked; an accepted Clim reports the flatness in the period index.
 
     The path is streamed in two passes over chunks of ``_CHUNK_PERIODS``
     whole periods, and only the fits, not the samples, are checked to be
@@ -372,13 +391,7 @@ def _clim_profile(
         )
     _, alpha_b = _bin_grid(t0, dt, period, phase)
     nbin = len(alpha_b)
-    if phase_degree is None:
-        phase_degree = min(degree + 2, _MAX_PHASE_DEGREE)
-    if phase_degree > _MAX_PHASE_DEGREE:
-        raise InvalidInputError(
-            f"the phase fit goes up to degree {_MAX_PHASE_DEGREE}, not {phase_degree} "
-            "(alpha_n needs degree n)"
-        )
+    phase_degree = min(degree + 2, _MAX_PHASE_DEGREE)
     # the fit reads the bins in phase order
     order = np.argsort(alpha_b)
     phases = alpha_b[order] / period
@@ -433,26 +446,13 @@ def _clim_profile(
     sign = -1j * _contour_sign(direction)
     zb = _geometric_z(_heights(t0, dt, 0, nbin), s0, sigma0, direction)
 
-    # the period means of the z-monomial profiles, each by exact quadrature
-    # of a polynomial fitted over the phase alpha/period in [0, 1); profiles
-    # that leave the doubles (they grow like (s0 - sigma0)^degree) raise
-    # instead of warning
+    # the z-monomial profiles over the phase alpha/period in [0, 1), in phase
+    # order; profiles that leave the doubles (they grow like
+    # (s0 - sigma0)^degree) raise instead of warning
     with np.errstate(all="ignore"):
-        gam = _z_coefficients(coef, 1.0 / sign, zb)
-        fits = np.array([np.polynomial.polynomial.polyfit(phases, g[order], phase_degree)
-                         for g in gam])
-    _finite(fits, "the phase fit of the profiles", {"s0": s0, "sigma0": sigma0})
-    m = np.arange(phase_degree + 1)
-    means = [complex(np.sum(c / (m + 1))) for c in fits]
-    value = means[0]
-    if degree >= 2:
-        # The zero-mean period-C content q(alpha) multiplying z^2 has Cesaro
-        # value sign*(s0-sigma0)*mean(W_q), sign = -/+i on the lower/upper
-        # contour and W_q the antiderivative of q anchored at 0.
-        p2 = fits[2].copy()
-        p2[0] -= means[2]
-        mean_w = period * np.sum(p2 / ((m + 1) * (m + 2)))
-        value += sign * (s0 - sigma0) * mean_w
+        profiles = _z_coefficients(coef, 1.0 / sign, zb)[:, order]
+    at = {"s0": s0, "sigma0": sigma0}
+    fits, miss = _phase_fit(phases, profiles, phase_degree, at)
     # The rounding the binomial shift carries to z = 0.  In the period index
     # p a column's fit is held to eps times its size, which bounds the
     # weighted samples, and p = (z - z_b)/(sign*nbin*dt) carries it by
@@ -504,6 +504,27 @@ def _clim_profile(
         raise NoClimError(
             f"profile residual not flat: {flat:.3g}", residual_flatness=flat
         )
+    top = min(_MAX_PHASE_DEGREE, distinct - 1)
+    while not miss <= flat_tol and phase_degree < top:  # a NaN miss climbs
+        phase_degree += 1
+        fits, miss = _phase_fit(phases, profiles, phase_degree, at)
+    if not miss <= flat_tol:
+        raise NoClimError(
+            f"phase fit of the profiles not flat up to degree {phase_degree}: {miss:.3g}",
+            residual_flatness=miss,
+        )
+    # the period means of the profiles, each by exact quadrature of its fit
+    m = np.arange(phase_degree + 1)
+    means = [complex(np.sum(c / (m + 1))) for c in fits]
+    value = means[0]
+    if degree >= 2:
+        # The zero-mean period-C content q(alpha) multiplying z^2 has Cesaro
+        # value sign*(s0-sigma0)*mean(W_q), sign = -/+i on the lower/upper
+        # contour and W_q the antiderivative of q anchored at 0.
+        p2 = fits[2].copy()
+        p2[0] -= means[2]
+        mean_w = period * np.sum(p2 / ((m + 1) * (m + 2)))
+        value += sign * (s0 - sigma0) * mean_w
     return _accepted(value, tuple(enumerate(means))[1:], 1, flat, carried, flat_tol,
                      "profile shift", s0)
 
@@ -526,10 +547,14 @@ def clim(
     is used with expansion degree max_eigen, and ``max_p`` is unused.  Its
     flatness is the largest fit residual relative to the largest sample,
     both weighted by (1 + p)^-max_eigen, p the period index; it must be at
-    most flat_tol.  The phase bins of a period must have more distinct
-    phases than min(max_eigen + 2, 8), the degree of the phase fit, and the
-    first and last quarter of the nfull full periods, 2*(nfull // 4) rows,
-    must number at least max_eigen + 1.  The shift of each bin's fit to z = 0
+    most flat_tol.  The period means come from a fit in the phase whose
+    degree starts at min(max_eigen + 2, 8) and rises, up to 8, while the fit
+    misses the profiles by more than flat_tol relative to the largest of
+    them; a profile no degree fits, as on a counting path, raises
+    NoClimError with that miss.  The phase bins of a period must have more
+    distinct phases than the starting degree, and the first and last
+    quarter of the nfull full periods, 2*(nfull // 4) rows, must number at
+    least max_eigen + 1.  The shift of each bin's fit to z = 0
     carries its rounding, eps times the fit's size in the period index, by
     max_b |z_b| over the period length per power.  The samples are read as
     they are: the path checked them when it was built.
@@ -567,6 +592,7 @@ def clim(
     must be finite, or InvalidInputError is raised: a plain tail mean that
     overflows passes the flatness bound, which it makes infinite.
     """
+    _record(path, SampledPath, "path")
     s0 = _point(s0)
     sign = _contour_sign(direction)
     _require_int(max_p, "max_p", 0)
@@ -724,8 +750,9 @@ class LemmaParams:
         _point(self.s0)
         _require_finite(sigma0=self.sigma0, tau0=self.tau0)
         _require_range(self.t0, "t0", 0.0)
-        # the power of alpha_n; checked here so a bad n fails before any path work
-        _require_int(self.n, "n", 1)
+        # the power of alpha_n, up to the highest degree of the phase fit;
+        # checked here so a bad n fails before any path work
+        _require_int(self.n, "n", 1, _MAX_PHASE_DEGREE, why=" (the phase fit's degrees)")
 
     @property
     def phase(self) -> float:
@@ -765,6 +792,7 @@ def _ladder_length(symbol: str, params: LemmaParams, T_max: float, dt: float, sh
     params.t0; return the params of that start, the sample count, the period
     and the bin table."""
     _entry(_LADDER_SYMBOLS, symbol, "lemma symbol")
+    _record(params, LemmaParams, "params")
     n, t0 = _sample_count(T_max, params.t0, dt, shift)
     if shift:
         params = replace(params, t0=t0)
@@ -814,10 +842,13 @@ def verify_lemma(
 
     The value is the profile-mode ``clim`` of the ladder path, computed
     without building the path: the profile extraction streams its samples.
-    alpha_n is verified for n = 1 .. 8, the degrees the phase fit reaches;
-    a larger n raises InvalidInputError.  A symbol passes when abs_diff <=
-    tol * (1 + |closed form|): the closed forms of k, k2, k2_alpha and k3
-    grow like tau0, tau0^2 and tau0^3, and the rounding of the value with them.
+    Its report is that of the public ``clim`` with period C and max_eigen
+    the symbol's degree, on the ladder path that starts half a step past
+    params.t0.  The phase fit picks its own degree, so alpha_n, whose
+    profile is alpha^n, is verified for n = 1 .. 8, the range ``LemmaParams``
+    takes.  A symbol passes when abs_diff <= tol * (1 + |closed form|): the
+    closed forms of k, k2, k2_alpha and k3 grow like tau0, tau0^2 and tau0^3,
+    and the rounding of the value with them.
     """
     _require_tol(tol, "tol")
     # Sample at step midpoints so no sample lands exactly on a ladder jump,
@@ -832,9 +863,6 @@ def verify_lemma(
         lambda i0, i1: _finite(_ladder_block(symbol, shifted, bins, dt, i0, i1)),
         n, shifted.t0, dt, complex(params.s0), params.sigma0, params.direction,
         SYMBOL_DEGREE[symbol], C, params.phase, _FLAT_TOL,
-        # alpha_n's profile is alpha^n; the default phase degree, 3 for a
-        # degree-1 symbol, covers every other profile
-        phase_degree=max(3, params.n) if symbol == "alpha_n" else None,
     )
     diff = abs(report.value - cf)
     return LemmaVerification(
@@ -887,6 +915,7 @@ def r_lambda_cesaro(factor, q, s0, mu: int) -> complex:
     Both limits are still evaluated independently, and the zero is returned
     only after they are checked to cancel to 1e-9 * (1 + |N_+|).
     """
+    _record(factor, LambdaFactor, "factor")
     s0 = _point(s0, min_re=1.0)
     _require_finite(mu=mu)
     C = vertical_spacing(q)
@@ -945,6 +974,7 @@ def _heightwise(fn):
 
     @functools.wraps(fn)
     def evaluator(cf: CountingFunction, T):
+        _record(cf, CountingFunction, "cf")
         T = _reals(T, "heights")
         values = fn(cf, _finite(np.atleast_1d(T), "heights"))
         return float(values[0]) if T.ndim == 0 else values
@@ -1019,6 +1049,7 @@ def s1_eval(cf: CountingFunction, T):
 def s1_av(cf: CountingFunction) -> float:
     """Period mean of S1; for one step pair {kappa, C-kappa} this is
     kappa^2/C - kappa + C/6."""
+    _record(cf, CountingFunction, "cf")
     acc = -cf.g * cf.C / 3.0
     for k in cf.kappas:
         acc += (cf.C - k) ** 2 / (2.0 * cf.C)
@@ -1041,6 +1072,7 @@ def q_eval(cf: CountingFunction, T):
 
 def q_av(cf: CountingFunction) -> float:
     """Period mean of Q; equals (C/2)*S1av + g*C^2/12."""
+    _record(cf, CountingFunction, "cf")
     return sum((cf.C - k) ** 3 / (6.0 * cf.C) for k in cf.kappas)
 
 
@@ -1078,6 +1110,7 @@ def counting_path(cf: CountingFunction, kind: str, t_max: float, dt: float) -> S
     the evaluators are elementwise, so a block gives the bytes of the whole
     array's slice, and no temporary is longer than a block.
     """
+    _record(cf, CountingFunction, "cf")
     expr = _entry(_COUNTING_EXPR, kind, "path kind")
     n = _sample_count(t_max, 0.0, dt)[0]
     samples = np.empty(n)
@@ -1123,6 +1156,7 @@ def r_critical_line(cf: CountingFunction, s0, mu: int, epsilons) -> CriticalLine
     root count, which is zero because its one-sided limits cancel per root
     ladder (see ``r_lambda_cesaro``).
     """
+    _record(cf, CountingFunction, "cf")
     _point(s0, min_re=1.0)
     _require_finite(mu=mu)
     _floats(epsilons, "epsilons", count=2 * cf.g)

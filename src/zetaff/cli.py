@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemma", parents=[point, factor],
                        help="verify the Cesaro closed-form table")
     p.add_argument("--symbol", choices=cesaro.LEMMA_SYMBOLS, help="single symbol")
-    p.add_argument("--n", type=int, default=1, help="power n for alpha_n")
+    p.add_argument("--n", type=int, default=1, help="power n for alpha_n, from 1 to 8")
     p.add_argument("--t-max-periods", type=float, default=1e4)
     p.add_argument(
         "--tol", type=tolerance, default=5e-3,

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, PoleEvaluationError, ValidationError
-from .errors import _computed, _finite, _floats, _is_int, _point
+from .errors import _computed, _finite, _floats, _is_int, _point, _record
 from .errors import _require_int, _require_range, _require_tol
 
 _CLOSURE_TOL = 1e-12
@@ -89,11 +89,8 @@ class CurveZeta:
     def __post_init__(self):
         vertical_spacing(self.q)
         _require_int(self.genus, "genus", 0)
-        if not (isinstance(self.factors, tuple)
-                and all(isinstance(f, LambdaFactor) for f in self.factors)):
-            raise InvalidInputError(
-                f"factors must be a tuple of LambdaFactor, got {self.factors!r}"
-            )
+        for factor in _record(self.factors, tuple, "factors"):
+            _record(factor, LambdaFactor, "each factor")
 
     @property
     def C(self) -> float:
@@ -154,6 +151,7 @@ def make_curve(q, genus, base_roots) -> CurveZeta:
 
 def base_root(factor: LambdaFactor) -> complex:
     """Return r0 = sigma0 + i*tau0, the ladder root with Im in [0, C)."""
+    _record(factor, LambdaFactor, "factor")
     return complex(factor.sigma0, factor.tau0)
 
 
@@ -165,6 +163,7 @@ def _factor_lambda(factor: LambdaFactor, q) -> complex:
 def eval_zeta(curve: CurveZeta, s) -> complex:
     """Evaluate the factored zeta at a finite s (raises at poles, and where
     q^(-s) or the product leaves the doubles)."""
+    _record(curve, CurveZeta, "curve")
     s = _point(s, "s")
     qs = _computed("q^(-s)", {"s": s}, cmath.exp, -s * math.log(curve.q))
     value = 1.0 + 0.0j

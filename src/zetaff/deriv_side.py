@@ -35,6 +35,7 @@ from .errors import (
     _order_totals,
     _orders,
     _point,
+    _record,
     _require_finite,
     _require_int,
     _require_range,
@@ -115,6 +116,7 @@ def _series_values(q, factors, s0, orders, ctl, check_zero_orders):
     deriv_side_total.  e^(i*pi*mu)/Gamma(mu)*(ln q)^mu and n^(1-mu) are
     computed once per order, and x^n once per factor.
     """
+    _record(ctl, SeriesControl, "ctl")
     values = [[0j] * len(orders) for _ in factors]
     xs = None
     live, prefixes = [], []
@@ -169,6 +171,7 @@ def deriv_side_factor(q, factor: LambdaFactor, s0, mu, ctl: SeriesControl = Seri
     when |lambda*q^(-s0)| >= 1 and TailBudgetError when the truncation cannot
     meet ctl.tail_tol, at the first order that does.
     """
+    _record(factor, LambdaFactor, "factor")
     orders, one = _orders(mu)
     values = _series_values(q, [factor], _point(s0), orders, ctl, check_zero_orders=True)[0]
     return values[0] if one else np.array(values, dtype=np.complex128)
@@ -181,6 +184,7 @@ def deriv_side_total(curve: CurveZeta, s0, mu, ctl: SeriesControl = SeriesContro
     complex ndarray.  At nonpositive integer mu every factor vanishes, and
     the sum is 0j exactly, as it is at every order for a curve of no factors.
     """
+    _record(curve, CurveZeta, "curve")
     s0 = _point(s0, min_re=1.0)
     orders, one = _orders(mu)
     values = _series_values(curve.q, curve.factors, s0, orders, ctl, check_zero_orders=False)

@@ -57,9 +57,14 @@ class OrderInsufficientError(ZetaffError):
 
 
 class NoClimError(ZetaffError):
-    """The averaged path never flattened within the allowed P power.
+    """A Clim found no classical limit it could trust.
 
-    ``residual_flatness`` records the tail variation at the best stage.
+    ``residual_flatness`` records the measure that refused it: in plain mode
+    the tail flatness of the last stage, after max_p averagings; in profile
+    mode the weighted fit residual in the period index, or the phase fit's
+    miss of the profiles at the highest degree tried, or inf for a path too
+    short to fit; for either route, the rounding carried to z = 0 when that
+    exceeds its bound.
     """
 
     def __init__(self, message, residual_flatness):
@@ -112,6 +117,15 @@ def _require_range(value, name, lo, hi=math.inf, lo_open=False) -> None:
     if not (_is_finite(value) and (lo < value <= hi if lo_open else lo <= value <= hi)):
         where = f"{'>' if lo_open else '>='} {lo:g}" + (f" and <= {hi:g}" if hi < math.inf else "")
         raise InvalidInputError(f"{name} must be a finite real number {where}, got {value!r}")
+
+
+def _record(value, cls, name):
+    """value, unless it is no ``cls``, a record the library defines (a curve,
+    a factor, a path, ...): then InvalidInputError naming the argument, where
+    reading its fields would raise a bare AttributeError."""
+    if not isinstance(value, cls):
+        raise InvalidInputError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
 
 
 def _is_int(value) -> bool:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import power_sum_symmetric
-from .curve_model import CurveZeta, LambdaFactor, base_root, vertical_spacing
+from .curve_model import CurveZeta, LambdaFactor, vertical_spacing
 from .errors import (
     InvalidInputError,
     OrderInsufficientError,
@@ -49,6 +49,7 @@ from .errors import (
     _order_totals,
     _orders,
     _point,
+    _record,
     _require_finite,
     _require_int,
 )
@@ -115,7 +116,7 @@ def _check_k(k, smallest) -> None:
 
 def _ladder_offset(factor: LambdaFactor, C, s0) -> complex:
     """a = s0 - r0, checked not to be i*C*j: s0 on the ladder is a root."""
-    a = s0 - base_root(factor)
+    a = s0 - complex(factor.sigma0, factor.tau0)
     if a.real == 0.0 and a.imag == C * round(a.imag / C):
         raise InvalidInputError(f"s0 = {s0} lies on the root ladder of {factor}")
     return a
@@ -134,6 +135,7 @@ def root_side_classical(factor: LambdaFactor, q, s0, mu, k) -> complex:
     k = 10^7 classical oracle of the acceptance suite (mu >= 2.5) is what
     relies on this sum.
     """
+    _record(factor, LambdaFactor, "factor")
     s0 = _point(s0)
     _require_finite(mu=mu)
     if mu <= 1.0:
@@ -429,6 +431,7 @@ def root_side_em(factor: LambdaFactor, q, s0, mu, k=None):
     giving a list with one per order: the grid shares the kernel's ladder
     geometry across the orders and gives each order's result bit for bit.
     """
+    _record(factor, LambdaFactor, "factor")
     orders, one = _orders(mu)
     sums = _em_sums([factor], q, _point(s0), orders, k)[0]
     return sums[0] if one else sums
@@ -441,6 +444,7 @@ def root_side_total(curve: CurveZeta, s0, mu, k=None):
     error model choose it.  mu is one order, giving a complex, or a 1-d grid
     of orders, giving a complex ndarray.  A curve of no factors sums to 0j.
     """
+    _record(curve, CurveZeta, "curve")
     s0 = _point(s0, min_re=1.0)
     orders, one = _orders(mu)
     sums = _em_sums(curve.factors, curve.q, s0, orders, k)

@@ -2,9 +2,9 @@
 
 Each public function gets one valid call (``clim`` two: plain and profile
 mode).  Each numeric, name or sequence argument of it is replaced in turn by
-each value of ``_BAD``; the objects the library builds (a curve, a factor, a
-counting function, a path, lemma parameters, a series control) are kept.
-``_BAD`` holds malformed values (a string, None, a list, a ragged list, a
+each value of ``_BAD``; each record the library defines (a curve, a factor, a
+counting function, a path, lemma parameters, a series control) by a string,
+None and a list, the first three values of ``_BAD``.  ``_BAD`` holds malformed values (a string, None, a list, a ragged list, a
 complex number, NaN, inf, an int past the doubles) and finite values at the
 edge of the doubles (+-1e308, +-1e-308, +-10**20, 2**70), where what the
 library computes from them can overflow or underflow.  Every call must return or
@@ -92,9 +92,8 @@ def _variants(args, kwargs):
     """Each call of the matrix: one argument replaced by one bad value, with
     the argument's position or keyword."""
     for i, arg in enumerate(args):
-        if not isinstance(arg, _OBJECTS):
-            for bad in _BAD:
-                yield i, bad, args[:i] + (bad,) + args[i + 1 :], kwargs
+        for bad in _BAD[:3] if isinstance(arg, _OBJECTS) else _BAD:
+            yield i, bad, args[:i] + (bad,) + args[i + 1 :], kwargs
     for key in kwargs:
         for bad in _BAD:
             yield key, bad, args, {**kwargs, key: bad}

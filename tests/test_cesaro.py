@@ -502,9 +502,17 @@ def test_lemma_other_configuration():
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 @pytest.mark.parametrize("direction", ["lower", "upper"])
 def test_lemma_alpha_n_at_high_powers(n, direction):
-    # the profile of alpha_n is alpha^n, so the phase fit must reach degree n
-    res = verify_lemma("alpha_n", replace(params(direction), n=n), 1e3 * C, DT, 5e-3)
+    # the profile of alpha_n is alpha^n, so the phase fit must climb to
+    # degree n, in verify_lemma and in the public profile clim alike
+    p = replace(params(direction), n=n)
+    res = verify_lemma("alpha_n", p, 1e3 * C, DT, 5e-3)
     assert res.abs_diff <= 1e-12, res.abs_diff
+    path = ladder_path("alpha_n", replace(p, t0=0.5 * DT), 1e3 * C, DT)
+    rep = clim(path, S0, SIGMA0, direction, max_eigen=1, max_p=0, period=C, phase=p.phase)
+    want = lemma_closed_form("alpha_n", direction, n, S0, p.sigma0 + 1j * p.tau0, p.sigma0,
+                             p.tau0, C)
+    assert abs(rep.value - want) <= 1e-12 * abs(want), (rep.value, want)
+    assert rep == res.report
 
 
 def test_lemma_alpha_n_beyond_the_phase_fit_is_rejected(capsys):
@@ -697,18 +705,10 @@ def test_streamed_lemma_clim_equals_in_memory_clim(direction, q, monkeypatch):
         streamed = verify_lemma(symbol, pn, T_max, dt, 5e-3)
         path = ladder_path(symbol, replace(pn, t0=0.5 * dt), T_max, dt)
         path = SampledPath(path.t0, dt, path.samples.astype(complex))
-        if symbol == "alpha_n":
-            # clim fits the phase at degree 3; alpha_n needs max(3, n)
-            in_memory = cesaro._clim_profile(
-                lambda i0, i1: path.samples[i0:i1], len(path.samples), path.t0, dt,
-                complex(S0), SIGMA0, direction, 1, period, phase, cesaro._FLAT_TOL,
-                phase_degree=max(3, n),
-            )
-        else:
-            in_memory = clim(
-                path, S0, SIGMA0, direction, max_eigen=SYMBOL_DEGREE[symbol], max_p=1,
-                period=period, phase=phase,
-            )
+        in_memory = clim(
+            path, S0, SIGMA0, direction, max_eigen=SYMBOL_DEGREE[symbol], max_p=1,
+            period=period, phase=phase,
+        )
         assert streamed.numeric == in_memory.value, (symbol, n)
         assert streamed.report == in_memory, (symbol, n)
         # the fit sums its projection over groups of quarter rows whose size
@@ -1283,6 +1283,20 @@ def test_counting_clims_numeric():
             max_eigen=1, max_p=2, flat_tol=1e-2,
         )
         assert abs(rep.value - (-1j * b * s1_av(cf))) <= 5e-3
+
+
+@pytest.mark.parametrize("kappa", [0.3, 0.1234])
+@pytest.mark.parametrize("kind", ["S", "S1", "S2"])
+def test_clim_profile_refuses_a_counting_path(kind, kappa):
+    # a counting profile has breaks at the kappas, which no polynomial in the
+    # phase fits: the profile Clim read S up to 2.6e-3 off with flatness
+    # 1.7e-15 until its phase fit was checked
+    c2 = vertical_spacing(2)
+    cf = make_counting(1, c2, [kappa * c2, (1.0 - kappa) * c2])
+    path = counting_path(cf, kind, 100 * c2, c2 / 128.0)
+    with pytest.raises(NoClimError, match="phase fit") as exc:
+        clim(path, 2.5 + 0.7j, 0.5, "lower", max_eigen=1, max_p=0, period=c2)
+    assert exc.value.residual_flatness > cesaro._FLAT_TOL
 
 
 def _reference_plain_clim(path, s0, sigma0, direction, max_eigen, max_p, flat_tol):
