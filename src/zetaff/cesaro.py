@@ -297,14 +297,14 @@ def _accepted(value, removed_eigen, p_power, flat, carried, flat_tol, route, s0)
     return ClimReport(_finite(complex(value), "the Clim value"), removed_eigen, p_power, flat)
 
 
-def _phase_fit(phases, profiles, phase_degree, at):
+def _phase_fit(phases, profiles, phase_degree):
     """Each profile fitted over the bin phases at ``phase_degree``, one 1-d
     polyfit per profile, and the fits' largest miss of the profiles relative
-    to the largest profile (0 when every profile is zero)."""
-    with np.errstate(all="ignore"):  # a fit that is not finite is refused
+    to the largest profile (0 when every profile is zero, inf or NaN when a
+    fit is not finite)."""
+    with np.errstate(all="ignore"):
         fits = np.array([np.polynomial.polynomial.polyfit(phases, g, phase_degree)
                          for g in profiles])
-        _finite(fits, "the phase fit of the profiles", at)
         peak = np.max(np.abs(profiles))
         miss = np.max(np.abs(np.polynomial.polynomial.polyval(phases, fits.T) - profiles))
     return fits, float(miss / peak) if peak else 0.0
@@ -451,8 +451,8 @@ def _clim_profile(source, n, t0, dt, s0, sigma0, direction, degree, period, phas
     # (s0 - sigma0)^degree) raise instead of warning
     with np.errstate(all="ignore"):
         profiles = _z_coefficients(coef, 1.0 / sign, zb)[:, order]
-    at = {"s0": s0, "sigma0": sigma0}
-    fits, miss = _phase_fit(phases, profiles, phase_degree, at)
+    fits, miss = _phase_fit(phases, profiles, phase_degree)
+    _finite(fits, "the phase fit of the profiles", {"s0": s0, "sigma0": sigma0})
     # The rounding the binomial shift carries to z = 0.  In the period index
     # p a column's fit is held to eps times its size, which bounds the
     # weighted samples, and p = (z - z_b)/(sign*nbin*dt) carries it by
@@ -504,10 +504,11 @@ def _clim_profile(source, n, t0, dt, s0, sigma0, direction, degree, period, phas
         raise NoClimError(
             f"profile residual not flat: {flat:.3g}", residual_flatness=flat
         )
+    # the phase gate: the fit's degree rises while it misses the profiles
     top = min(_MAX_PHASE_DEGREE, distinct - 1)
     while not miss <= flat_tol and phase_degree < top:  # a NaN miss climbs
         phase_degree += 1
-        fits, miss = _phase_fit(phases, profiles, phase_degree, at)
+        fits, miss = _phase_fit(phases, profiles, phase_degree)
     if not miss <= flat_tol:
         raise NoClimError(
             f"phase fit of the profiles not flat up to degree {phase_degree}: {miss:.3g}",
