@@ -340,7 +340,8 @@ def _clim_profile(source, n, t0, dt, s0, sigma0, direction, degree, period, phas
     the degree is raised by one, up to min(8, distinct phases - 1); if no
     degree passes, NoClimError is raised with the last miss as its flatness.
     A profile that is piecewise in the phase, as on a counting path with
-    steps at the kappas, fits at no degree and is refused.  This gate runs
+    steps at the kappas, is refused (S, S1 and S2 miss by 0.013 to 0.89 at
+    degree 8 on 128 bins).  This gate runs
     after the flatness gate below and before the carried rounding is
     checked; an accepted Clim reports the flatness in the period index.
 

@@ -4,9 +4,10 @@ Each public function gets one valid call (``clim`` two: plain and profile
 mode).  Each numeric, name or sequence argument of it is replaced in turn by
 each value of ``_BAD``; each record the library defines (a curve, a factor, a
 counting function, a path, lemma parameters, a series control) by a string,
-None and a list, the first three values of ``_BAD``.  ``_BAD`` holds malformed values (a string, None, a list, a ragged list, a
-complex number, NaN, inf, an int past the doubles) and finite values at the
-edge of the doubles (+-1e308, +-1e-308, +-10**20, 2**70), where what the
+None and a list, the first three values of ``_BAD``.  ``_BAD`` holds
+malformed values (a string, None, a list, a ragged list, a complex number,
+NaN, inf, an int past the doubles) and finite values at the edge of the
+doubles (+-1e308, +-1e-308, +-10**20, 2**70), where what the
 library computes from them can overflow or underflow.  Every call must return or
 raise a ZetaffError, never a bare Python exception or a warning.
 

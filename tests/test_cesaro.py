@@ -509,9 +509,7 @@ def test_lemma_alpha_n_at_high_powers(n, direction):
     assert res.abs_diff <= 1e-12, res.abs_diff
     path = ladder_path("alpha_n", replace(p, t0=0.5 * DT), 1e3 * C, DT)
     rep = clim(path, S0, SIGMA0, direction, max_eigen=1, max_p=0, period=C, phase=p.phase)
-    want = lemma_closed_form("alpha_n", direction, n, S0, p.sigma0 + 1j * p.tau0, p.sigma0,
-                             p.tau0, C)
-    assert abs(rep.value - want) <= 1e-12 * abs(want), (rep.value, want)
+    assert abs(rep.value - res.closed_form) <= 1e-12 * abs(res.closed_form), rep.value
     assert rep == res.report
 
 
