@@ -297,13 +297,13 @@ def _accepted(value, removed_eigen, p_power, flat, carried, flat_tol, route, s0)
     return ClimReport(_finite(complex(value), "the Clim value"), removed_eigen, p_power, flat)
 
 
-def _phase_fit(phases, profiles, phase_degree):
-    """Each profile fitted over the bin phases at ``phase_degree``, one 1-d
+def _phase_fit(phases, profiles, fit_degree):
+    """Each profile fitted over the bin phases at ``fit_degree``, one 1-d
     polyfit per profile, and the fits' largest miss of the profiles relative
     to the largest profile (0 when every profile is zero, inf or NaN when a
     fit is not finite)."""
     with np.errstate(all="ignore"):
-        fits = np.array([np.polynomial.polynomial.polyfit(phases, g, phase_degree)
+        fits = np.array([np.polynomial.polynomial.polyfit(phases, g, fit_degree)
                          for g in profiles])
         peak = np.max(np.abs(profiles))
         miss = np.max(np.abs(np.polynomial.polynomial.polyval(phases, fits.T) - profiles))
@@ -392,14 +392,14 @@ def _clim_profile(source, n, t0, dt, s0, sigma0, direction, degree, period, phas
         )
     _, alpha_b = _bin_grid(t0, dt, period, phase)
     nbin = len(alpha_b)
-    phase_degree = min(degree + 2, _MAX_PHASE_DEGREE)
+    fit_degree = min(degree + 2, _MAX_PHASE_DEGREE)
     # the fit reads the bins in phase order
     order = np.argsort(alpha_b)
     phases = alpha_b[order] / period
     distinct = 1 + np.count_nonzero(np.diff(phases))
-    if distinct <= phase_degree:
+    if distinct <= fit_degree:
         raise InvalidInputError(
-            f"{distinct} distinct phases in {nbin} bins cannot fit a degree-{phase_degree} "
+            f"{distinct} distinct phases in {nbin} bins cannot fit a degree-{fit_degree} "
             "phase profile: take more bins per period, or a smaller tau0 or t0"
         )
     nfull = (n - 1) // nbin
@@ -452,7 +452,7 @@ def _clim_profile(source, n, t0, dt, s0, sigma0, direction, degree, period, phas
     # (s0 - sigma0)^degree) raise instead of warning
     with np.errstate(all="ignore"):
         profiles = _z_coefficients(coef, 1.0 / sign, zb)[:, order]
-    fits, miss = _phase_fit(phases, profiles, phase_degree)
+    fits, miss = _phase_fit(phases, profiles, fit_degree)
     _finite(fits, "the phase fit of the profiles", {"s0": s0, "sigma0": sigma0})
     # The rounding the binomial shift carries to z = 0.  In the period index
     # p a column's fit is held to eps times its size, which bounds the
@@ -507,16 +507,16 @@ def _clim_profile(source, n, t0, dt, s0, sigma0, direction, degree, period, phas
         )
     # the phase gate: the fit's degree rises while it misses the profiles
     top = min(_MAX_PHASE_DEGREE, distinct - 1)
-    while not miss <= flat_tol and phase_degree < top:  # a NaN miss climbs
-        phase_degree += 1
-        fits, miss = _phase_fit(phases, profiles, phase_degree)
+    while not miss <= flat_tol and fit_degree < top:  # a NaN miss climbs
+        fit_degree += 1
+        fits, miss = _phase_fit(phases, profiles, fit_degree)
     if not miss <= flat_tol:
         raise NoClimError(
-            f"phase fit of the profiles not flat up to degree {phase_degree}: {miss:.3g}",
+            f"phase fit of the profiles not flat up to degree {fit_degree}: {miss:.3g}",
             residual_flatness=miss,
         )
     # the period means of the profiles, each by exact quadrature of its fit
-    m = np.arange(phase_degree + 1)
+    m = np.arange(fit_degree + 1)
     means = [complex(np.sum(c / (m + 1))) for c in fits]
     value = means[0]
     if degree >= 2:
